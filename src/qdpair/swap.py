@@ -60,7 +60,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -192,21 +192,11 @@ class SwapScenario:
                 * self.eta_det)
 
 
-class SwapResult(tuple):
+class SwapResult(NamedTuple):
     """(rate_hz, fidelity) with named access."""
 
-    __slots__ = ()
-
-    def __new__(cls, rate_hz, fidelity):
-        return super().__new__(cls, (float(rate_hz), float(fidelity)))
-
-    @property
-    def rate_hz(self):
-        return self[0]
-
-    @property
-    def fidelity(self):
-        return self[1]
+    rate_hz: float
+    fidelity: float
 
 
 # ---------------------------------------------------------------------------

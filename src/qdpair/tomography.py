@@ -26,7 +26,7 @@ from scipy.special import gammaln
 
 from .errors import (ConfigError, ContractError, NumericalError,
                      ReconstructionError)
-from .twoqubit import TwoQubitDensity
+from .twoqubit import TwoQubitDensity, singlet_fraction
 
 _SQ = 1.0 / math.sqrt(2.0)
 
@@ -173,16 +173,18 @@ def _measurement_ops(records):
     return ops, counts
 
 
-def _completeness_rank(ops) -> int:
-    rows = []
-    for op in ops:
-        row = [op[i, i].real for i in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                row.append(math.sqrt(2.0) * op[i, j].real)
-                row.append(math.sqrt(2.0) * op[i, j].imag)
-        rows.append(row)
-    return int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+_UPPER = np.triu_indices(4, 1)
+
+
+def _design_matrix(ops) -> np.ndarray:
+    """Rows a_s with a_s . x = Tr[sigma Pi_s] for a Hermitian sigma packed
+    as x = (sigma_ii, then Re sigma_ij, Im sigma_ij for each i < j)."""
+    # Tr[sigma Pi] = sum_i sigma_ii Pi_ii + 2 sum_{i<j}
+    # (Re sigma_ij Re Pi_ij + Im sigma_ij Im Pi_ij)
+    off = ops[:, _UPPER[0], _UPPER[1]]
+    pairs = np.stack([2.0 * off.real, 2.0 * off.imag], axis=-1)
+    return np.hstack([np.diagonal(ops, axis1=1, axis2=2).real,
+                      pairs.reshape(len(ops), -1)])
 
 
 _TRIL = [(i, j) for i in range(4) for j in range(i + 1)]
@@ -229,17 +231,8 @@ def _objective(x, ops, counts, a_total, floor):
     return f, np.array(grad)
 
 
-def _linear_inversion_start(ops, counts):
-    rows = []
-    for op in ops:
-        row = [op[i, i].real for i in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                # Tr[sigma Pi] = sum_i sigma_ii Pi_ii + 2 sum_{i<j}
-                # (Re sigma_ij Re Pi_ij + Im sigma_ij Im Pi_ij)
-                row.extend([2.0 * op[i, j].real, 2.0 * op[i, j].imag])
-        rows.append(row)
-    sol, *_ = np.linalg.lstsq(np.array(rows), counts, rcond=None)
+def _linear_inversion_start(design, counts):
+    sol, *_ = np.linalg.lstsq(design, counts, rcond=None)
     sigma = np.zeros((4, 4), dtype=complex)
     idx = 4
     for i in range(4):
@@ -269,10 +262,12 @@ def mle_reconstruct(records) -> tuple:
     if not records:
         raise ContractError("no count records supplied")
     ops, counts = _measurement_ops(records)
-    if _completeness_rank(ops) < 16:
+    design = _design_matrix(ops)
+    rank = int(np.linalg.matrix_rank(design, tol=1e-9))
+    if rank < 16:
         raise ReconstructionError(
             "measurement settings are not informationally complete "
-            f"(rank {_completeness_rank(ops)} < 16)")
+            f"(rank {rank} < 16)")
     a_total = np.einsum("sij->ij", ops)
     n_total = counts.sum()
     floor = 1e-12 * (n_total + 1.0)
@@ -280,7 +275,7 @@ def mle_reconstruct(records) -> tuple:
     scale = n_total / max(np.trace(a_total).real / 4.0, 1e-300)
     starts = [math.sqrt(scale / 4.0) * np.eye(4, dtype=complex)]
     try:
-        t_lin = _linear_inversion_start(ops, counts)
+        t_lin = _linear_inversion_start(design, counts)
         starts.append(t_lin)
     except np.linalg.LinAlgError:
         pass
@@ -337,8 +332,6 @@ def bootstrap_singlet_fraction(records, resamples: int, seed: int):
     Resamples each setting's counts from Poisson(observed), re-runs the
     reconstruction, and returns the array of singlet fractions.
     """
-    from .twoqubit import singlet_fraction
-
     records = list(records)
     if resamples < 50:
         raise ContractError(f"need at least 50 resamples, got {resamples}")

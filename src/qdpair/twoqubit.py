@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import ContractError, NumericalError
+from .errors import ContractError
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
@@ -147,72 +146,34 @@ def overlap_with(rho: TwoQubitDensity, target: TwoQubitDensity) -> float:
     return float(np.trace(rho.matrix @ tm).real)
 
 
-def _su2(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Euler-angle parameterisation Rz(alpha) Ry(beta) Rz(gamma)."""
-    cb, sb = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    return np.array([
-        [np.exp(-0.5j * (alpha + gamma)) * cb, -np.exp(-0.5j * (alpha - gamma)) * sb],
-        [np.exp(0.5j * (alpha - gamma)) * sb, np.exp(0.5j * (alpha + gamma)) * cb],
-    ], dtype=complex)
-
-
-def _phi_u(u: np.ndarray) -> np.ndarray:
-    """(U x I)|phi+> as a 4-vector."""
-    phi = np.zeros(4, dtype=complex)
-    # |phi+> = (|HH> + |VV>)/sqrt(2); apply U to the first qubit.
-    for j in range(2):          # second-qubit value
-        for i in range(2):      # first-qubit value after U
-            phi[2 * i + j] += u[i, j] / np.sqrt(2.0)
-    return phi
-
-
 class SingletFraction(NamedTuple):
     value: float
-    angles: tuple
     rotation: np.ndarray
 
 
-# Deterministic multi-start grid: corners of the Euler box plus the identity.
-_STARTS = [
-    (0.0, 0.0, 0.0),
-    (0.0, np.pi / 2, 0.0),
-    (np.pi / 2, np.pi / 2, 0.0),
-    (0.0, np.pi / 2, np.pi / 2),
-    (np.pi, np.pi / 2, 0.0),
-    (0.0, np.pi, 0.0),
-    (np.pi / 2, np.pi, np.pi / 2),
-    (np.pi, np.pi, np.pi),
-]
+# Magic basis (Hill & Wootters, PRL 78, 5022 (1997)) as columns:
+# |phi+>, i|phi->, i|psi+>, |psi->.  A state is maximally entangled exactly
+# when its coefficients in this basis are real up to one global phase.
+_MAGIC = np.array([
+    [1.0, 1.0j, 0.0, 0.0],
+    [0.0, 0.0, 1.0j, 1.0],
+    [0.0, 0.0, 1.0j, -1.0],
+    [1.0, -1.0j, 0.0, 0.0],
+]) / np.sqrt(2.0)
 
 
 def singlet_fraction(rho: TwoQubitDensity) -> SingletFraction:
     """Largest overlap with any maximally entangled state.
 
-    Maximises <phi_U|rho|phi_U> over |phi_U> = (U x I)|phi+> with U in
-    SU(2).  Restricting the rotation to one side loses no generality
-    because (U x V)|phi+> = (U V^T x I)|phi+>.  Deterministic multi-start
-    local optimisation; tolerance 1e-9 on the objective.
+    Every maximally entangled state is B v for the magic basis B and a
+    real unit vector v, so the overlap v^T Re(B^dag rho B) v is maximised
+    by the top eigenvector of that real symmetric matrix (Grondalski,
+    Etlinger & James, Phys. Lett. A 300, 573 (2002)).  The maximiser is
+    returned as the unitary U with B v = (U x I)|phi+>.
     """
-    m = rho.matrix
-
-    def objective(x):
-        phi = _phi_u(_su2(*x))
-        return -float(np.real(phi.conj() @ m @ phi))
-
-    best = None
-    converged = False
-    for x0 in _STARTS:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        converged = converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    if not converged:
-        raise NumericalError(
-            f"singlet-fraction search failed to converge from all {len(_STARTS)} "
-            f"starts; last status: {best.message}")
-    val = -best.fun
+    vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real)
+    val = float(vals[-1])
     if not -1e-9 <= val <= 1.0 + 1e-9:
         raise ContractError(f"singlet fraction {val} outside [0, 1]")
-    angles = tuple(float(a) for a in best.x)
-    return SingletFraction(min(max(val, 0.0), 1.0), angles, _su2(*best.x))
+    rotation = np.sqrt(2.0) * (_MAGIC @ vecs[:, -1]).reshape(2, 2)
+    return SingletFraction(min(max(val, 0.0), 1.0), rotation)

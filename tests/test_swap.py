@@ -27,6 +27,9 @@ def test_ideal_sources_swap_perfectly():
     lossless = ideal_qd()
     res = swap.swap_once(lossless, lossless)
     assert abs(res.rate_hz - lossless.rep_rate_hz / 8.0) <= 1e-6
+    rate, fid = res
+    assert res == (rate, fid) == (res.rate_hz, res.fidelity)
+    assert type(rate) is float and type(fid) is float
 
 
 def test_channel_loss_degrades_fidelity_only_mildly():

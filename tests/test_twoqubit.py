@@ -1,4 +1,4 @@
-"""Tests for two-qubit density matrices and the singlet-fraction search."""
+"""Tests for two-qubit density matrices and the singlet fraction."""
 
 import numpy as np
 import pytest
@@ -64,16 +64,28 @@ def test_singlet_fraction_invariant_under_local_unitaries():
         assert abs(sf0 - sf1) <= 1e-8
 
 
+def test_random_states_match_grid_search():
+    # independent oracle beyond the Werner family
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        rho = random_density_matrix(rng)
+        grid = max_singlet_overlap_grid(rho)
+        assert abs(tq.singlet_fraction(tq.TwoQubitDensity(rho)).value - grid) <= 1e-4
+
+
 def test_singlet_fraction_reports_maximising_rotation():
-    rng = np.random.default_rng(7)
-    rho = tq.TwoQubitDensity(random_density_matrix(rng))
-    sf = tq.singlet_fraction(rho)
-    u = np.asarray(sf.rotation)
-    assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-10)
+    # random states, plus states whose optimum is degenerate
+    states = [tq.TwoQubitDensity(random_density_matrix(np.random.default_rng(seed)))
+              for seed in (7, 17, 27)]
+    states += [tq.werner(0.0), tq.rho_b_half()]
     phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    ket = np.kron(u, np.eye(2)) @ phi
-    direct = float(np.real(ket.conj() @ rho.matrix @ ket))
-    assert abs(direct - sf.value) <= 1e-9
+    for rho in states:
+        sf = tq.singlet_fraction(rho)
+        u = np.asarray(sf.rotation)
+        assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-10)
+        ket = np.kron(u, np.eye(2)) @ phi
+        direct = float(np.real(ket.conj() @ rho.matrix @ ket))
+        assert abs(direct - sf.value) <= 1e-9
 
 
 def test_postselected_mixture_components():
