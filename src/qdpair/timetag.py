@@ -321,6 +321,10 @@ class Histogram:
                 fh.write(f"{int(s)},{int(c)}\n")
 
 
+# Starts of channel a binned per pass, which bounds the pair arrays.
+_HISTOGRAM_BLOCK = 1 << 16
+
+
 def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
                           bin_ps: int, span_ps: int) -> Histogram:
     """Histogram of timestamp differences t_b - t_a over +/- span_ps."""
@@ -330,19 +334,16 @@ def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
     tb = stream.channel_times(ch_b)
     nbins = 2 * (span_ps // bin_ps)
     starts = (np.arange(nbins) - nbins // 2) * bin_ps
-    if len(ta) == 0 or len(tb) == 0:
-        return Histogram(starts, np.zeros(nbins, dtype=np.int64), bin_ps, empty=True)
-    lo = np.searchsorted(tb, ta + starts[0], side="left")
-    hi = np.searchsorted(tb, ta + starts[0] + nbins * bin_ps, side="left")
-    m = hi - lo
-    total = int(m.sum())
-    if total == 0:
-        return Histogram(starts, np.zeros(nbins, dtype=np.int64), bin_ps, empty=True)
-    flat = np.repeat(lo, m) + (np.arange(total)
-                               - np.repeat(np.cumsum(m) - m, m))
-    diffs = tb[flat] - np.repeat(ta, m)
-    counts, _ = np.histogram(diffs, bins=np.append(starts, starts[-1] + bin_ps))
-    return Histogram(starts, counts.astype(np.int64), bin_ps)
+    counts = np.zeros(nbins, dtype=np.int64)
+    for i in range(0, len(ta), _HISTOGRAM_BLOCK):
+        block = ta[i:i + _HISTOGRAM_BLOCK]
+        lo = np.searchsorted(tb, block + starts[0], side="left")
+        m = np.searchsorted(tb, block + starts[0] + nbins * bin_ps,
+                            side="left") - lo
+        flat = np.repeat(lo - (np.cumsum(m) - m), m) + np.arange(m.sum())
+        diffs = tb[flat] - np.repeat(block, m)
+        counts += np.bincount((diffs - starts[0]) // bin_ps, minlength=nbins)
+    return Histogram(starts, counts, bin_ps, empty=not counts.any())
 
 
 def period_histogram(stream: TimeTagStream, channel: int = None,

@@ -194,6 +194,52 @@ def test_histogram_needs_enough_side_peaks():
         tt.g2_from_histogram(hist, st.period_ps)
 
 
+def all_pairs_histogram(stream, ch_a, ch_b, bin_ps, span_ps):
+    """Reference: every (a, b) pair in the span at once, then np.histogram."""
+    ta = stream.channel_times(ch_a)
+    tb = stream.channel_times(ch_b)
+    nbins = 2 * (span_ps // bin_ps)
+    starts = (np.arange(nbins) - nbins // 2) * bin_ps
+    if len(ta) == 0 or len(tb) == 0:
+        return starts, np.zeros(nbins, dtype=np.int64)
+    lo = np.searchsorted(tb, ta + starts[0], side="left")
+    hi = np.searchsorted(tb, ta + starts[0] + nbins * bin_ps, side="left")
+    m = hi - lo
+    flat = np.repeat(lo, m) + (np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m))
+    diffs = tb[flat] - np.repeat(ta, m)
+    counts, _ = np.histogram(diffs, bins=np.append(starts, starts[-1] + bin_ps))
+    return starts, counts.astype(np.int64)
+
+
+def test_coincidence_histogram_matches_all_pairs_reference():
+    rng = np.random.default_rng(11)
+    bin_ps, span_ps = 20, 1000
+    n_a = 2 * (1 << 16) + 1234           # three blocks, the last one partial
+    ta = np.sort(rng.integers(0, 40 * n_a, size=n_a))
+    tb = np.sort(rng.integers(0, 40 * n_a, size=n_a))
+    # Pairs exactly on the first bin's lower edge (kept) and on the upper
+    # end of the last bin (kept one ps inside, dropped on the edge).
+    edges = np.concatenate([ta[::5000] - span_ps, ta[::7000] + span_ps - 1,
+                            ta[::9000] + span_ps])
+    tb = np.sort(np.concatenate([tb, edges]))
+    t = np.concatenate([ta, tb])
+    order = np.argsort(t, kind="stable")
+    records = np.empty(len(t), dtype=tt.RECORD_DTYPE)
+    records["t"] = t[order]
+    records["channel"] = np.repeat([0, 1], [len(ta), len(tb)])[order]
+    st = tt.TimeTagStream(records, rep_rate_hz=80e6)
+    for ch_a, ch_b in ((0, 1), (1, 0), (0, 0), (0, 2), (2, 1)):
+        hist = tt.coincidence_histogram(st, ch_a, ch_b, bin_ps, span_ps)
+        starts, ref = all_pairs_histogram(st, ch_a, ch_b, bin_ps, span_ps)
+        assert np.array_equal(hist.bin_start_ps, starts)
+        assert hist.counts.dtype == np.int64
+        assert np.array_equal(hist.counts, ref)
+        assert hist.empty == (ref.sum() == 0)
+    full = tt.coincidence_histogram(st, 0, 1, bin_ps, span_ps).counts
+    assert full[0] >= len(ta[::5000]) and full[-1] >= len(ta[::7000])
+    assert tt.coincidence_histogram(st, 0, 2, bin_ps, span_ps).empty
+
+
 def test_stream_params_validation():
     for kwargs in (dict(mode="weird"), dict(eta=1.5), dict(pulses=0),
                    dict(g2=-0.1), dict(emission="laser_like"),

@@ -5,8 +5,13 @@ import pytest
 
 from qdpair import tomography as tomo
 from qdpair import twoqubit as tq
-from qdpair.errors import ContractError, ReconstructionError
-from helpers import uhlmann_fidelity
+from qdpair import wavepacket
+from qdpair.errors import ContractError, NumericalError, ReconstructionError
+from helpers import (frank_wolfe_gap, mle_multistart, random_density_matrix,
+                     uhlmann_fidelity)
+
+# A log of zero or a division by zero inside the solver fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def projector(ket):
@@ -141,3 +146,68 @@ def test_reconstruction_errors():
         tomo.mle_reconstruct([])
     with pytest.raises(ContractError):
         tomo.simulate_counts(tq.werner(0.5), ss, 0, seed=1)
+    with pytest.raises(ReconstructionError):
+        tomo.mle_reconstruct([tomo.CountRecord(r.setting, 0) for r in records])
+
+
+def oracle_cases():
+    """(name, records) covering mixed, pure, rank-deficient and sparse data."""
+    ss = tomo.standard_settings()
+    rng = np.random.default_rng(44)
+    weights = wavepacket.postselected_weights(0.015, 0.05)   # entangle defaults
+    mix = tq.TwoQubitDensity.from_matrix(
+        weights[0] * tq.rho_q(0.981).matrix + weights[1] * tq.rho_b_half().matrix
+        + weights[2] * tq.rho_b_zero().matrix)
+    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+    pure = tq.TwoQubitDensity.from_matrix(np.outer(ket, ket.conj()),
+                                          renormalize=True)
+    wishart = tq.TwoQubitDensity(random_density_matrix(rng))
+    cases = [
+        ("entangle mixture", tomo.simulate_counts(mix, ss, 100000, seed=1)),
+        ("psi minus", tomo.simulate_counts(tq.bell_state("psi_minus"), ss,
+                                           100000, seed=2)),
+        ("rho_b_half", tomo.simulate_counts(tq.rho_b_half(), ss, 100000, seed=3)),
+        ("werner(0)", tomo.simulate_counts(tq.werner(0.0), ss, 100000, seed=4)),
+        ("wishart", tomo.simulate_counts(wishart, ss, 10 ** 6, seed=5)),
+        ("pure", tomo.simulate_counts(pure, ss, 100000, seed=6)),
+        ("low count", tomo.simulate_counts(tq.werner(0.9), ss, 333, seed=7)),
+    ]
+    rho = tq.werner(0.8)
+    times = rng.uniform(0.3, 3.0, size=len(ss))
+    means = [1e4 * t * tomo.setting_probability(rho, s) for s, t in zip(ss, times)]
+    cases.append(("unequal times", [
+        tomo.CountRecord(s, int(rng.poisson(m)), t)
+        for s, t, m in zip(ss, times, means)]))
+    one_zero = tomo.simulate_counts(tq.werner(0.95), ss, 100000, seed=8)
+    one_zero[5] = tomo.CountRecord(one_zero[5].setting, 0)
+    cases.append(("one zero setting", one_zero))
+    return cases
+
+
+@pytest.mark.parametrize("records", [pytest.param(records, id=name)
+                                     for name, records in oracle_cases()])
+def test_reconstruction_beats_multistart_oracle(records):
+    ops, counts = tomo._measurement_ops(records)
+    rec, loglik = tomo.mle_reconstruct(records)
+    gap = frank_wolfe_gap(ops, counts, rec.matrix)
+    assert -1e-9 * counts.sum() <= gap <= tomo.GAP_BOUND * counts.sum()
+    # Both sides sum terms of size ~ N log N that cancel to ~ -200.
+    assert loglik == pytest.approx(tomo.log_likelihood(records, rec),
+                                   abs=1e-13 * counts.sum())
+    oracle = mle_multistart(ops, counts)
+    oracle_rho = tq.TwoQubitDensity.from_matrix(
+        oracle / np.trace(oracle).real, renormalize=True)
+    assert loglik >= tomo.log_likelihood(records, oracle_rho) - gap
+
+
+def test_certificate_rejects_a_non_optimal_state():
+    ss = tomo.standard_settings()
+    records = tomo.simulate_counts(tq.bell_state("psi_minus"), ss, 100000, seed=2)
+    ops, counts = tomo._measurement_ops(records)
+    mixed = np.eye(4, dtype=complex) / 4.0
+    assert frank_wolfe_gap(ops, counts, mixed) > tomo.GAP_BOUND * counts.sum()
+    with pytest.raises(NumericalError, match="duality gap"):
+        tomo._certified(ops, counts, mixed)
+    rec, _ = tomo.mle_reconstruct(records)
+    sigma = tomo._certified(ops, counts, rec.matrix)
+    assert np.trace(sigma @ ops.sum(0)).real == pytest.approx(counts.sum())
