@@ -20,8 +20,9 @@ so a 50:50 splitter sends |H>_a |V>_b to
 photons bunch completely (no coincidence term).
 
 The same machinery runs on wider mode sets (the entanglement-swapping
-model uses eight modes), so the mode count is a constructor argument;
-the four-mode layout above is only the default.
+model uses sixteen: eight modes and their loss environments), so the mode
+count is a constructor argument; the four-mode layout above is only the
+default.  Loss is the same two-mode mix, onto an empty environment mode.
 """
 
 from __future__ import annotations
@@ -262,51 +263,30 @@ def post_select_coincidence(state: FockState):
 def loss_channel(state: FockState, etas) -> list:
     """Apply independent per-mode loss, branching over Kraus outcomes.
 
-    ``etas`` is a per-mode survival probability sequence.  Returns a list
-    of ``(probability, normalised FockState)`` pairs summing to the input
+    ``etas`` is a per-mode survival probability sequence.  Mode m is mixed
+    with transmissivity ``etas[m]`` onto its own empty environment mode;
+    each branch is one environment occupation (photons lost per mode), in
+    lexicographic order.  The factor i per reflected photon is undone, so
+    a term |n> of the branch losing l carries the Kraus amplitude
+    sqrt(C(n, l) eta^(n - l) (1 - eta)^l).  Returns a list of
+    ``(probability, normalised FockState)`` pairs summing to the input
     norm; branches below 1e-18 weight are dropped.
     """
     etas = list(etas)
-    if len(etas) != state.nmodes:
+    n = state.nmodes
+    if len(etas) != n:
         raise ContractError("need one survival probability per mode")
-    for e in etas:
-        if not 0.0 <= e <= 1.0:
-            raise ContractError(f"loss survival probability {e} outside [0, 1]")
-    max_occ = [0] * state.nmodes
-    for occ in state.terms:
-        for i, n in enumerate(occ):
-            max_occ[i] = max(max_occ[i], n)
-
-    branches = []
-
-    def recurse(mode, lost):
-        if mode == state.nmodes:
-            branches.append(tuple(lost))
-            return
-        for l in range(max_occ[mode] + 1):
-            # Losing photons from a mode that can never hold them contributes nothing.
-            recurse(mode + 1, lost + [l])
-
-    recurse(0, [])
-
+    dilated = FockState({occ + (0,) * n: amp for occ, amp in state.terms.items()},
+                        nmax=state.nmax, nmodes=2 * n)
+    for m, eta in enumerate(etas):
+        dilated = two_mode_mix(dilated, m, n + m, eta)
+    groups: dict = {}
+    for occ, amp in dilated.terms.items():
+        lost = occ[n:]
+        groups.setdefault(lost, {})[occ[:n]] = amp * (-1j) ** sum(lost)
     out = []
-    for lost in branches:
-        terms = {}
-        for occ, amp in state.terms.items():
-            coeff = 1.0
-            ok = True
-            for n, l, eta in zip(occ, lost, etas):
-                if l > n:
-                    ok = False
-                    break
-                coeff *= math.comb(n, l) * (eta ** (n - l)) * ((1.0 - eta) ** l)
-            if not ok or coeff == 0.0:
-                continue
-            new = tuple(n - l for n, l in zip(occ, lost))
-            terms[new] = terms.get(new, 0.0 + 0.0j) + amp * math.sqrt(coeff)
-        if not terms:
-            continue
-        branch = FockState(terms, nmax=state.nmax, nmodes=state.nmodes)
+    for lost in sorted(groups):
+        branch = FockState(groups[lost], nmax=state.nmax, nmodes=n)
         w = branch.norm_squared()
         if w > 1e-18:
             out.append((w, branch.normalized()))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import ConfigError, ContractError, ModelDomainError
 
@@ -83,7 +83,8 @@ def spdc_pair_distribution(pair_prob: float, statistics: str = "thermal",
     ``thermal`` inverts P_1 = (1 - lam) lam for the small root
     lam = (1 - sqrt(1 - 4 p)) / 2 (single-mode statistics);
     ``poissonian`` inverts nu e^{-nu} = p for the small root
-    (strongly multimode statistics).  The result is truncated at
+    nu = -W0(-p), with W0 the principal Lambert W branch (strongly
+    multimode statistics).  The result is truncated at
     ``max_pairs`` pairs and renormalised.
     """
     if max_pairs < 1:
@@ -98,8 +99,9 @@ def spdc_pair_distribution(pair_prob: float, statistics: str = "thermal",
         if not 0.0 < pair_prob <= math.exp(-1.0):
             raise ModelDomainError(
                 f"poissonian statistics require 0 < P1 <= 1/e, got {pair_prob}")
-        nu = brentq(lambda x: x * math.exp(-x) - pair_prob, 1e-12, 1.0,
-                    xtol=1e-15, rtol=1e-14)
+        # math.exp(-1) rounds just past the branch point -1/e of W0, where
+        # lambertw returns nan; the root there is nu = 1.
+        nu = 1.0 if pair_prob == math.exp(-1.0) else -lambertw(-pair_prob).real
         raw = [math.exp(-nu) * nu ** n / math.factorial(n)
                for n in range(max_pairs + 1)]
     else:

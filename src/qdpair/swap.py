@@ -58,6 +58,7 @@ enumeration rather than being applied as a separate factor.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -66,15 +67,17 @@ import numpy as np
 
 from . import photostat
 from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
-from .fock import FockState, loss_channel, two_mode_mix
+from .fock import FockState, two_mode_mix
 from .twoqubit import TwoQubitDensity, singlet_fraction
 
 # Mode layout of the swap enumeration (one copy per photon species):
 #   0: oLH  1: oLV  2: oRH  3: oRV   outer arms (kept at the nodes)
 #   4: iLH  5: iLV  6: iRH  7: iRV   inner arms (sent to the midpoint)
+#   8 + m                             environment of mode m (its lost photons)
 # After the midpoint beamsplitter, slots 4/5 read as output port 1 and
 # slots 6/7 as output port 2.
-_NMODES = 8
+_NSYS = 8
+_NMODES = 2 * _NSYS
 _NMAX = 8
 _CLICK_MODES = (4, 5, 6, 7)
 _POL_OF_MODE = {4: 0, 5: 1, 6: 0, 7: 1}
@@ -336,7 +339,42 @@ def _qubit_index(occ4) -> int:
     return 2 * occ4[1] + occ4[3]
 
 
-_kernel_cache: dict = {}
+def _photons(core) -> int:
+    """Photons one side emits: one per emitter photon, two per SPDC pair."""
+    return sum(1 if op[0] == "s" else 2 for op in core)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(core_l, core_r) -> tuple:
+    """Terms of the interfering-species state after loss at eta = 1/2 on
+    every mode, then the midpoint beamsplitter, that some pattern does not
+    veto: (amplitude, (kept, lost) photons of the arms oL, iL, oR, iR,
+    outer occupation, qubit index, environment occupation, (pattern,
+    sector) hits).  Each side holds a fixed photon number and the midpoint
+    leaves outer and environment modes alone, so the photons an inner arm
+    kept follow from the term.  Keyed on the emission structure alone: at
+    most 7 x 7 entries.
+    """
+    state = _core_state(core_l, core_r)
+    for m in range(_NSYS):
+        state = two_mode_mix(state, m, _NSYS + m, 0.5)
+    state = two_mode_mix(state, 4, 6, 0.5)
+    state = two_mode_mix(state, 5, 7, 0.5)
+    n_l, n_r = _photons(core_l), _photons(core_r)
+    terms = []
+    for occ, amp in state.terms.items():
+        hits = tuple((p_idx, (occ[m1], occ[m2]))
+                     for p_idx, (m1, m2, _corr) in enumerate(_PATTERNS)
+                     if not any(occ[m] for m in _CLICK_MODES if m not in (m1, m2)))
+        out_l, out_r = occ[0] + occ[1], occ[2] + occ[3]
+        lost = (occ[8] + occ[9], occ[12] + occ[13],
+                occ[10] + occ[11], occ[14] + occ[15])
+        kept = (out_l, n_l - out_l - lost[0] - lost[1],
+                out_r, n_r - out_r - lost[2] - lost[3])
+        if hits:
+            terms.append((amp, tuple(zip(kept, lost)), occ[:4],
+                          _qubit_index(occ[:4]), occ[_NSYS:], hits))
+    return tuple(terms)
 
 
 def _sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r, eta_in_r):
@@ -346,47 +384,28 @@ def _sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r, eta_in_r):
     count, returns the coherent one-photon-per-arm block (4x4) and the
     full outer occupation distribution for combination with classical
     photons.  Detector counts outside the pattern's two modes veto the
-    sector.
+    sector.  Each kernel term is rescaled from eta = 1/2 by
+    (2 eta)^(kept/2) (2 (1 - eta))^(lost/2) per arm; terms with different
+    environment occupations add incoherently.
     """
-    key = (core_l, core_r, eta_out_l, eta_in_l, eta_out_r, eta_in_r)
-    hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
-    state = _core_state(core_l, core_r)
-    etas = (eta_out_l, eta_out_l, eta_out_r, eta_out_r,
-            eta_in_l, eta_in_l, eta_in_r, eta_in_r)
+    roots = [(math.sqrt(2.0 * eta), math.sqrt(2.0 * (1.0 - eta)))
+             for eta in (eta_out_l, eta_in_l, eta_out_r, eta_in_r)]
+    dists: dict = {}
+    vectors: dict = {}
+    for amp, arms, occ4, idx, env, hits in _kernel(core_l, core_r):
+        for (kept_root, lost_root), (kept, lost) in zip(roots, arms):
+            amp *= kept_root ** kept * lost_root ** lost
+        prob = abs(amp) ** 2
+        for hit in hits:
+            dist = dists.setdefault(hit, {})
+            dist[occ4] = dist.get(occ4, 0.0) + prob
+            if idx >= 0:
+                vectors.setdefault(hit + (env,), [0j] * 4)[idx] += amp
     blocks = {i: {} for i in range(len(_PATTERNS))}
-    for weight, branch in loss_channel(state, etas):
-        mixed = two_mode_mix(branch, 4, 6, 0.5)
-        mixed = two_mode_mix(mixed, 5, 7, 0.5)
-        for p_idx, (m1, m2, _corr) in enumerate(_PATTERNS):
-            groups: dict = {}
-            for occ, amp in mixed.terms.items():
-                ok = True
-                for m in _CLICK_MODES:
-                    if m not in (m1, m2) and occ[m] > 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                sector = (occ[m1], occ[m2])
-                groups.setdefault(sector, {})[occ[:4]] = \
-                    groups.setdefault(sector, {}).get(occ[:4], 0.0 + 0.0j) + amp
-            for sector, outer in groups.items():
-                entry = blocks[p_idx].get(sector)
-                if entry is None:
-                    entry = [np.zeros((4, 4), dtype=complex), {}]
-                    blocks[p_idx][sector] = entry
-                coh, occ_dist = entry
-                v4 = np.zeros(4, dtype=complex)
-                for occ4, amp in outer.items():
-                    prob = abs(amp) ** 2
-                    occ_dist[occ4] = occ_dist.get(occ4, 0.0) + weight * prob
-                    idx = _qubit_index(occ4)
-                    if idx >= 0:
-                        v4[idx] += amp
-                coh += weight * np.outer(v4, v4.conj())
-    _kernel_cache[key] = blocks
+    for (p_idx, sector), dist in dists.items():
+        blocks[p_idx][sector] = [np.zeros((4, 4), dtype=complex), dist]
+    for (p_idx, sector, _env), v4 in vectors.items():
+        blocks[p_idx][sector][0] += np.outer(v4, np.conj(v4))
     return blocks
 
 
@@ -481,13 +500,14 @@ def _pattern_state(blocks, combos_by_pattern, pnr: bool):
 
 
 def _joint_pool(left: SwapScenario, right: SwapScenario):
-    """Collapse the joint emission enumeration onto distinct
-    (core structure, classical photon profile) entries."""
+    """Collapse the joint emission enumeration onto distinct core
+    structures, each with the weights of its classical photon profiles."""
     pool: dict = {}
     for w_l, core_l, cl_l in _side_branches(left):
         for w_r, core_r, cl_r in _side_branches(right):
-            key = (core_l, core_r, cl_l, cl_r)
-            pool[key] = pool.get(key, 0.0) + w_l * w_r
+            profiles = pool.setdefault((core_l, core_r), {})
+            key = (cl_l, cl_r)
+            profiles[key] = profiles.get(key, 0.0) + w_l * w_r
     return pool
 
 
@@ -507,16 +527,15 @@ def heralded_state(left: SwapScenario, right: SwapScenario):
     etas_r = (right.eta_collect, right.eta_inner)
     rho = np.zeros((4, 4), dtype=complex)
     combo_cache: dict = {}
-    for (core_l, core_r, cl_l, cl_r), w in _joint_pool(left, right).items():
-        blocks = _sector_blocks(core_l, core_r,
-                                etas_l[0], etas_l[1], etas_r[0], etas_r[1])
-        ckey = (cl_l, cl_r)
-        combos = combo_cache.get(ckey)
-        if combos is None:
-            combos = [_classical_combos(cl_l, cl_r, pat, etas_l, etas_r)
-                      for pat in _PATTERNS]
-            combo_cache[ckey] = combos
-        rho += w * _pattern_state(blocks, combos, left.pnr)
+    for (core_l, core_r), profiles in _joint_pool(left, right).items():
+        blocks = _sector_blocks(core_l, core_r, *etas_l, *etas_r)
+        for (cl_l, cl_r), w in profiles.items():
+            combos = combo_cache.get((cl_l, cl_r))
+            if combos is None:
+                combos = [_classical_combos(cl_l, cl_r, pat, etas_l, etas_r)
+                          for pat in _PATTERNS]
+                combo_cache[(cl_l, cl_r)] = combos
+            rho += w * _pattern_state(blocks, combos, left.pnr)
     herald = float(np.trace(rho).real)
     return rho, herald
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -70,7 +71,7 @@ class TimeTagStream:
             rec = out
         if self.rep_rate_hz <= 0.0:
             raise ContractError("rep_rate_hz must be positive")
-        if len(rec) and np.any(np.diff(rec["t"].astype(np.int64)) < 0):
+        if np.any(rec["t"][1:] < rec["t"][:-1]):
             raise ContractError("timestamps must be nondecreasing")
         if len(rec) and not np.isin(rec["channel"], self.channels).all():
             bad = set(np.unique(rec["channel"])) - set(self.channels)
@@ -526,11 +527,12 @@ def read_stream(path) -> TimeTagStream:
             raise ConfigError(f"bad stream magic {magic!r}")
         if version != STREAM_VERSION:
             raise ConfigError(f"unsupported stream version {version}")
-        body = fh.read()
-    if len(body) % RECORD_DTYPE.itemsize != 0:
-        raise ConfigError(
-            f"stream body of {len(body)} bytes is not a whole number of records")
-    rec = np.frombuffer(body, dtype=RECORD_DTYPE).copy()
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body % RECORD_DTYPE.itemsize != 0:
+            raise ConfigError(
+                f"stream body of {body} bytes is not a whole number of records")
+        rec = np.fromfile(fh, dtype=RECORD_DTYPE,
+                          count=body // RECORD_DTYPE.itemsize)
     channels = tuple(sorted(set(np.unique(rec["channel"]).tolist()) | {0}))
     return TimeTagStream(rec, rep_mhz / 1000.0,
                          None if t0 == _T_ZERO_UNSET else t0,

@@ -277,6 +277,32 @@ def _certified(ops, counts, sigma) -> np.ndarray:
     return sigma
 
 
+def _complete_design(records) -> tuple:
+    """Operators, counts and design matrix of the records, checked to be
+    informationally complete."""
+    records = list(records)
+    if not records:
+        raise ContractError("no count records supplied")
+    ops, counts = _measurement_ops(records)
+    design = _design_matrix(ops)
+    rank = int(np.linalg.matrix_rank(design, tol=1e-9))
+    if rank < 16:
+        raise ReconstructionError(
+            "measurement settings are not informationally complete "
+            f"(rank {rank} < 16)")
+    return ops, counts, design
+
+
+def _solve(ops, design, counts) -> tuple:
+    """Certified ML state for one set of counts: (rho, unnormalised sigma)."""
+    if counts.sum() <= 0.0:
+        raise ReconstructionError("no counts recorded")
+    sigma = _certified(ops, counts, _barrier_newton(design, counts))
+    rho = TwoQubitDensity.from_matrix(sigma / np.trace(sigma).real,
+                                      renormalize=True)
+    return rho, sigma
+
+
 def mle_reconstruct(records) -> tuple:
     """Maximum-likelihood state from Poisson count records.
 
@@ -288,21 +314,8 @@ def mle_reconstruct(records) -> tuple:
     solver; a gap above GAP_BOUND = 1e-8 times the total counts raises
     NumericalError.
     """
-    records = list(records)
-    if not records:
-        raise ContractError("no count records supplied")
-    ops, counts = _measurement_ops(records)
-    design = _design_matrix(ops)
-    rank = int(np.linalg.matrix_rank(design, tol=1e-9))
-    if rank < 16:
-        raise ReconstructionError(
-            "measurement settings are not informationally complete "
-            f"(rank {rank} < 16)")
-    if counts.sum() <= 0.0:
-        raise ReconstructionError("no counts recorded")
-    sigma = _certified(ops, counts, _barrier_newton(design, counts))
-    rho = TwoQubitDensity.from_matrix(sigma / np.trace(sigma).real,
-                                      renormalize=True)
+    ops, counts, design = _complete_design(records)
+    rho, sigma = _solve(ops, design, counts)
     lam = np.einsum("sij,ji->s", ops, sigma).real
     loglik = float(counts @ np.log(lam) - lam.sum() - gammaln(counts + 1.0).sum())
     return rho, loglik
@@ -327,19 +340,16 @@ def bootstrap_singlet_fraction(records, resamples: int, seed: int):
     """Parametric-bootstrap sample of the singlet fraction.
 
     Resamples each setting's counts from Poisson(observed), re-runs the
-    reconstruction, and returns the array of singlet fractions.
+    reconstruction on the same settings, and returns the array of singlet
+    fractions.
     """
-    records = list(records)
     if resamples < 50:
         raise ContractError(f"need at least 50 resamples, got {resamples}")
+    ops, observed, design = _complete_design(records)
     rng = np.random.default_rng(seed)
-    observed = np.array([r.counts for r in records], dtype=float)
     values = np.empty(resamples)
     for k in range(resamples):
-        fake = rng.poisson(observed)
-        resampled = [CountRecord(r.setting, int(c), r.integration_time)
-                     for r, c in zip(records, fake)]
-        rho, _ = mle_reconstruct(resampled)
+        rho, _ = _solve(ops, design, rng.poisson(observed).astype(float))
         values[k] = singlet_fraction(rho).value
     return values
 

@@ -1,8 +1,14 @@
 """Shared numeric helpers for the test suite."""
 
+import itertools
+import math
+
 import numpy as np
 from scipy.linalg import eigh, sqrtm
 from scipy.optimize import minimize
+
+from qdpair import swap
+from qdpair.fock import FockState, two_mode_mix
 
 
 def uhlmann_fidelity(rho, sigma):
@@ -132,3 +138,71 @@ def frank_wolfe_gap(ops, counts, rho):
     g = a_total - np.einsum("s,sij->ij", weights, ops)
     return (np.trace(g @ sigma).real
             - n_total * eigh(g, a_total, eigvals_only=True)[0])
+
+
+def kraus_loss_channel(state, etas):
+    """Reference per-mode loss by explicit Kraus branching.
+
+    Enumerates every lost-photon tuple in lexicographic order and applies
+    sqrt(C(n, l) eta^(n - l) (1 - eta)^l) to each term directly; returns
+    ``(probability, normalised FockState)`` pairs, dropping branches below
+    1e-18 weight.  Independent of the beamsplitter dilation in ``fock``.
+    """
+    etas = list(etas)
+    max_occ = [max(occ[i] for occ in state.terms) for i in range(state.nmodes)]
+    out = []
+    for lost in itertools.product(*(range(m + 1) for m in max_occ)):
+        terms = {}
+        for occ, amp in state.terms.items():
+            if any(l > n for n, l in zip(occ, lost)):
+                continue
+            coeff = 1.0
+            for n, l, eta in zip(occ, lost, etas):
+                coeff *= math.comb(n, l) * (eta ** (n - l)) * ((1.0 - eta) ** l)
+            if coeff == 0.0:
+                continue
+            new = tuple(n - l for n, l in zip(occ, lost))
+            terms[new] = terms.get(new, 0.0 + 0.0j) + amp * math.sqrt(coeff)
+        if not terms:
+            continue
+        branch = FockState(terms, nmax=state.nmax, nmodes=state.nmodes)
+        w = branch.norm_squared()
+        if w > 1e-18:
+            out.append((w, branch.normalized()))
+    return out
+
+
+def branch_sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r,
+                         eta_in_r):
+    """Reference ``swap._sector_blocks``: Kraus loss branches on the eight
+    system modes, each normalised, mixed on the midpoint beamsplitter and
+    grouped on its own, then re-weighted by its probability."""
+    core = swap._core_state(core_l, core_r)
+    state = FockState({occ[:8]: amp for occ, amp in core.terms.items()},
+                      nmax=core.nmax, nmodes=8)
+    etas = (eta_out_l, eta_out_l, eta_out_r, eta_out_r,
+            eta_in_l, eta_in_l, eta_in_r, eta_in_r)
+    blocks = {i: {} for i in range(len(swap._PATTERNS))}
+    for weight, branch in kraus_loss_channel(state, etas):
+        mixed = two_mode_mix(branch, 4, 6, 0.5)
+        mixed = two_mode_mix(mixed, 5, 7, 0.5)
+        for p_idx, (m1, m2, _corr) in enumerate(swap._PATTERNS):
+            groups = {}
+            for occ, amp in mixed.terms.items():
+                if any(occ[m] > 0 for m in swap._CLICK_MODES
+                       if m not in (m1, m2)):
+                    continue
+                outer = groups.setdefault((occ[m1], occ[m2]), {})
+                outer[occ[:4]] = outer.get(occ[:4], 0.0 + 0.0j) + amp
+            for sector, outer in groups.items():
+                coh, occ_dist = blocks[p_idx].setdefault(
+                    sector, [np.zeros((4, 4), dtype=complex), {}])
+                v4 = np.zeros(4, dtype=complex)
+                for occ4, amp in outer.items():
+                    occ_dist[occ4] = (occ_dist.get(occ4, 0.0)
+                                      + weight * abs(amp) ** 2)
+                    idx = swap._qubit_index(occ4)
+                    if idx >= 0:
+                        v4[idx] += amp
+                coh += weight * np.outer(v4, v4.conj())
+    return blocks

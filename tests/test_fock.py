@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from qdpair import fock
 from qdpair.errors import ContractError
 from qdpair.twoqubit import bell_state, overlap_with, singlet_fraction
+from helpers import kraus_loss_channel
 
 
 def random_state(rng, nmodes=4, nmax=4, nterms=5):
@@ -157,6 +158,26 @@ def test_loss_channel_against_binomial_sampling():
         est = np.mean((kept0 == occ[0]) & (kept1 == occ[1]))
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(est - p) <= 5 * sigma + 1e-12
+
+
+def test_loss_channel_matches_kraus_recursion():
+    # the beamsplitter dilation gives the explicit Kraus branches: same
+    # order, probabilities and amplitudes, with complete and no loss mixed in
+    rng = np.random.default_rng(46)
+    for nmodes in (2, 3, 4):
+        for _ in range(20):
+            st = random_state(rng, nmodes=nmodes, nmax=4)
+            etas = rng.uniform(0.02, 0.98, size=nmodes)
+            etas[rng.random(nmodes) < 0.25] = 0.0
+            etas[rng.random(nmodes) < 0.25] = 1.0
+            got = fock.loss_channel(st, etas)
+            ref = kraus_loss_channel(st, etas)
+            assert len(got) == len(ref)
+            for (p, br), (p_ref, br_ref) in zip(got, ref):
+                assert abs(p - p_ref) <= 1e-12
+                assert list(br.terms) == list(br_ref.terms)
+                for occ, amp in br_ref.terms.items():
+                    assert abs(br.terms[occ] - amp) <= 1e-12
 
 
 def test_tensor_combines_disjoint_modes():

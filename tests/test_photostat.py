@@ -55,6 +55,15 @@ def test_spdc_poissonian_inversion_via_ratio():
         assert abs(mu * np.exp(-mu) - p) <= 1e-7
 
 
+def test_spdc_poissonian_inversion_is_exact():
+    # the Lambert W root solves nu e^{-nu} = p to rounding, up to the 1/e
+    # ceiling where W0 has its branch point
+    for p in list(np.geomspace(1e-6, np.exp(-1.0), 40)) + [np.exp(-1.0)]:
+        d = ps.spdc_pair_distribution(p, statistics="poissonian")
+        nu = 2.0 * d.probs[2] / d.probs[1]
+        assert abs(nu * np.exp(-nu) - p) <= 1e-14 * p
+
+
 def test_spdc_pair_probability_ceilings():
     with pytest.raises(ModelDomainError):
         ps.spdc_pair_distribution(0.26, statistics="thermal")

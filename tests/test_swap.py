@@ -8,6 +8,7 @@ import pytest
 from qdpair import photostat, swap
 from qdpair import twoqubit as tq
 from qdpair.errors import ConfigError, ModelDomainError
+from helpers import branch_sector_blocks
 
 QD = swap.SwapScenario.qd_headline()
 SPDC = swap.SwapScenario.spdc_reference()
@@ -100,6 +101,31 @@ def test_heralded_state_consistent_with_swap_once():
     dens = tq.TwoQubitDensity(rho / herald)
     assert abs(tq.overlap_with(dens, tq.bell_state("psi_minus"))
                - res.fidelity) <= 1e-9
+
+
+@pytest.mark.parametrize("pnr", (True, False))
+def test_heralded_state_matches_branch_kernel(monkeypatch, pnr):
+    # pairings no other test swaps: unequal losses, two unlike SPDC sources,
+    # and a quantum dot against SPDC, against the per-branch Kraus kernel
+    qd_a = dataclasses.replace(QD, channel_loss_db=2.0)
+    qd_b = dataclasses.replace(QD, qd_g2=0.04, qd_I=0.9, eta_s=0.6,
+                               channel_loss_db=13.0)
+    spdc_a = dataclasses.replace(SPDC, spdc_p1=0.03, fidelity_floor=None,
+                                 eta_s=0.7, channel_loss_db=4.0)
+    spdc_b = dataclasses.replace(SPDC, source_kind="spdc_multiplexed",
+                                 mux_n=12, spdc_p1=0.11, fidelity_floor=None,
+                                 eta_s=0.85, channel_loss_db=9.0)
+    pairs = [(dataclasses.replace(left, pnr=pnr),
+              dataclasses.replace(right, pnr=pnr))
+             for left, right in ((qd_a, qd_b), (spdc_a, spdc_b),
+                                 (qd_b, spdc_a))]
+    got = [swap.heralded_state(left, right) for left, right in pairs]
+    monkeypatch.setattr(swap, "_sector_blocks", branch_sector_blocks)
+    for (rho, herald), (left, right) in zip(got, pairs):
+        rho_ref, herald_ref = swap.heralded_state(left, right)
+        assert herald_ref > 0.0
+        assert abs(herald - herald_ref) <= 1e-12 * herald_ref
+        assert np.max(np.abs(rho - rho_ref)) <= 1e-12 * np.max(np.abs(rho_ref))
 
 
 def test_herald_probability_closed_form_pure_source():

@@ -163,6 +163,19 @@ def test_stream_file_roundtrip(tmp_path):
     assert back.t_zero_ps == st.t_zero_ps
 
 
+def test_stream_file_without_records(tmp_path):
+    empty = tt.TimeTagStream(np.empty(0, dtype=tt.RECORD_DTYPE), 80e6,
+                             t_zero_ps=1234)
+    path = tmp_path / "empty.ttg"
+    tt.write_stream(empty, path)
+    assert path.stat().st_size == 32
+    back = tt.read_stream(path)
+    assert len(back) == 0
+    assert back.records.dtype == tt.RECORD_DTYPE
+    assert back.rep_rate_hz == pytest.approx(80e6)
+    assert back.t_zero_ps == 1234
+
+
 def test_stream_file_error_handling(tmp_path):
     st = tt.synthesize_stream(tt.StreamParams(pulses=1000, seed=2))
     path = tmp_path / "stream.ttg"

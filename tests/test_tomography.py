@@ -128,6 +128,25 @@ def test_bootstrap_deterministic_and_calibrated():
         tomo.bootstrap_singlet_fraction(records, 20, seed=4)
 
 
+def test_bootstrap_matches_a_reconstruction_loop():
+    # one design for all resamples gives bit for bit what a fresh
+    # reconstruction of every Poisson draw gives
+    ss = tomo.standard_settings()
+    records = tomo.simulate_counts(tq.werner(0.8), ss, 50000, seed=8,
+                                   integration_time=0.5)
+    values = tomo.bootstrap_singlet_fraction(records, 50, seed=9)
+    rng = np.random.default_rng(9)
+    observed = np.array([r.counts for r in records], dtype=float)
+    loop = []
+    for _ in range(50):
+        draw = rng.poisson(observed)
+        rho, _ = tomo.mle_reconstruct(
+            [tomo.CountRecord(r.setting, int(c), r.integration_time)
+             for r, c in zip(records, draw)])
+        loop.append(tq.singlet_fraction(rho).value)
+    assert np.array_equal(values, loop)
+
+
 def test_log_likelihood_prefers_the_generating_state():
     ss = tomo.standard_settings()
     rho = tq.werner(0.9)
