@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -159,7 +158,6 @@ def tensor(left: FockState, right: FockState) -> FockState:
     return FockState(out, nmax=left.nmax, nmodes=left.nmodes)
 
 
-@lru_cache(maxsize=4096)
 def _bs_expansion(m: int, n: int, t: float):
     """Image of (i^dag)^m (j^dag)^n under the two-mode mix, as a list of
     (photons in i, photons in j, amplitude) for normalised kets."""

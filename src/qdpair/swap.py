@@ -78,9 +78,11 @@ from .twoqubit import TwoQubitDensity, singlet_fraction
 # slots 6/7 as output port 2.
 _NSYS = 8
 _NMODES = 2 * _NSYS
-_NMAX = 8
+_MAX_PAIRS = 2            # photon-number cutoff: SPDC pairs per source
+_NMAX = 4 * _MAX_PAIRS    # two sides, two photons per pair
 _CLICK_MODES = (4, 5, 6, 7)
 _POL_OF_MODE = {4: 0, 5: 1, 6: 0, 7: 1}
+_NO_ROUTE = (0, 0, (0, 0, 0, 0))  # routing key: no click, no outer photon
 
 # (detector mode 1, detector mode 2, needs sigma_z feed-forward).
 # Cross-port patterns project onto the singlet directly; same-port
@@ -206,12 +208,12 @@ class SwapResult(NamedTuple):
 # Number statistics.
 
 def _spdc_numbers(p1: float, statistics: str, mux_n: int):
-    """Pair-number probabilities (0, 1, 2 pairs) of one source unit,
+    """Pair-number probabilities (0 to _MAX_PAIRS pairs) of one source unit,
     boosted by multiplexing: the combined source fires whenever any of
     the mux_n units does, and the selected unit keeps the single-unit
     conditional statistics."""
     dist = photostat.spdc_pair_distribution(p1, statistics=statistics,
-                                            max_pairs=2)
+                                            max_pairs=_MAX_PAIRS)
     probs = list(dist.probs)
     if mux_n == 1:
         return probs
@@ -409,36 +411,44 @@ def _sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r, eta_in_r):
     return blocks
 
 
-def _classical_combos(classical_l, classical_r, pattern, etas_l, etas_r):
-    """Pooled routing outcomes of the distinguishable photons for one
-    pattern: weight by (added count on detector 1, on detector 2, added
-    outer occupations).  Routes that click outside the pattern kill the
-    branch and are simply omitted.  Broadband photons are absorbed by
-    the midpoint line filter, so their only surviving route is an outer
-    node."""
-    m1, m2, _ = pattern
-    combos = {(0, 0, (0, 0, 0, 0)): 1.0}
-    photons = [(0, ph, etas_l) for ph in classical_l] + \
-              [(1, ph, etas_r) for ph in classical_r]
-    for side, (pol, in_line), (eta_out, eta_in) in photons:
-        eta_click = eta_in if in_line else 0.0
-        options = [((0, 0, (0, 0, 0, 0)),
-                    1.0 - 0.5 * eta_out - 0.5 * eta_click)]
-        outer = [0, 0, 0, 0]
-        outer[2 * side + pol] = 1
-        options.append(((0, 0, tuple(outer)), 0.5 * eta_out))
-        if _POL_OF_MODE[m1] == pol and in_line:
-            options.append(((1, 0, (0, 0, 0, 0)), 0.25 * eta_in))
-        if _POL_OF_MODE[m2] == pol and in_line:
-            options.append(((0, 1, (0, 0, 0, 0)), 0.25 * eta_in))
-        new = {}
-        for (k1, k2, dout), w in combos.items():
-            for (d1, d2, add), ow in options:
-                key = (k1 + d1, k2 + d2,
-                       tuple(a + b for a, b in zip(dout, add)))
-                new[key] = new.get(key, 0.0) + w * ow
-        combos = new
-    return combos
+def _convolve(a: dict, b: dict) -> dict:
+    """Join the routing tables of two independent photon groups.  A routing
+    table maps (added counts on detectors 1 and 2, added outer occupations)
+    to a weight; weights multiply, counts and occupations add."""
+    out: dict = {}
+    for (k1, k2, occ), w in a.items():
+        for (d1, d2, add), v in b.items():
+            key = (k1 + d1, k2 + d2, (occ[0] + add[0], occ[1] + add[1],
+                                      occ[2] + add[2], occ[3] + add[3]))
+            out[key] = out.get(key, 0.0) + w * v
+    return out
+
+
+def _side_tables(scenario: SwapScenario, side: int) -> dict:
+    """Routing tables of one source's classical photons, pooled over its
+    emission branches by core structure: core -> one weighted table per
+    pattern.  Clicks outside the pattern kill the branch and are omitted;
+    an in-line photon can click only the pattern detector of its own
+    polarisation.  Broadband photons are absorbed by the midpoint line
+    filter, so their only surviving route is an outer node."""
+    eta_out, eta_in = scenario.eta_collect, scenario.eta_inner
+    tables: dict = {}
+    for w, core, classical in _side_branches(scenario):
+        pooled = tables.setdefault(core, [{} for _ in _PATTERNS])
+        for (m1, _m2, _corr), acc in zip(_PATTERNS, pooled):
+            routes = {_NO_ROUTE: w}
+            for pol, in_line in classical:
+                outer = tuple(int(m == 2 * side + pol) for m in range(4))
+                photon = {(0, 0, outer): 0.5 * eta_out,
+                          _NO_ROUTE: 1.0 - 0.5 * eta_out
+                          - (0.5 * eta_in if in_line else 0.0)}
+                if in_line:  # the pattern's detectors are cross-polarised
+                    hit = int(_POL_OF_MODE[m1] == pol)
+                    photon[(hit, 1 - hit, (0, 0, 0, 0))] = 0.25 * eta_in
+                routes = _convolve(routes, photon)
+            for key, v in routes.items():
+                acc[key] = acc.get(key, 0.0) + v
+    return tables
 
 
 def _accepted(k1: int, k2: int, pnr: bool) -> bool:
@@ -463,7 +473,7 @@ def _arm_probs(h: int, v: int, pnr: bool):
 
 def _pattern_state(blocks, combos_by_pattern, pnr: bool):
     """Accumulate the corrected heralded two-qubit operator (unnormalised)
-    and its trace for one joint emission branch."""
+    of one core-structure pair, its routing tables already weighted."""
     rho = np.zeros((4, 4), dtype=complex)
     for p_idx, (m1, m2, corr) in enumerate(_PATTERNS):
         coh_acc = np.zeros((4, 4), dtype=complex)
@@ -499,18 +509,6 @@ def _pattern_state(blocks, combos_by_pattern, pnr: bool):
     return rho
 
 
-def _joint_pool(left: SwapScenario, right: SwapScenario):
-    """Collapse the joint emission enumeration onto distinct core
-    structures, each with the weights of its classical photon profiles."""
-    pool: dict = {}
-    for w_l, core_l, cl_l in _side_branches(left):
-        for w_r, core_r, cl_r in _side_branches(right):
-            profiles = pool.setdefault((core_l, core_r), {})
-            key = (cl_l, cl_r)
-            profiles[key] = profiles.get(key, 0.0) + w_l * w_r
-    return pool
-
-
 def heralded_state(left: SwapScenario, right: SwapScenario):
     """Unnormalised heralded outer-pair operator and herald probability.
 
@@ -523,19 +521,15 @@ def heralded_state(left: SwapScenario, right: SwapScenario):
     if left.pnr != right.pnr:
         raise ContractError("the midpoint station has one detector type; "
                             "pnr flags must match")
-    etas_l = (left.eta_collect, left.eta_inner)
-    etas_r = (right.eta_collect, right.eta_inner)
     rho = np.zeros((4, 4), dtype=complex)
-    combo_cache: dict = {}
-    for (core_l, core_r), profiles in _joint_pool(left, right).items():
-        blocks = _sector_blocks(core_l, core_r, *etas_l, *etas_r)
-        for (cl_l, cl_r), w in profiles.items():
-            combos = combo_cache.get((cl_l, cl_r))
-            if combos is None:
-                combos = [_classical_combos(cl_l, cl_r, pat, etas_l, etas_r)
-                          for pat in _PATTERNS]
-                combo_cache[(cl_l, cl_r)] = combos
-            rho += w * _pattern_state(blocks, combos, left.pnr)
+    tables_r = _side_tables(right, 1)
+    for core_l, routes_l in _side_tables(left, 0).items():
+        for core_r, routes_r in tables_r.items():
+            blocks = _sector_blocks(core_l, core_r,
+                                    left.eta_collect, left.eta_inner,
+                                    right.eta_collect, right.eta_inner)
+            combos = [_convolve(a, b) for a, b in zip(routes_l, routes_r)]
+            rho += _pattern_state(blocks, combos, left.pnr)
     herald = float(np.trace(rho).real)
     return rho, herald
 
@@ -592,55 +586,60 @@ def optimise_pump(scenario: SwapScenario) -> float:
     relative tolerance.  The upper end of the bracket is the largest
     pair probability the chosen statistics can produce.
     """
+    return _pump_search(scenario)[0]
+
+
+def _pump_search(scenario: SwapScenario):
+    """``optimise_pump``, also returning the herald probability there."""
     if scenario.source_kind == "qd_postselected":
         raise ContractError("pump optimisation applies to SPDC sources")
     if scenario.fidelity_floor is None:
         raise ConfigError("optimise_pump needs fidelity_floor")
     floor = scenario.fidelity_floor
 
-    eta_out = scenario.eta_collect
-    eta_in = scenario.eta_inner
+    etas = (scenario.eta_collect, scenario.eta_inner) * 2
+    cores = [(("pair",),) * n for n in range(_MAX_PAIRS + 1)]
+    empty = [{_NO_ROUTE: 1.0}] * len(_PATTERNS)
     configs = {}
-    for n_l in range(3):
-        for n_r in range(3):
-            blocks = _sector_blocks((("pair",),) * n_l, (("pair",),) * n_r,
-                                    eta_out, eta_in, eta_out, eta_in)
-            empty = [{(0, 0, (0, 0, 0, 0)): 1.0} for _ in _PATTERNS]
+    for n_l, core_l in enumerate(cores):
+        for n_r, core_r in enumerate(cores):
+            blocks = _sector_blocks(core_l, core_r, *etas)
             configs[(n_l, n_r)] = _pattern_state(blocks, empty, scenario.pnr)
 
     def evaluate(p1):
         probs = _spdc_numbers(p1, scenario.spdc_statistics, scenario.mux_n)
-        rho = np.zeros((4, 4), dtype=complex)
-        for (n_l, n_r), block in configs.items():
-            rho += probs[n_l] * probs[n_r] * block
+        rho = sum(probs[n_l] * probs[n_r] * block
+                  for (n_l, n_r), block in configs.items())
         herald = float(np.trace(rho).real)
         if herald <= 1e-300:
             raise ModelDomainError("no usable heralds at these parameters")
-        return singlet_fraction(TwoQubitDensity.from_matrix(rho / herald)).value
+        dense = TwoQubitDensity.from_matrix(rho / herald)
+        return singlet_fraction(dense).value, herald
 
     lo = 1e-6
     hi = _P1_CEILING[scenario.spdc_statistics] * (1.0 - 1e-9)
-    f_lo = evaluate(lo)
+    f_lo, herald_lo = evaluate(lo)
     if f_lo < floor:
         raise ModelDomainError(
             f"fidelity floor {floor} unattainable: even at vanishing pump "
             f"the swap fidelity is {f_lo:.6g}")
-    f_hi = evaluate(hi)
+    f_hi, herald_hi = evaluate(hi)
     grid = np.geomspace(lo, hi, 9)
-    values = [f_lo] + [evaluate(p) for p in grid[1:-1]] + [f_hi]
+    values = [f_lo] + [evaluate(p)[0] for p in grid[1:-1]] + [f_hi]
     for a, b in zip(values, values[1:]):
         if b > a + 1e-6:
             raise NumericalError("swap fidelity is not monotone in the "
                                  "pair probability over the bracket")
     if f_hi >= floor:
-        return hi
+        return hi, herald_hi
     while (hi - lo) / hi > 1e-4:
         mid = 0.5 * (lo + hi)
-        if evaluate(mid) >= floor:
-            lo = mid
+        f_mid, herald_mid = evaluate(mid)
+        if f_mid >= floor:
+            lo, herald_lo = mid, herald_mid
         else:
             hi = mid
-    return lo
+    return lo, herald_lo
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +688,5 @@ def sweep_loss(left: SwapScenario, right: SwapScenario, loss_grid_db=None,
 
 def _optimised_rate(scenario: SwapScenario) -> float:
     if scenario.spdc_p1 is None and scenario.fidelity_floor is not None:
-        p1 = optimise_pump(scenario)
-        scenario = dataclasses.replace(scenario, spdc_p1=p1)
+        return scenario.rep_rate_hz * _pump_search(scenario)[1]
     return swap_once(scenario, scenario).rate_hz

@@ -88,7 +88,7 @@ class TimeTagStream:
         return len(self.records)
 
     def channel_times(self, channel: int) -> np.ndarray:
-        return self.records["t"][self.records["channel"] == channel].astype(np.int64)
+        return self.records["t"][self.records["channel"] == channel]
 
     def with_t_zero(self, t_zero_ps: int) -> "TimeTagStream":
         return dataclasses.replace(self, t_zero_ps=int(t_zero_ps))
@@ -353,7 +353,7 @@ def period_histogram(stream: TimeTagStream, channel: int = None,
     if bin_ps <= 0:
         raise ContractError("bin_ps must be positive")
     if channel is None:
-        t = stream.records["t"].astype(np.int64)
+        t = stream.records["t"]
     else:
         t = stream.channel_times(channel)
     period = stream.period_ps

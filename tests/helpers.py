@@ -206,3 +206,55 @@ def branch_sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r,
                         v4[idx] += amp
                 coh += weight * np.outer(v4, v4.conj())
     return blocks
+
+
+def _joint_profile_combos(classical_l, classical_r, pattern, etas_l, etas_r):
+    """Routing outcomes of both sides' distinguishable photons for one
+    pattern, folded photon by photon: weight by (added count on detector
+    1, on detector 2, added outer occupations)."""
+    m1, m2, _ = pattern
+    combos = {(0, 0, (0, 0, 0, 0)): 1.0}
+    photons = [(0, ph, etas_l) for ph in classical_l] + \
+              [(1, ph, etas_r) for ph in classical_r]
+    for side, (pol, in_line), (eta_out, eta_in) in photons:
+        eta_click = eta_in if in_line else 0.0
+        options = [((0, 0, (0, 0, 0, 0)),
+                    1.0 - 0.5 * eta_out - 0.5 * eta_click)]
+        outer = [0, 0, 0, 0]
+        outer[2 * side + pol] = 1
+        options.append(((0, 0, tuple(outer)), 0.5 * eta_out))
+        if swap._POL_OF_MODE[m1] == pol and in_line:
+            options.append(((1, 0, (0, 0, 0, 0)), 0.25 * eta_in))
+        if swap._POL_OF_MODE[m2] == pol and in_line:
+            options.append(((0, 1, (0, 0, 0, 0)), 0.25 * eta_in))
+        new = {}
+        for (k1, k2, dout), w in combos.items():
+            for (d1, d2, add), ow in options:
+                key = (k1 + d1, k2 + d2,
+                       tuple(a + b for a, b in zip(dout, add)))
+                new[key] = new.get(key, 0.0) + w * ow
+        combos = new
+    return combos
+
+
+def joint_profile_heralded_state(left, right):
+    """Reference ``swap.heralded_state``: every emission branch of the left
+    source paired with every branch of the right one, grouped by core
+    structure, with the routing table of each joint classical profile
+    built from both sides' photons and the pattern pass run per profile."""
+    etas_l = (left.eta_collect, left.eta_inner)
+    etas_r = (right.eta_collect, right.eta_inner)
+    pool = {}
+    for w_l, core_l, cl_l in swap._side_branches(left):
+        for w_r, core_r, cl_r in swap._side_branches(right):
+            profiles = pool.setdefault((core_l, core_r), {})
+            profiles[(cl_l, cl_r)] = profiles.get((cl_l, cl_r), 0.0) \
+                + w_l * w_r
+    rho = np.zeros((4, 4), dtype=complex)
+    for (core_l, core_r), profiles in pool.items():
+        blocks = swap._sector_blocks(core_l, core_r, *etas_l, *etas_r)
+        for (cl_l, cl_r), w in profiles.items():
+            combos = [_joint_profile_combos(cl_l, cl_r, pat, etas_l, etas_r)
+                      for pat in swap._PATTERNS]
+            rho += w * swap._pattern_state(blocks, combos, left.pnr)
+    return rho, float(np.trace(rho).real)

@@ -8,7 +8,7 @@ import pytest
 from qdpair import photostat, swap
 from qdpair import twoqubit as tq
 from qdpair.errors import ConfigError, ModelDomainError
-from helpers import branch_sector_blocks
+from helpers import branch_sector_blocks, joint_profile_heralded_state
 
 QD = swap.SwapScenario.qd_headline()
 SPDC = swap.SwapScenario.spdc_reference()
@@ -128,6 +128,27 @@ def test_heralded_state_matches_branch_kernel(monkeypatch, pnr):
         assert np.max(np.abs(rho - rho_ref)) <= 1e-12 * np.max(np.abs(rho_ref))
 
 
+@pytest.mark.parametrize("pnr", (True, False))
+def test_heralded_state_matches_joint_profile_pooling(pnr):
+    # unlike quantum dots on the two sides, each with line and broadband
+    # classical photons, and each against SPDC from either side, against
+    # every left branch paired with every right branch
+    qd_a = dataclasses.replace(QD, qd_g2=0.03, qd_I=0.93, eta_s=0.75,
+                               channel_loss_db=3.0)
+    qd_b = dataclasses.replace(QD, qd_g2=0.08, qd_I=0.85, eta_s=0.55,
+                               channel_loss_db=11.0)
+    spdc = dataclasses.replace(SPDC, spdc_p1=0.06, fidelity_floor=None,
+                               eta_s=0.7, channel_loss_db=6.0)
+    for left, right in ((qd_a, qd_b), (qd_a, spdc), (spdc, qd_b)):
+        left = dataclasses.replace(left, pnr=pnr)
+        right = dataclasses.replace(right, pnr=pnr)
+        rho, herald = swap.heralded_state(left, right)
+        rho_ref, herald_ref = joint_profile_heralded_state(left, right)
+        assert herald_ref > 0.0
+        assert abs(herald - herald_ref) <= 1e-12 * herald_ref
+        assert np.max(np.abs(rho - rho_ref)) <= 1e-12 * np.max(np.abs(rho_ref))
+
+
 def test_herald_probability_closed_form_pure_source():
     # with g2 = 0 the herald probability is exactly
     # (1/8) eta_collect^2 eta_inner^2
@@ -235,6 +256,14 @@ def test_loss_sweep_table():
     # multiplexing outrates the bare probabilistic source
     assert rows[0][3] > rows[0][2]
     assert rows[1][3] > rows[1][2]
+    # the SPDC columns are the swap at the pump optimise_pump picks
+    for row in rows:
+        for col, kind, mux_n in ((2, "spdc", 1), (3, "spdc_multiplexed", 10)):
+            s = dataclasses.replace(SPDC, source_kind=kind, mux_n=mux_n,
+                                    channel_loss_db=row[0])
+            s = dataclasses.replace(s, spdc_p1=swap.optimise_pump(s))
+            ref = swap.swap_once(s, s).rate_hz
+            assert abs(row[col] - ref) <= 1e-12 * ref
 
 
 def test_scenario_validation():
