@@ -589,14 +589,9 @@ def optimise_pump(scenario: SwapScenario) -> float:
     return _pump_search(scenario)[0]
 
 
-def _pump_search(scenario: SwapScenario):
-    """``optimise_pump``, also returning the herald probability there."""
-    if scenario.source_kind == "qd_postselected":
-        raise ContractError("pump optimisation applies to SPDC sources")
-    if scenario.fidelity_floor is None:
-        raise ConfigError("optimise_pump needs fidelity_floor")
-    floor = scenario.fidelity_floor
-
+def _pair_configs(scenario: SwapScenario) -> dict:
+    """Herald operator of each (left, right) pair number before the number
+    weights, at the scenario's efficiencies and ``pnr``."""
     etas = (scenario.eta_collect, scenario.eta_inner) * 2
     cores = [(("pair",),) * n for n in range(_MAX_PAIRS + 1)]
     empty = [{_NO_ROUTE: 1.0}] * len(_PATTERNS)
@@ -605,6 +600,19 @@ def _pump_search(scenario: SwapScenario):
         for n_r, core_r in enumerate(cores):
             blocks = _sector_blocks(core_l, core_r, *etas)
             configs[(n_l, n_r)] = _pattern_state(blocks, empty, scenario.pnr)
+    return configs
+
+
+def _pump_search(scenario: SwapScenario, configs: dict = None):
+    """``optimise_pump``, also returning the herald probability there;
+    ``configs`` are the scenario's ``_pair_configs`` if already built."""
+    if scenario.source_kind == "qd_postselected":
+        raise ContractError("pump optimisation applies to SPDC sources")
+    if scenario.fidelity_floor is None:
+        raise ConfigError("optimise_pump needs fidelity_floor")
+    floor = scenario.fidelity_floor
+    if configs is None:
+        configs = _pair_configs(scenario)
 
     def evaluate(p1):
         probs = _spdc_numbers(p1, scenario.spdc_statistics, scenario.mux_n)
@@ -671,22 +679,27 @@ def sweep_loss(left: SwapScenario, right: SwapScenario, loss_grid_db=None,
 
     columns = ["loss_db", "rate_qd", "rate_spdc"] + \
               [f"rate_spdc_mux{n}" for n in mux_sizes]
+    pumped = right.spdc_p1 is None and right.fidelity_floor is not None
     rows = []
     for loss in loss_grid_db:
         qd = dataclasses.replace(left, channel_loss_db=loss)
         row = [loss, swap_once(qd, qd).rate_hz]
         base = dataclasses.replace(right, source_kind="spdc", mux_n=1,
                                    channel_loss_db=loss)
-        row.append(_optimised_rate(base))
-        for n in mux_sizes:
-            mux = dataclasses.replace(right, source_kind="spdc_multiplexed",
-                                      mux_n=n, channel_loss_db=loss)
-            row.append(_optimised_rate(mux))
+        row.append(_optimised_rate(base, _pair_configs(base) if pumped else None))
+        muxed = [dataclasses.replace(right, source_kind="spdc_multiplexed",
+                                     mux_n=n, channel_loss_db=loss)
+                 for n in mux_sizes]
+        # The pair-number operators depend on eta_collect and eta_inner, not mux_n.
+        configs = _pair_configs(muxed[0]) if pumped and muxed else None
+        row += [_optimised_rate(mux, configs) for mux in muxed]
         rows.append(row)
     return {"columns": columns, "rows": rows}
 
 
-def _optimised_rate(scenario: SwapScenario) -> float:
-    if scenario.spdc_p1 is None and scenario.fidelity_floor is not None:
-        return scenario.rep_rate_hz * _pump_search(scenario)[1]
-    return swap_once(scenario, scenario).rate_hz
+def _optimised_rate(scenario: SwapScenario, configs) -> float:
+    """Swap rate at the pump ``_pump_search`` picks from ``configs``, or at
+    the configured pump when ``configs`` is None."""
+    if configs is None:
+        return swap_once(scenario, scenario).rate_hz
+    return scenario.rep_rate_hz * _pump_search(scenario, configs)[1]

@@ -480,17 +480,18 @@ class FilterWindow:
     def length_ps(self) -> float:
         return self.t_off_ps - self.t_on_ps
 
+    def mask(self, rel_ps: np.ndarray, period_ps: float) -> np.ndarray:
+        """Which times relative to the pulse-peak reference fall in the window."""
+        if self.length_ps > period_ps + 1e-9:
+            raise ContractError("filter window exceeds one repetition period")
+        return np.mod(rel_ps - self.t_on_ps, period_ps) < self.length_ps
+
 
 def apply_temporal_filter(stream: TimeTagStream, window: FilterWindow) -> TimeTagStream:
     """Keep records whose time modulo the period falls in [t_on, t_off)."""
     if stream.t_zero_ps is None:
         raise ContractError("stream has no pulse-peak reference; set t_zero first")
-    period = stream.period_ps
-    if window.length_ps > period + 1e-9:
-        raise ContractError("filter window exceeds one repetition period")
-    t = stream.records["t"].astype(np.float64)
-    phase = np.mod(t - stream.t_zero_ps - window.t_on_ps, period)
-    keep = phase < window.length_ps
+    keep = window.mask(_fold(stream)[0], stream.period_ps)
     meta = dict(stream.metadata)
     meta["filter_window_ps"] = (window.t_on_ps, window.t_off_ps)
     return dataclasses.replace(stream, records=stream.records[keep], metadata=meta)
@@ -539,6 +540,23 @@ def read_stream(path) -> TimeTagStream:
                          channels, {"source": str(path)})
 
 
+def _fold(stream: TimeTagStream):
+    """Each record's time relative to the reference (float64) and its period slot."""
+    rel = stream.records["t"].astype(np.float64) - (stream.t_zero_ps or 0)
+    return rel, np.rint(rel / stream.period_ps).astype(np.int64)
+
+
+def _coincidences(channel: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """2x2 counts of runs of exactly two records on channels 0-3 sharing a
+    slot, one in each arm; slots must not decrease (time-ordered stream)."""
+    arms = channel < 4
+    channel, slot = channel[arms], slot[arms]
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(slot)) + 1, [len(slot)]))
+    first = bounds[:-1][np.diff(bounds) == 2]
+    lo, hi = np.sort([channel[first], channel[first + 1]], axis=0)
+    return np.bincount(4 * lo + hi, minlength=16).reshape(4, 4)[:2, 2:]
+
+
 def pair_counts(stream: TimeTagStream) -> np.ndarray:
     """2x2 coincidence counts between the arms, by (arm-c, arm-d) outcome.
 
@@ -546,25 +564,7 @@ def pair_counts(stream: TimeTagStream) -> np.ndarray:
     0/1) and exactly one in arm d (channels 2/3); entry [i, j] counts
     outcomes (channel i, channel 2 + j).
     """
-    t0 = stream.t_zero_ps or 0
-    period = stream.period_ps
-    ch = stream.records["channel"]
-    t = stream.records["t"].astype(np.float64)
-    slot = np.rint((t - t0) / period).astype(np.int64)
-
-    def arm(side):
-        mask = (ch == 2 * side) | (ch == 2 * side + 1)
-        slots, outs = slot[mask], ch[mask] - 2 * side
-        uniq, first, count = np.unique(slots, return_index=True, return_counts=True)
-        good = count == 1
-        return uniq[good], outs[first[good]]
-
-    sc, oc = arm(0)
-    sd, od = arm(1)
-    common, ic, idx = np.intersect1d(sc, sd, return_indices=True)
-    out = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(out, (oc[ic], od[idx]), 1)
-    return out
+    return _coincidences(stream.records["channel"], _fold(stream)[1])
 
 
 @dataclass(frozen=True)
@@ -580,42 +580,43 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
                           t_off_margin_ps: float = 45.0):
     """Full filter -> tomography pipeline over a grid of window-on times.
 
-    Synthesises one paired stream per tomography setting, applies the
-    window [t_on, period - t_off_margin) to every stream, counts
-    pass-pass coincidences, reconstructs the state, and reports the
-    singlet fraction plus coincidence retention against the unfiltered
-    streams.  The default stream uses a slower emitter (T1 = 200 ps)
-    than the headline source so the window edge resolves against the
-    detector jitter, and a modest collection efficiency so the
-    uncorrelated noise photons carry visible weight; every parameter
-    can be overridden.
+    Processes one stream at a time: synthesises the paired stream of one
+    tomography setting, counts its coincidences unfiltered and inside each
+    window [t_on, period - t_off_margin), and drops it.  Each window's
+    pass-pass counts are reconstructed and reported as the singlet
+    fraction plus coincidence retention against the unfiltered streams.
+    The default stream uses a slower emitter (T1 = 200 ps) than the
+    headline source so the window edge resolves against the detector
+    jitter, and a modest collection efficiency so the uncorrelated noise
+    photons carry visible weight; every parameter can be overridden.
     """
     if params is None:
         params = StreamParams(t1_ps=200.0, pulses=10 ** 6, seed=20240801, eta=0.3)
     if params.mode != "pairs":
         raise ContractError("the filter pipeline needs a pairs-mode stream")
     settings = tomography.standard_settings()
-    streams = []
-    for i, s in enumerate(settings):
-        child = int(np.random.SeedSequence([params.seed, i]).generate_state(1)[0])
-        streams.append(synthesize_stream(dataclasses.replace(
-            params, analysis=(s.label1, s.label2), seed=child)))
-    period = streams[0].period_ps
+    period = 1e12 / params.rep_rate_hz
+    windows = [FilterWindow(float(t), period - t_off_margin_ps) for t in t_on_grid_ps]
 
-    unfiltered = [pair_counts(st) for st in streams]
-    base_total = int(sum(int(m.sum()) for m in unfiltered))
+    def window_counts(i, s):
+        child = int(np.random.SeedSequence([params.seed, i]).generate_state(1)[0])
+        stream = synthesize_stream(dataclasses.replace(
+            params, analysis=(s.label1, s.label2), seed=child))
+        rel, slot = _fold(stream)
+        ch = stream.records["channel"]
+        kept = (w.mask(rel, period) for w in windows)
+        return [_coincidences(ch, slot)] + [_coincidences(ch[k], slot[k]) for k in kept]
+
+    counts = np.array([window_counts(i, s) for i, s in enumerate(settings)])
+    base_total = int(counts[:, 0].sum())
     if base_total == 0:
         raise ModelDomainError("no coincidences in the unfiltered streams")
 
     points = []
-    for t_on in t_on_grid_ps:
-        window = FilterWindow(float(t_on), period - t_off_margin_ps)
-        records = []
-        total = 0
-        for st, s in zip(streams, settings):
-            m = pair_counts(apply_temporal_filter(st, window))
-            records.append(tomography.CountRecord(s, int(m[0, 0])))
-            total += int(m.sum())
+    for j, t_on in enumerate(t_on_grid_ps, start=1):
+        records = [tomography.CountRecord(s, int(m[0, 0]))
+                   for s, m in zip(settings, counts[:, j])]
+        total = int(counts[:, j].sum())
         rho, _ = tomography.mle_reconstruct(records)
         sf = twoqubit.singlet_fraction(rho).value
         points.append(FilterSweepPoint(float(t_on), sf, total, total / base_total))

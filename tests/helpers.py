@@ -1,5 +1,6 @@
 """Shared numeric helpers for the test suite."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 from scipy.linalg import eigh, sqrtm
 from scipy.optimize import minimize
 
-from qdpair import swap
+from qdpair import swap, timetag, tomography, twoqubit
 from qdpair.fock import FockState, two_mode_mix
 
 
@@ -258,3 +259,64 @@ def joint_profile_heralded_state(left, right):
                       for pat in swap._PATTERNS]
             rho += w * swap._pattern_state(blocks, combos, left.pnr)
     return rho, float(np.trace(rho).real)
+
+
+def sorting_pair_counts(stream):
+    """Reference ``timetag.pair_counts``: per arm, ``np.unique`` keeps the
+    slots with exactly one record, ``intersect1d`` pairs the arms and
+    ``np.add.at`` tallies the outcomes."""
+    t0 = stream.t_zero_ps or 0
+    period = stream.period_ps
+    ch = stream.records["channel"]
+    t = stream.records["t"].astype(np.float64)
+    slot = np.rint((t - t0) / period).astype(np.int64)
+
+    def arm(side):
+        mask = (ch == 2 * side) | (ch == 2 * side + 1)
+        slots, outs = slot[mask], ch[mask] - 2 * side
+        uniq, first, count = np.unique(slots, return_index=True, return_counts=True)
+        good = count == 1
+        return uniq[good], outs[first[good]]
+
+    sc, oc = arm(0)
+    sd, od = arm(1)
+    common, ic, idx = np.intersect1d(sc, sd, return_indices=True)
+    out = np.zeros((2, 2), dtype=np.int64)
+    np.add.at(out, (oc[ic], od[idx]), 1)
+    return out
+
+
+def copying_temporal_filter(stream, window):
+    """Reference ``timetag.apply_temporal_filter``: the window test written
+    out on a float64 copy of the times."""
+    t = stream.records["t"].astype(np.float64)
+    phase = np.mod(t - stream.t_zero_ps - window.t_on_ps, stream.period_ps)
+    return dataclasses.replace(stream, records=stream.records[phase < window.length_ps])
+
+
+def copying_filter_sweep(t_on_grid_ps, params, t_off_margin_ps=45.0):
+    """Reference ``timetag.filter_fidelity_sweep``: all 36 streams kept,
+    and each window applied as a filtered copy of every stream before it
+    is counted by ``sorting_pair_counts``."""
+    settings = tomography.standard_settings()
+    streams = []
+    for i, s in enumerate(settings):
+        child = int(np.random.SeedSequence([params.seed, i]).generate_state(1)[0])
+        streams.append(timetag.synthesize_stream(dataclasses.replace(
+            params, analysis=(s.label1, s.label2), seed=child)))
+    period = streams[0].period_ps
+    base_total = int(sum(int(sorting_pair_counts(st).sum()) for st in streams))
+    points = []
+    for t_on in t_on_grid_ps:
+        window = timetag.FilterWindow(float(t_on), period - t_off_margin_ps)
+        records = []
+        total = 0
+        for st, s in zip(streams, settings):
+            m = sorting_pair_counts(copying_temporal_filter(st, window))
+            records.append(tomography.CountRecord(s, int(m[0, 0])))
+            total += int(m.sum())
+        rho, _ = tomography.mle_reconstruct(records)
+        sf = twoqubit.singlet_fraction(rho).value
+        points.append(timetag.FilterSweepPoint(float(t_on), sf, total,
+                                               total / base_total))
+    return points

@@ -195,7 +195,7 @@ def test_tomography_reconstruction_payload(tmp_path):
         rec["singlet_fraction"]
 
 
-def test_exit_codes(tmp_path, monkeypatch):
+def test_exit_codes(tmp_path, monkeypatch, capsys):
     bad_key = write_config(tmp_path, {"sourc": {"g2": 0.1}}, "bad1.json")
     assert run_cli("entangle", "--config", bad_key,
                    "--out", str(tmp_path / "x1")) == 2
@@ -207,6 +207,14 @@ def test_exit_codes(tmp_path, monkeypatch):
                           "bad2.json")
     assert run_cli("fig4b", "--config", domain,
                    "--out", str(tmp_path / "x3")) == 4
+    # t_on below -t_off_margin_ps opens a window longer than one period
+    long_window = write_config(tmp_path, {"timetag": {"t_on_grid_ps": [-100.0],
+                                                      "pulses": 2000}},
+                               "bad3.json")
+    capsys.readouterr()
+    assert run_cli("timetag", "sweep", "--config", long_window,
+                   "--out", str(tmp_path / "x5")) == 2
+    assert "exceeds one repetition period" in capsys.readouterr().err
 
     def explode(resolved, out_dir, fmt, digest):
         raise NumericalError("did not converge")

@@ -242,28 +242,37 @@ def test_projected_gigahertz_pair_rates():
 
 
 def test_loss_sweep_table():
-    table = swap.sweep_loss(QD, SPDC, loss_grid_db=(0.0, 5.0), mux_sizes=(10,))
+    table = swap.sweep_loss(QD, SPDC, loss_grid_db=(0.0, 5.0),
+                            mux_sizes=(10, 30))
     assert table["columns"] == ["loss_db", "rate_qd", "rate_spdc",
-                                "rate_spdc_mux10"]
+                                "rate_spdc_mux10", "rate_spdc_mux30"]
     rows = table["rows"]
     assert [r[0] for r in rows] == [0.0, 5.0]
     # zero-loss entry agrees with a direct evaluation
     direct = swap.swap_once(QD, QD).rate_hz
     assert abs(rows[0][1] - direct) <= 1e-6 * direct
     # every rate column decreases with loss
-    for col in (1, 2, 3):
+    for col in (1, 2, 3, 4):
         assert rows[0][col] > rows[1][col] > 0.0
     # multiplexing outrates the bare probabilistic source
     assert rows[0][3] > rows[0][2]
     assert rows[1][3] > rows[1][2]
     # the SPDC columns are the swap at the pump optimise_pump picks
     for row in rows:
-        for col, kind, mux_n in ((2, "spdc", 1), (3, "spdc_multiplexed", 10)):
+        for col, kind, mux_n in ((2, "spdc", 1), (3, "spdc_multiplexed", 10),
+                                 (4, "spdc_multiplexed", 30)):
             s = dataclasses.replace(SPDC, source_kind=kind, mux_n=mux_n,
                                     channel_loss_db=row[0])
             s = dataclasses.replace(s, spdc_p1=swap.optimise_pump(s))
             ref = swap.swap_once(s, s).rate_hz
             assert abs(row[col] - ref) <= 1e-12 * ref
+    # a configured pump is used as it is
+    fixed = dataclasses.replace(SPDC, spdc_p1=0.02)
+    row = swap.sweep_loss(QD, fixed, loss_grid_db=(5.0,), mux_sizes=(10,))["rows"][0]
+    for col, kind, mux_n in ((2, "spdc", 1), (3, "spdc_multiplexed", 10)):
+        s = dataclasses.replace(fixed, source_kind=kind, mux_n=mux_n,
+                                channel_loss_db=5.0)
+        assert row[col] == swap.swap_once(s, s).rate_hz
 
 
 def test_scenario_validation():

@@ -1,11 +1,14 @@
 """Tests for time-tag synthesis, histogramming, and stream analysis."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import copying_filter_sweep, sorting_pair_counts
 from qdpair import timetag as tt
 from qdpair.errors import ConfigError, ContractError, ModelDomainError
 
@@ -118,6 +121,46 @@ def test_pair_counts_dominated_by_cross_polarisation():
     assert cross / (cross + co) > 0.95
 
 
+def random_stream(rng):
+    """A small stream on channels 0-5 with t_zero None, 0 or nonzero: either
+    a few slots holding 0-4 clicks per arm plus extra-channel records, or
+    times spread over a few periods (down to 10 ps, many records a slot)."""
+    rep_rate = float(rng.choice([76.3e6, 1e9, 1e11]))
+    period = 1e12 / rep_rate
+    t_zero = (None, 0, int(rng.integers(-3000, 3000)))[rng.integers(3)]
+    if rng.random() < 0.5:
+        slots = rng.integers(-4, 12, size=rng.integers(0, 10))
+        per_slot = rng.integers(0, 5, size=(len(slots), 3))
+        per_slot[:, 2] = rng.integers(0, 2, size=len(slots))
+        arm = np.concatenate([np.repeat([0, 2, 4], row) for row in per_slot]
+                             + [np.empty(0, dtype=np.int64)])
+        slot = np.repeat(slots, per_slot.sum(axis=1))
+        t = (t_zero or 0) + (slot + rng.uniform(-0.45, 0.45, len(slot))) * period
+        ch = arm + rng.integers(0, 2, len(arm))
+    else:
+        n = rng.integers(0, 40)
+        t = rng.uniform(-3.0, 10.0, n) * period
+        ch = rng.integers(0, 6, n)
+    t = np.rint(t).astype(np.int64)
+    order = np.argsort(t, kind="stable")    # random channel order on ties
+    records = np.empty(len(t), dtype=tt.RECORD_DTYPE)
+    records["t"], records["channel"] = t[order], ch[order]
+    return tt.TimeTagStream(records, rep_rate, t_zero, channels=tuple(range(6)))
+
+
+def test_pair_counts_matches_sorting_oracle():
+    rng = np.random.default_rng(2024)
+    empty = coincidences = 0
+    for _ in range(3000):
+        st = random_stream(rng)
+        counts = tt.pair_counts(st)
+        assert counts.shape == (2, 2) and counts.dtype == np.int64
+        assert np.array_equal(counts, sorting_pair_counts(st))
+        empty += len(st) == 0
+        coincidences += int(counts.sum())
+    assert empty > 0 and coincidences > 1000
+
+
 def test_temporal_filter_behaviour():
     st = tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=2))
     w = tt.FilterWindow(t_on_ps=-20.0, t_off_ps=100.0)
@@ -151,6 +194,30 @@ def test_filter_sweep_improves_fidelity():
     assert pts[1].singlet_fraction - pts[0].singlet_fraction >= 0.01
     assert 0.6 < pts[1].retained_fraction < 0.8
     assert pts[1].coincidences < pts[0].coincidences
+
+
+def test_filter_sweep_matches_copying_oracle():
+    params = tt.StreamParams(t1_ps=200.0, pulses=20000, seed=5, eta=0.3)
+    grid = (-30.0, -10.0, 0.0, 35.0, 60.0)
+    assert tt.filter_fidelity_sweep(grid, params, t_off_margin_ps=30.0) \
+        == copying_filter_sweep(grid, params, t_off_margin_ps=30.0)
+
+
+def test_filter_sweep_holds_one_stream_at_a_time(monkeypatch):
+    synthesize = tt.synthesize_stream
+    made, alive = [], []
+
+    def tracked(params):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        stream = synthesize(params)
+        made.append(weakref.ref(stream))
+        return stream
+
+    monkeypatch.setattr(tt, "synthesize_stream", tracked)
+    params = tt.StreamParams(t1_ps=200.0, pulses=2000, seed=3, eta=0.3)
+    tt.filter_fidelity_sweep((0.0, 35.0), params)
+    assert alive == [0] * 36
 
 
 def test_stream_file_roundtrip(tmp_path):
