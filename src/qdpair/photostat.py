@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.special import lambertw
-
 from .errors import ConfigError, ContractError, ModelDomainError
 
 
@@ -99,6 +97,8 @@ def spdc_pair_distribution(pair_prob: float, statistics: str = "thermal",
         if not 0.0 < pair_prob <= math.exp(-1.0):
             raise ModelDomainError(
                 f"poissonian statistics require 0 < P1 <= 1/e, got {pair_prob}")
+        from scipy.special import lambertw
+
         # math.exp(-1) rounds just past the branch point -1/e of W0, where
         # lambertw returns nan; the root there is nu = 1.
         nu = 1.0 if pair_prob == math.exp(-1.0) else -lambertw(-pair_prob).real

@@ -38,6 +38,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, not at the first draw
 
 from . import tomography, twoqubit
 from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
@@ -51,6 +52,16 @@ STREAM_VERSION = 1
 _HEADER = struct.Struct("<4sHHQq8x")  # 32 bytes: magic, version, pad, rep_rate_mHz, t_zero
 
 _CHANNELS_BY_MODE = {"pairs": (0, 1, 2, 3), "hbt": (0, 1), "laser": (0,)}
+
+
+def _channels_used(channel: np.ndarray) -> set:
+    """Channel numbers present, counted 2**18 records at a time so the
+    int64 copy bincount makes stays at 2 MiB whatever the stream length."""
+    block = 1 << 18
+    seen = set()
+    for start in range(0, len(channel), block):
+        seen.update(np.flatnonzero(np.bincount(channel[start:start + block])).tolist())
+    return seen
 
 
 @dataclass(frozen=True)
@@ -73,8 +84,8 @@ class TimeTagStream:
             raise ContractError("rep_rate_hz must be positive")
         if np.any(rec["t"][1:] < rec["t"][:-1]):
             raise ContractError("timestamps must be nondecreasing")
-        if len(rec) and not np.isin(rec["channel"], self.channels).all():
-            bad = set(np.unique(rec["channel"])) - set(self.channels)
+        bad = _channels_used(rec["channel"]) - set(self.channels)
+        if bad:
             raise ContractError(f"records use undeclared channels {sorted(bad)}")
         object.__setattr__(self, "records", rec)
         if self.t_zero_ps is not None:
@@ -170,10 +181,14 @@ def _assemble(parts, rep_rate_hz, channels, t_zero, metadata) -> TimeTagStream:
     else:
         ch = np.empty(0, dtype=np.uint16)
         ts = np.empty(0, dtype=np.int64)
-    order = np.lexsort((ch, ts))
+    # One int64 key t * 8 + channel orders by time, then channel; it
+    # decodes exactly for channels 0-7 and |t| < 2**60 ps, negative t too.
+    key = ts * 8
+    key += ch
+    key.sort()
     rec = np.empty(len(ts), dtype=RECORD_DTYPE)
-    rec["channel"] = ch[order]
-    rec["t"] = ts[order]
+    rec["channel"] = key & 7
+    rec["t"] = key >> 3
     return TimeTagStream(rec, rep_rate_hz, t_zero, channels, metadata)
 
 
@@ -534,7 +549,7 @@ def read_stream(path) -> TimeTagStream:
                 f"stream body of {body} bytes is not a whole number of records")
         rec = np.fromfile(fh, dtype=RECORD_DTYPE,
                           count=body // RECORD_DTYPE.itemsize)
-    channels = tuple(sorted(set(np.unique(rec["channel"]).tolist()) | {0}))
+    channels = tuple(sorted(_channels_used(rec["channel"]) | {0}))
     return TimeTagStream(rec, rep_mhz / 1000.0,
                          None if t0 == _T_ZERO_UNSET else t0,
                          channels, {"source": str(path)})
@@ -553,7 +568,8 @@ def _coincidences(channel: np.ndarray, slot: np.ndarray) -> np.ndarray:
     channel, slot = channel[arms], slot[arms]
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(slot)) + 1, [len(slot)]))
     first = bounds[:-1][np.diff(bounds) == 2]
-    lo, hi = np.sort([channel[first], channel[first + 1]], axis=0)
+    a, b = channel[first], channel[first + 1]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     return np.bincount(4 * lo + hi, minlength=16).reshape(4, 4)[:2, 2:]
 
 

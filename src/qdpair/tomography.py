@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+import numpy.random  # numpy loads it lazily; load it here, not at the first draw
 
 from .errors import (ConfigError, ContractError, NumericalError,
                      ReconstructionError)
@@ -303,6 +303,11 @@ def _solve(ops, design, counts) -> tuple:
     return rho, sigma
 
 
+def _log_factorials(counts) -> float:
+    """Poisson normalisation sum_s log(n_s!) of the recorded counts."""
+    return math.fsum(math.lgamma(n + 1.0) for n in counts.tolist())
+
+
 def mle_reconstruct(records) -> tuple:
     """Maximum-likelihood state from Poisson count records.
 
@@ -317,7 +322,7 @@ def mle_reconstruct(records) -> tuple:
     ops, counts, design = _complete_design(records)
     rho, sigma = _solve(ops, design, counts)
     lam = np.einsum("sij,ji->s", ops, sigma).real
-    loglik = float(counts @ np.log(lam) - lam.sum() - gammaln(counts + 1.0).sum())
+    loglik = float(counts @ np.log(lam) - lam.sum() - _log_factorials(counts))
     return rho, loglik
 
 
@@ -333,7 +338,7 @@ def log_likelihood(records, rho: TwoQubitDensity, scale: float = None) -> float:
     if scale is None:
         scale = counts.sum() / probs.sum()
     lam = scale * probs
-    return float(counts @ np.log(lam) - lam.sum() - gammaln(counts + 1.0).sum())
+    return float(counts @ np.log(lam) - lam.sum() - _log_factorials(counts))
 
 
 def bootstrap_singlet_fraction(records, resamples: int, seed: int):

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc, erfcx
 
 from . import photostat
 from .errors import ContractError, ModelDomainError, NumericalError
@@ -53,6 +51,11 @@ def profile_dimensionless(t, k: float):
     complementary error function on the leading (t < 1/K) side so the
     Gaussian turn-on tail underflows gracefully instead of overflowing.
     """
+    # Imported here so that importing qdpair loads no scipy.  quad calls this
+    # twice per integrand point, and this form, unlike `from ... import`,
+    # repeats without a from-list lookup.
+    import scipy.special as special
+
     if k <= 0.0:
         raise ContractError(f"K must be positive, got {k}")
     t = np.asarray(t, dtype=float)
@@ -60,9 +63,9 @@ def profile_dimensionless(t, k: float):
     out = np.empty_like(t)
     lead = z > 0.0
     # exp(1/(2K^2) - t/K) erfc(z) = erfcx(z) exp(-t^2/2) when z > 0
-    out[lead] = erfcx(z[lead]) * np.exp(-0.5 * t[lead] ** 2)
+    out[lead] = special.erfcx(z[lead]) * np.exp(-0.5 * t[lead] ** 2)
     tail = ~lead
-    out[tail] = np.exp(1.0 / (2.0 * k ** 2) - t[tail] / k) * erfc(z[tail])
+    out[tail] = np.exp(1.0 / (2.0 * k ** 2) - t[tail] / k) * special.erfc(z[tail])
     out /= 2.0 * k
     if out.ndim == 0:
         return float(out)
@@ -90,6 +93,8 @@ def temporal_overlap(tau_ps: float, params: WavepacketParams,
     (``squared=False`` returns the bare amplitude overlap instead).
     O(0) = 1, O is even, O -> 0 for large offsets.
     """
+    from scipy.integrate import quad
+
     k = params.k
     delta = tau_ps / params.pulse_width_ps
     lo, hi = _support(k)

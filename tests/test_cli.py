@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdpair
 from qdpair import cli, swap, timetag
 from qdpair.errors import NumericalError
 
@@ -231,3 +234,38 @@ def test_console_script_entry_point(tmp_path):
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "rates.json" in r.stdout
+
+
+# Runs each command at toy size in one interpreter and reports, per command,
+# whether scipy had been imported by the time it finished.
+SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+from qdpair import cli
+
+out = Path(sys.argv[1])
+toy = out / "toy.json"
+toy.write_text(json.dumps({
+    "tomography": {"enabled": True, "pairs": 20000, "bootstrap": 50},
+    "timetag": {"pulses": 5000}, "swap": {"loss_db_max": 2.5}}))
+loaded = {"import": "scipy" in sys.modules}
+for i, argv in enumerate([["fig3"], ["fig5"], ["rates"], ["entangle"],
+                          ["timetag", "synth"], ["timetag", "analyse"],
+                          ["timetag", "sweep"], ["fig4b"]]):
+    code = cli.main(argv + ["--config", str(toy), "--out", str(out / str(i))])
+    assert code == 0, argv
+    loaded[" ".join(argv)] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_stays_unloaded_until_fig4b(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(qdpair.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    loaded = json.loads(r.stdout.splitlines()[-1])
+    assert loaded.pop("fig4b") is True
+    assert not any(loaded.values()), loaded

@@ -220,6 +220,33 @@ def test_filter_sweep_holds_one_stream_at_a_time(monkeypatch):
     assert alive == [0] * 36
 
 
+def test_assemble_orders_by_time_then_channel():
+    rng = np.random.default_rng(31)
+    ts = rng.integers(-2 ** 59, 2 ** 59, 30000)
+    ts[::3] = ts[1::3]                      # ties in time, some in channel too
+    ch = rng.integers(0, 8, len(ts)).astype(np.uint16)
+    st = tt._assemble([(ch[:100], ts[:100]), (ch[100:], ts[100:])], 80e6,
+                      tuple(range(8)), None, {})
+    order = np.lexsort((ch, ts))
+    assert np.array_equal(st.records["t"], ts[order])
+    assert np.array_equal(st.records["channel"], ch[order])
+
+
+def test_undeclared_channels_rejected(tmp_path):
+    # the stray channel sits past the first 2**18-record counting block
+    records = np.zeros((1 << 18) + 5, dtype=tt.RECORD_DTYPE)
+    records["t"] = np.arange(len(records))
+    records["channel"][-1] = 9
+    with pytest.raises(ContractError, match=r"undeclared channels \[9\]"):
+        tt.TimeTagStream(records, 80e6, channels=(0, 1))
+    path = tmp_path / "stray.ttg"
+    tt.write_stream(tt.TimeTagStream(records, 80e6, channels=(0, 9)), path)
+    assert tt.read_stream(path).channels == (0, 9)
+    records["channel"][:3] = 2
+    tt.write_stream(tt.TimeTagStream(records, 80e6, channels=(0, 2, 9)), path)
+    assert tt.read_stream(path).channels == (0, 2, 9)
+
+
 def test_stream_file_roundtrip(tmp_path):
     st = tt.synthesize_stream(tt.StreamParams(pulses=5000, seed=2))
     path = tmp_path / "stream.ttg"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from qdpair import tomography as tomo
 from qdpair import twoqubit as tq
@@ -154,6 +155,34 @@ def test_log_likelihood_prefers_the_generating_state():
     ll_true = tomo.log_likelihood(records, rho)
     ll_mixed = tomo.log_likelihood(records, tq.werner(0.0))
     assert ll_true > ll_mixed
+
+
+def test_poisson_normaliser_matches_gammaln():
+    n = np.unique(np.concatenate([np.arange(2001.0),
+                                  np.rint(np.geomspace(2e3, 1e6, 4000))]))
+    ours = np.array([tomo._log_factorials(np.array([x])) for x in n])
+    ref = gammaln(n + 1.0)
+    assert np.all(np.abs(ours - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_likelihoods_keep_their_gammaln_values():
+    # the entangle command's tomography records at its default seed
+    weights = wavepacket.postselected_weights(0.015, 0.05)
+    mix = tq.TwoQubitDensity.from_matrix(
+        weights[0] * tq.rho_q(0.981).matrix + weights[1] * tq.rho_b_half().matrix
+        + weights[2] * tq.rho_b_zero().matrix)
+    records = tomo.simulate_counts(mix, tomo.standard_settings(), 100000,
+                                   seed=20240801)
+    ops, counts, design = tomo._complete_design(records)
+    const = gammaln(counts + 1.0).sum()
+    rho, loglik = tomo.mle_reconstruct(records)
+    lam = np.einsum("sij,ji->s", ops, tomo._solve(ops, design, counts)[1]).real
+    assert loglik == pytest.approx(counts @ np.log(lam) - lam.sum() - const,
+                                   rel=1e-10)
+    probs = np.einsum("sij,ji->s", ops, rho.matrix).real
+    lam = counts.sum() / probs.sum() * probs
+    assert tomo.log_likelihood(records, rho) == pytest.approx(
+        counts @ np.log(lam) - lam.sum() - const, rel=1e-10)
 
 
 def test_reconstruction_errors():
