@@ -54,14 +54,32 @@ _HEADER = struct.Struct("<4sHHQq8x")  # 32 bytes: magic, version, pad, rep_rate_
 _CHANNELS_BY_MODE = {"pairs": (0, 1, 2, 3), "hbt": (0, 1), "laser": (0,)}
 
 
+# Records per pass of every whole-stream walk, which bounds each
+# temporary by one block whatever the stream length.
+_RECORD_BLOCK = 1 << 18
+
+# Passed as ``channels`` by read_stream: declare the channels the records
+# use, plus 0, from the one count that validates them.
+_CHANNELS_FROM_RECORDS = object()
+
+
 def _channels_used(channel: np.ndarray) -> set:
-    """Channel numbers present, counted 2**18 records at a time so the
-    int64 copy bincount makes stays at 2 MiB whatever the stream length."""
-    block = 1 << 18
+    """Channel numbers present, counted one block at a time so the int64
+    copy bincount makes stays at 2 MiB whatever the stream length."""
     seen = set()
-    for start in range(0, len(channel), block):
-        seen.update(np.flatnonzero(np.bincount(channel[start:start + block])).tolist())
+    for start in range(0, len(channel), _RECORD_BLOCK):
+        block = channel[start:start + _RECORD_BLOCK]
+        seen.update(np.flatnonzero(np.bincount(block)).tolist())
     return seen
+
+
+def _nondecreasing(t: np.ndarray) -> bool:
+    """Whether t never decreases, checked in blocks overlapping by one."""
+    for start in range(0, len(t), _RECORD_BLOCK):
+        block = t[max(start - 1, 0):start + _RECORD_BLOCK]
+        if np.any(block[1:] < block[:-1]):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -82,9 +100,12 @@ class TimeTagStream:
             rec = out
         if self.rep_rate_hz <= 0.0:
             raise ContractError("rep_rate_hz must be positive")
-        if np.any(rec["t"][1:] < rec["t"][:-1]):
+        if not _nondecreasing(rec["t"]):
             raise ContractError("timestamps must be nondecreasing")
-        bad = _channels_used(rec["channel"]) - set(self.channels)
+        used = _channels_used(rec["channel"])
+        if self.channels is _CHANNELS_FROM_RECORDS:
+            object.__setattr__(self, "channels", tuple(sorted(used | {0})))
+        bad = used - set(self.channels)
         if bad:
             raise ContractError(f"records use undeclared channels {sorted(bad)}")
         object.__setattr__(self, "records", rec)
@@ -341,24 +362,60 @@ class Histogram:
 _HISTOGRAM_BLOCK = 1 << 16
 
 
-def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
-                          bin_ps: int, span_ps: int) -> Histogram:
-    """Histogram of timestamp differences t_b - t_a over +/- span_ps."""
-    if bin_ps <= 0 or span_ps <= 0:
-        raise ContractError("bin_ps and span_ps must be positive")
-    ta = stream.channel_times(ch_a)
-    tb = stream.channel_times(ch_b)
-    nbins = 2 * (span_ps // bin_ps)
-    starts = (np.arange(nbins) - nbins // 2) * bin_ps
-    counts = np.zeros(nbins, dtype=np.int64)
+def _add_pairs(counts: np.ndarray, ta: np.ndarray, tb: np.ndarray,
+               first_ps: int, bin_ps: int) -> None:
+    """Add to counts every pair with t_b - t_a in
+    [first_ps, first_ps + len(counts) * bin_ps), in bins of bin_ps;
+    ta and tb sorted."""
+    width = len(counts) * bin_ps
     for i in range(0, len(ta), _HISTOGRAM_BLOCK):
         block = ta[i:i + _HISTOGRAM_BLOCK]
-        lo = np.searchsorted(tb, block + starts[0], side="left")
-        m = np.searchsorted(tb, block + starts[0] + nbins * bin_ps,
-                            side="left") - lo
+        lo = np.searchsorted(tb, block + first_ps, side="left")
+        m = np.searchsorted(tb, block + (first_ps + width), side="left") - lo
         flat = np.repeat(lo - (np.cumsum(m) - m), m) + np.arange(m.sum())
         diffs = tb[flat] - np.repeat(block, m)
-        counts += np.bincount((diffs - starts[0]) // bin_ps, minlength=nbins)
+        counts += np.bincount((diffs - first_ps) // bin_ps, minlength=len(counts))
+
+
+def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
+                          bin_ps: int, span_ps: int) -> Histogram:
+    """Histogram of timestamp differences t_b - t_a over +/- span_ps.
+
+    The records are walked in blocks of ``_RECORD_BLOCK``.  Between blocks
+    only two tails are carried: the channel-a times whose window can
+    still reach records not yet seen, and the channel-b times those (or
+    later) a-times can reach.  Memory is therefore bounded by one block
+    of records, the records within one histogram width (2 span_ps) before
+    the last record seen, and the pair arrays of ``_HISTOGRAM_BLOCK``
+    a-times; it does not grow with the length of the stream.
+    """
+    if bin_ps <= 0 or span_ps <= 0:
+        raise ContractError("bin_ps and span_ps must be positive")
+    if span_ps < bin_ps:
+        raise ContractError(
+            f"span_ps {span_ps} is shorter than one bin of {bin_ps} ps")
+    nbins = 2 * (span_ps // bin_ps)
+    starts = (np.arange(nbins) - nbins // 2) * bin_ps
+    first = int(starts[0])
+    counts = np.zeros(nbins, dtype=np.int64)
+    waiting = np.empty(0, dtype=np.int64)   # a-times whose window is open
+    tb = np.empty(0, dtype=np.int64)        # b-times still in reach
+    rec = stream.records
+    for start in range(0, len(rec), _RECORD_BLOCK):
+        block = rec[start:start + _RECORD_BLOCK]
+        ch, t = block["channel"], block["t"]
+        waiting = np.concatenate((waiting, t[ch == ch_a]))
+        tb = np.concatenate((tb, t[ch == ch_b]))
+        # Later records are no earlier than the last one seen, so an
+        # a-time whose window ends by then has every pair in hand.
+        last = int(t[-1])
+        done = np.searchsorted(waiting, last - first - nbins * bin_ps,
+                               side="right")
+        _add_pairs(counts, waiting[:done], tb, first, bin_ps)
+        waiting = waiting[done:]
+        earliest = int(waiting[0]) if len(waiting) else last
+        tb = tb[np.searchsorted(tb, earliest + first, side="left"):]
+    _add_pairs(counts, waiting, tb, first, bin_ps)
     return Histogram(starts, counts, bin_ps, empty=not counts.any())
 
 
@@ -549,10 +606,9 @@ def read_stream(path) -> TimeTagStream:
                 f"stream body of {body} bytes is not a whole number of records")
         rec = np.fromfile(fh, dtype=RECORD_DTYPE,
                           count=body // RECORD_DTYPE.itemsize)
-    channels = tuple(sorted(_channels_used(rec["channel"]) | {0}))
     return TimeTagStream(rec, rep_mhz / 1000.0,
                          None if t0 == _T_ZERO_UNSET else t0,
-                         channels, {"source": str(path)})
+                         _CHANNELS_FROM_RECORDS, {"source": str(path)})
 
 
 def _fold(stream: TimeTagStream):

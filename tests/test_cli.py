@@ -218,6 +218,14 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert run_cli("timetag", "sweep", "--config", long_window,
                    "--out", str(tmp_path / "x5")) == 2
     assert "exceeds one repetition period" in capsys.readouterr().err
+    # a 20 ns bin is wider than the one-period (13.1 ns) span
+    wide_bin = write_config(tmp_path, {"timetag": {"bin_ps": 20000,
+                                                   "span_periods": 1,
+                                                   "pulses": 2000}},
+                            "bad4.json")
+    assert run_cli("timetag", "analyse", "--config", wide_bin,
+                   "--out", str(tmp_path / "x6")) == 2
+    assert "shorter than one bin" in capsys.readouterr().err
 
     def explode(resolved, out_dir, fmt, digest):
         raise NumericalError("did not converge")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -232,7 +233,7 @@ def test_assemble_orders_by_time_then_channel():
     assert np.array_equal(st.records["channel"], ch[order])
 
 
-def test_undeclared_channels_rejected(tmp_path):
+def test_undeclared_channels_rejected(tmp_path, monkeypatch):
     # the stray channel sits past the first 2**18-record counting block
     records = np.zeros((1 << 18) + 5, dtype=tt.RECORD_DTYPE)
     records["t"] = np.arange(len(records))
@@ -245,6 +246,12 @@ def test_undeclared_channels_rejected(tmp_path):
     records["channel"][:3] = 2
     tt.write_stream(tt.TimeTagStream(records, 80e6, channels=(0, 2, 9)), path)
     assert tt.read_stream(path).channels == (0, 2, 9)
+    counted = []
+    count = tt._channels_used
+    monkeypatch.setattr(tt, "_channels_used",
+                        lambda channel: counted.append(1) or count(channel))
+    assert tt.read_stream(path).channels == (0, 2, 9)
+    assert len(counted) == 1                # read_stream counts channels once
 
 
 def test_stream_file_roundtrip(tmp_path):
@@ -345,6 +352,71 @@ def test_coincidence_histogram_matches_all_pairs_reference():
     full = tt.coincidence_histogram(st, 0, 1, bin_ps, span_ps).counts
     assert full[0] >= len(ta[::5000]) and full[-1] >= len(ta[::7000])
     assert tt.coincidence_histogram(st, 0, 2, bin_ps, span_ps).empty
+
+
+def test_coincidence_histogram_carries_state_across_record_blocks(monkeypatch):
+    monkeypatch.setattr(tt, "_RECORD_BLOCK", 5)
+    monkeypatch.setattr(tt, "_HISTOGRAM_BLOCK", 3)
+    bin_ps, span_ps = 10, 60
+    rng = np.random.default_rng(23)
+
+    def stream(ch, t):
+        records = np.empty(len(t), dtype=tt.RECORD_DTYPE)
+        records["channel"], records["t"] = ch, t
+        return tt.TimeTagStream(records, 80e6, channels=(0, 1, 2, 3))
+
+    cases = [stream([], []),
+             # ties that straddle the edges of five-record blocks
+             stream([0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1],
+                    [0, 0, 0, 0, 7, 7, 7, 7, 7, 7, 67, 67, 130]),
+             # an a-record tied with the block's last record reaches back
+             # exactly one span, onto the first bin's lower edge
+             stream([1, 1, 1, 1, 1, 0], [0, 60, 60, 60, 60, 60]),
+             # every a-record before every b-record
+             stream([0] * 12 + [1] * 12, np.arange(24) * 9)]
+    for _ in range(150):
+        n = int(rng.integers(1, 60))
+        t = np.sort(rng.integers(-300, int(rng.integers(1, 600)), n))
+        cases.append(stream(rng.integers(0, 3, n), t))
+    for st in cases:
+        # channel 3 is declared but absent
+        for ch_a, ch_b in ((0, 1), (1, 0), (0, 0), (0, 3), (3, 1)):
+            hist = tt.coincidence_histogram(st, ch_a, ch_b, bin_ps, span_ps)
+            starts, ref = all_pairs_histogram(st, ch_a, ch_b, bin_ps, span_ps)
+            assert np.array_equal(hist.bin_start_ps, starts)
+            assert np.array_equal(hist.counts, ref)
+    assert tt.coincidence_histogram(cases[3], 0, 1, bin_ps, span_ps).counts.any()
+    # a step back across a block edge is still caught
+    with pytest.raises(ContractError, match="nondecreasing"):
+        stream([0] * 6, [0, 1, 2, 3, 4, 3])
+
+
+def test_coincidence_histogram_memory_does_not_grow_with_stream():
+    rng = np.random.default_rng(17)
+
+    def traced_peak(n):
+        records = np.empty(n, dtype=tt.RECORD_DTYPE)
+        records["t"] = np.cumsum(rng.integers(0, 2000, n))
+        records["channel"] = rng.integers(0, 2, n)
+        st = tt.TimeTagStream(records, 80e6, channels=(0, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tt.coincidence_histogram(st, 0, 1, 20, 2000)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(1 << 20), traced_peak(1 << 22)
+    assert abs(large - small) < 1 << 20
+    assert large < (1 << 22) // 2 * 8          # one whole-channel copy
+
+
+def test_coincidence_histogram_rejects_span_shorter_than_one_bin():
+    st = tt.synthesize_stream(tt.StreamParams(pulses=1000, seed=2, mode="hbt"))
+    with pytest.raises(ContractError, match="shorter than one bin"):
+        tt.coincidence_histogram(st, 0, 1, bin_ps=20, span_ps=19)
+    assert len(tt.coincidence_histogram(st, 0, 1, 20, 20).counts) == 2
 
 
 def test_stream_params_validation():
