@@ -188,28 +188,37 @@ def _jitter_sigma(fwhm: float) -> float:
 
 
 def _emg_delays(rng, size: int, t1: float, width: float) -> np.ndarray:
-    return rng.normal(0.0, width, size) + rng.exponential(t1, size)
+    d = rng.normal(0.0, width, size)
+    d += rng.exponential(t1, size)
+    return d
 
 
-def _qd_photon_numbers(rng, n: int, g2: float) -> np.ndarray:
-    return rng.choice(3, size=n, p=[g2 / 2.0, 1.0 - g2, g2 / 2.0])
+def _qd_photon_numbers(rng, n: int, g2: float):
+    """Per-pulse photon number as masks (>= 1, == 2), from the one uniform
+    draw and the cdf with which ``rng.choice(3, p=[g2/2, 1-g2, g2/2])``
+    samples it, so the masks and the generator state match that call."""
+    cdf = np.array([g2 / 2.0, 1.0 - g2, g2 / 2.0]).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    return u >= cdf[0], u >= cdf[1]
 
 
 def _assemble(parts, rep_rate_hz, channels, t_zero, metadata) -> TimeTagStream:
     if parts:
         ch = np.concatenate([p[0] for p in parts])
-        ts = np.concatenate([p[1] for p in parts])
+        key = np.concatenate([p[1] for p in parts])
     else:
         ch = np.empty(0, dtype=np.uint16)
-        ts = np.empty(0, dtype=np.int64)
+        key = np.empty(0, dtype=np.int64)
     # One int64 key t * 8 + channel orders by time, then channel; it
     # decodes exactly for channels 0-7 and |t| < 2**60 ps, negative t too.
-    key = ts * 8
+    key *= 8
     key += ch
     key.sort()
-    rec = np.empty(len(ts), dtype=RECORD_DTYPE)
+    rec = np.empty(len(key), dtype=RECORD_DTYPE)
     rec["channel"] = key & 7
-    rec["t"] = key >> 3
+    key >>= 3
+    rec["t"] = key
     return TimeTagStream(rec, rep_rate_hz, t_zero, channels, metadata)
 
 
@@ -223,12 +232,13 @@ def synthesize_stream(params: StreamParams) -> TimeTagStream:
     meta = {"mode": params.mode, "params": dataclasses.asdict(params)}
 
     def finish(ch_t_parts, t_zero):
+        # Each part's times are a fresh array, jittered and rounded in place.
         stamped = []
         for ch, t in ch_t_parts:
             if sig_j > 0.0 and len(t):
-                t = t + rng.normal(0.0, sig_j, len(t))
+                t += rng.normal(0.0, sig_j, len(t))
             stamped.append((np.asarray(ch, dtype=np.uint16),
-                            np.rint(t).astype(np.int64)))
+                            np.rint(t, out=t).astype(np.int64)))
         return _assemble(stamped, params.rep_rate_hz,
                          _CHANNELS_BY_MODE[params.mode], t_zero, meta)
 
@@ -255,9 +265,8 @@ def _synthesize_hbt(params, rng, base, finish):
         arm = rng.integers(0, 2, len(periods))
         parts.append((arm, base[periods] + delays))
     else:
-        nums = _qd_photon_numbers(rng, n, params.g2)
-        prim = nums >= 1
-        noise = (nums == 2) & (rng.random(n) >= params.noise_rejection_prob)
+        prim, noise = _qd_photon_numbers(rng, n, params.g2)
+        noise &= rng.random(n) >= params.noise_rejection_prob
         for mask, early in ((prim, False), (noise, True)):
             idx = np.nonzero(mask & (rng.random(n) < params.eta))[0]
             if early:
@@ -290,16 +299,15 @@ def _synthesize_pairs(params, rng, base, finish):
 
     species = {}
     for name, pol in (("pH", 0), ("pV", 1)):
-        nums = _qd_photon_numbers(rng, n, params.g2)
-        exists = nums >= 1
-        noise = (nums == 2) & (rng.random(n) >= params.noise_rejection_prob)
-        det = exists & (rng.random(n) < params.eta)
-        det_noise = noise & (rng.random(n) < params.eta)
+        det, det_noise = _qd_photon_numbers(rng, n, params.g2)
+        det_noise &= rng.random(n) >= params.noise_rejection_prob
+        det &= rng.random(n) < params.eta
+        det_noise &= rng.random(n) < params.eta
         d = _emg_delays(rng, n, params.t1_ps, params.pulse_width_ps)
         dn = rng.uniform(0.0, params.noise_window_ps, n)
         if pol == 0:
-            d = d + params.offset_ps
-            dn = dn + params.offset_ps
+            d += params.offset_ps
+            dn += params.offset_ps
         species[name] = dict(det=det, delay=d, arm=rng.integers(0, 2, n), pol=pol)
         species["n" + name[1]] = dict(det=det_noise, delay=dn,
                                       arm=rng.integers(0, 2, n), pol=pol)
@@ -421,21 +429,24 @@ def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
 
 def period_histogram(stream: TimeTagStream, channel: int = None,
                      bin_ps: int = 1) -> Histogram:
-    """Histogram of arrival times folded modulo the repetition period."""
+    """Histogram of arrival times folded modulo the repetition period,
+    summed over blocks of ``_RECORD_BLOCK`` records so every temporary is
+    bounded by one block whatever the stream length."""
     if bin_ps <= 0:
         raise ContractError("bin_ps must be positive")
-    if channel is None:
-        t = stream.records["t"]
-    else:
-        t = stream.channel_times(channel)
     period = stream.period_ps
     nbins = int(math.ceil(period / bin_ps))
     starts = np.arange(nbins, dtype=np.int64) * bin_ps
-    if len(t) == 0:
-        return Histogram(starts, np.zeros(nbins, dtype=np.int64), bin_ps, empty=True)
-    folded = np.mod(t.astype(np.float64), period)
-    counts, _ = np.histogram(folded, bins=np.append(starts, nbins * bin_ps))
-    return Histogram(starts, counts.astype(np.int64), bin_ps)
+    edges = np.append(starts, nbins * bin_ps)
+    counts = np.zeros(nbins, dtype=np.int64)
+    seen = 0
+    rec = stream.records
+    for start in range(0, len(rec), _RECORD_BLOCK):
+        block = rec[start:start + _RECORD_BLOCK]
+        t = block["t"] if channel is None else block["t"][block["channel"] == channel]
+        seen += len(t)
+        counts += np.histogram(np.mod(t.astype(np.float64), period), bins=edges)[0]
+    return Histogram(starts, counts, bin_ps, empty=not seen)
 
 
 def g2_from_histogram(hist: Histogram, rep_period_ps: float):
@@ -617,13 +628,19 @@ def _fold(stream: TimeTagStream):
     return rel, np.rint(rel / stream.period_ps).astype(np.int64)
 
 
+def _slot_runs(slot: np.ndarray):
+    """Start and length of each run of equal slots (slots must not decrease)."""
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(slot)) + 1, [len(slot)]))
+    return bounds[:-1], np.diff(bounds)
+
+
 def _coincidences(channel: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """2x2 counts of runs of exactly two records on channels 0-3 sharing a
     slot, one in each arm; slots must not decrease (time-ordered stream)."""
     arms = channel < 4
     channel, slot = channel[arms], slot[arms]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(slot)) + 1, [len(slot)]))
-    first = bounds[:-1][np.diff(bounds) == 2]
+    start, run = _slot_runs(slot)
+    first = start[run == 2]
     a, b = channel[first], channel[first + 1]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     return np.bincount(4 * lo + hi, minlength=16).reshape(4, 4)[:2, 2:]
@@ -654,7 +671,11 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
 
     Processes one stream at a time: synthesises the paired stream of one
     tomography setting, counts its coincidences unfiltered and inside each
-    window [t_on, period - t_off_margin), and drops it.  Each window's
+    window [t_on, period - t_off_margin), and drops it.  A slot holding one
+    record forms no coincidence under any window, and a window keeps or
+    drops each record on its own, so the stream is folded once and only
+    the records of slots holding two or more are counted and filtered
+    (about a third of them at the defaults).  Each window's
     pass-pass counts are reconstructed and reported as the singlet
     fraction plus coincidence retention against the unfiltered streams.
     The default stream uses a slower emitter (T1 = 200 ps) than the
@@ -675,7 +696,10 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
         stream = synthesize_stream(dataclasses.replace(
             params, analysis=(s.label1, s.label2), seed=child))
         rel, slot = _fold(stream)
-        ch = stream.records["channel"]
+        run = _slot_runs(slot)[1]
+        shared = np.repeat(run >= 2, run)
+        rel, slot = rel[shared], slot[shared]
+        ch = stream.records["channel"][shared]
         kept = (w.mask(rel, period) for w in windows)
         return [_coincidences(ch, slot)] + [_coincidences(ch[k], slot[k]) for k in kept]
 

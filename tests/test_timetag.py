@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
@@ -21,6 +22,38 @@ def test_synthesis_deterministic():
     assert np.array_equal(a.records, b.records)
     c = tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=8))
     assert not np.array_equal(a.records, c.records)
+
+
+# SHA-256 of synthesize_stream(params).records.tobytes() at 20000 pulses
+# and seed 7: any change to the order, size or use of a draw changes them.
+SYNTHESIS_DIGESTS = [
+    (dict(g2=0.3, eta=0.9, noise_window_ps=400.0, analysis=("D", "A")),
+     "ba7d4d904efe6b792f159d898ac0e75584e8bd489416036d268e0c83a4681b47"),
+    (dict(mode="hbt", g2=0.1, noise_rejection_prob=0.5),
+     "0bae492ad767edf57c833795e18b3a602097fc11657c1e7a889c697257bb4ca4"),
+    (dict(mode="hbt", emission="poissonian"),
+     "f5efb1a10794761824300a6e7f81dd82c2e2ce6bb3d97da51b799fe67a70e0d9"),
+    (dict(mode="laser", eta=0.5),
+     "38dca3dbdc9958fdcd0b2ed42c6d41c78842c41d04e708b371a72fec151e37f2"),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", SYNTHESIS_DIGESTS,
+                         ids=["pairs", "hbt-qd", "hbt-poissonian", "laser"])
+def test_synthesis_is_pinned_bit_for_bit(kwargs, digest):
+    st = tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=7, **kwargs))
+    assert hashlib.sha256(st.records.tobytes()).hexdigest() == digest
+
+
+def test_qd_photon_numbers_match_generator_choice():
+    for g2 in (0.0, 0.013, 0.02, 0.3, 0.49):
+        for seed in range(5):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            one, two = tt._qd_photon_numbers(ours, 5000, g2)
+            nums = ref.choice(3, size=5000, p=[g2 / 2.0, 1.0 - g2, g2 / 2.0])
+            assert np.array_equal(one, nums >= 1)
+            assert np.array_equal(two, nums == 2)
+            assert ours.random() == ref.random()     # same generator state
 
 
 def test_records_sorted_and_channel_ranges():
@@ -202,6 +235,19 @@ def test_filter_sweep_matches_copying_oracle():
     grid = (-30.0, -10.0, 0.0, 35.0, 60.0)
     assert tt.filter_fidelity_sweep(grid, params, t_off_margin_ps=30.0) \
         == copying_filter_sweep(grid, params, t_off_margin_ps=30.0)
+
+
+def test_filter_sweep_matches_copying_oracle_on_dense_slots():
+    # Many multi-photon pulses, every photon detected and noise photons
+    # spread over 3 ns put three or more records in about a quarter of the
+    # occupied slots; t_on = -200 ps opens the window before the reference.
+    params = tt.StreamParams(t1_ps=200.0, pulses=20000, seed=13, eta=1.0,
+                             g2=0.3, noise_window_ps=3000.0)
+    slot = tt._fold(tt.synthesize_stream(params))[1]
+    assert (np.unique(slot, return_counts=True)[1] >= 3).mean() > 0.2
+    grid = (-200.0, -20.0, 0.0, 35.0, 150.0)
+    assert tt.filter_fidelity_sweep(grid, params, t_off_margin_ps=250.0) \
+        == copying_filter_sweep(grid, params, t_off_margin_ps=250.0)
 
 
 def test_filter_sweep_holds_one_stream_at_a_time(monkeypatch):
@@ -391,23 +437,61 @@ def test_coincidence_histogram_carries_state_across_record_blocks(monkeypatch):
         stream([0] * 6, [0, 1, 2, 3, 4, 3])
 
 
+def traced_peak(analyse, n, rng):
+    """Traced allocation peak of analyse(stream) on an n-record stream."""
+    records = np.empty(n, dtype=tt.RECORD_DTYPE)
+    records["t"] = np.cumsum(rng.integers(0, 2000, n))
+    records["channel"] = rng.integers(0, 2, n)
+    st = tt.TimeTagStream(records, 80e6, channels=(0, 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        analyse(st)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_coincidence_histogram_memory_does_not_grow_with_stream():
     rng = np.random.default_rng(17)
 
-    def traced_peak(n):
-        records = np.empty(n, dtype=tt.RECORD_DTYPE)
-        records["t"] = np.cumsum(rng.integers(0, 2000, n))
-        records["channel"] = rng.integers(0, 2, n)
-        st = tt.TimeTagStream(records, 80e6, channels=(0, 1))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tt.coincidence_histogram(st, 0, 1, 20, 2000)
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+    def analyse(st):
+        tt.coincidence_histogram(st, 0, 1, 20, 2000)
 
-    small, large = traced_peak(1 << 20), traced_peak(1 << 22)
+    small, large = traced_peak(analyse, 1 << 20, rng), traced_peak(analyse, 1 << 22, rng)
+    assert abs(large - small) < 1 << 20
+    assert large < (1 << 22) // 2 * 8          # one whole-channel copy
+
+
+def test_period_histogram_sums_blocks_exactly(monkeypatch):
+    monkeypatch.setattr(tt, "_RECORD_BLOCK", 7)
+    rng = np.random.default_rng(19)
+    n = 200
+    records = np.empty(n, dtype=tt.RECORD_DTYPE)
+    records["t"] = np.sort(rng.integers(-50000, 50000, n))
+    records["channel"] = rng.integers(0, 2, n)
+    st = tt.TimeTagStream(records, 80e6, channels=(0, 1, 2))
+    for channel in (None, 0, 1, 2):
+        for bin_ps in (1, 20, 5000):
+            hist = tt.period_histogram(st, channel, bin_ps)
+            t = st.records["t"] if channel is None else st.channel_times(channel)
+            nbins = int(np.ceil(st.period_ps / bin_ps))
+            ref, _ = np.histogram(np.mod(t.astype(np.float64), st.period_ps),
+                                  bins=np.arange(nbins + 1) * bin_ps)
+            assert np.array_equal(hist.bin_start_ps, np.arange(nbins) * bin_ps)
+            assert hist.counts.dtype == np.int64
+            assert np.array_equal(hist.counts, ref)
+            assert hist.empty == (len(t) == 0)
+
+
+def test_period_histogram_memory_does_not_grow_with_stream():
+    rng = np.random.default_rng(17)
+
+    def analyse(st):
+        tt.period_histogram(st, None, 1)
+        tt.period_histogram(st, 0, 1)
+
+    small, large = traced_peak(analyse, 1 << 20, rng), traced_peak(analyse, 1 << 22, rng)
     assert abs(large - small) < 1 << 20
     assert large < (1 << 22) // 2 * 8          # one whole-channel copy
 
