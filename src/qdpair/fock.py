@@ -110,10 +110,6 @@ class FockState:
         return FockState({occ: a * s for occ, a in self.terms.items()},
                          nmax=self.nmax, nmodes=self.nmodes)
 
-    def total_photons(self) -> set:
-        """Set of total photon numbers present across terms."""
-        return {sum(occ) for occ in self.terms}
-
     def amplitude(self, occ: Iterable) -> complex:
         return self.terms.get(tuple(occ), 0.0 + 0.0j)
 

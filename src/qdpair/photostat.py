@@ -125,9 +125,6 @@ class DetectionOutcomes:
     x_background: float
     x_none: float
 
-    def as_tuple(self):
-        return (self.x_two, self.x_signal, self.x_background, self.x_none)
-
 
 def detection_outcomes(dist: PhotonNumberDistribution, eta: float) -> DetectionOutcomes:
     """Detection-outcome probabilities for a pulse with up to two photons

@@ -122,9 +122,6 @@ class TimeTagStream:
     def channel_times(self, channel: int) -> np.ndarray:
         return self.records["t"][self.records["channel"] == channel]
 
-    def with_t_zero(self, t_zero_ps: int) -> "TimeTagStream":
-        return dataclasses.replace(self, t_zero_ps=int(t_zero_ps))
-
 
 @dataclass(frozen=True)
 class StreamParams:
@@ -367,22 +364,65 @@ class Histogram:
 
 
 # Starts of channel a binned per pass, which bounds the pair arrays.
-_HISTOGRAM_BLOCK = 1 << 16
+_HISTOGRAM_BLOCK = 1 << 14
+
+# The candidate table of _add_pairs: its cells are at most 1/16 of the
+# histogram width, and it may hold at most 16 cells per record of a pass.
+_CELLS_PER_WIDTH = 16
+_CELLS_PER_RECORD = 16
 
 
 def _add_pairs(counts: np.ndarray, ta: np.ndarray, tb: np.ndarray,
                first_ps: int, bin_ps: int) -> None:
     """Add to counts every pair with t_b - t_a in
-    [first_ps, first_ps + len(counts) * bin_ps), in bins of bin_ps;
-    ta and tb sorted."""
-    width = len(counts) * bin_ps
+    [first_ps, first_ps + width), width = len(counts) * bin_ps, in bins of
+    bin_ps; ta and tb sorted.
+
+    Each pass takes ``_HISTOGRAM_BLOCK`` a-times, x = t_a + first_ps, and
+    the b-times in [min x, max x + width).  One bincount of those b-times
+    per cell and its running sum give the first b index of every cell, so
+    an a-time's candidates are the b-times in the cells from x's to
+    (x + width - 1)'s, found without a search.  Their bins are taken
+    against x - cell: a candidate outside the window falls into one of the
+    cell / bin_ps pad bins at either end, which are cut off.
+
+    A cell is a whole number of bins, at most width / 16.  Within that it
+    is the pass's span over sqrt(a-times * b-times), which balances the
+    table against the candidates outside the window when records bunch.
+    The candidates are therefore at most the pairs of a histogram two
+    cells wider.  The table holds at most ``_CELLS_PER_RECORD`` cells per
+    record of the pass; a pass sparser than that against the window (a
+    sparse stream, or a gap) takes each a-time's exact range by binary
+    search instead.
+    """
+    nbins = len(counts)
+    width = nbins * bin_ps
+    widest = max(width // _CELLS_PER_WIDTH // bin_ps, 1) * bin_ps
     for i in range(0, len(ta), _HISTOGRAM_BLOCK):
-        block = ta[i:i + _HISTOGRAM_BLOCK]
-        lo = np.searchsorted(tb, block + first_ps, side="left")
-        m = np.searchsorted(tb, block + (first_ps + width), side="left") - lo
+        x = ta[i:i + _HISTOGRAM_BLOCK] + first_ps
+        x0, x1 = int(x[0]), int(x[-1])
+        b = tb[np.searchsorted(tb, x0):np.searchsorted(tb, x1 + width)]
+        if not len(b):
+            continue
+        cell = (x1 + width - x0) // math.isqrt(len(x) * len(b))
+        cell = min(max(cell // bin_ps, 1) * bin_ps, widest)
+        pad = cell // bin_ps
+        ncells = (x1 + width - 1 - x0) // cell + 1
+        if ncells <= _CELLS_PER_RECORD * (len(x) + len(b)):
+            # start[k]: index of the first b-time in cell k or later.
+            start = np.bincount((b - (x0 - cell)) // cell,
+                                minlength=ncells + 1).cumsum()
+            rel = x - x0
+            lo = start[rel // cell]
+            hi = start[(rel + (width - 1)) // cell + 1]
+        else:
+            lo = np.searchsorted(b, x)
+            hi = np.searchsorted(b, x + width)
+        m = hi - lo
         flat = np.repeat(lo - (np.cumsum(m) - m), m) + np.arange(m.sum())
-        diffs = tb[flat] - np.repeat(block, m)
-        counts += np.bincount((diffs - first_ps) // bin_ps, minlength=len(counts))
+        diffs = b[flat] - np.repeat(x - cell, m)
+        diffs //= bin_ps
+        counts += np.bincount(diffs, minlength=nbins + 2 * pad)[pad:pad + nbins]
 
 
 def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
@@ -394,8 +434,11 @@ def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
     still reach records not yet seen, and the channel-b times those (or
     later) a-times can reach.  Memory is therefore bounded by one block
     of records, the records within one histogram width (2 span_ps) before
-    the last record seen, and the pair arrays of ``_HISTOGRAM_BLOCK``
-    a-times; it does not grow with the length of the stream.
+    the last record seen, and one pass of ``_add_pairs`` over
+    ``_HISTOGRAM_BLOCK`` a-times: a cell table of at most a fixed multiple
+    of the pass's records, and candidate pairs at most those of a
+    histogram two cells (at most 2 span_ps / 8) wider.  None of it grows
+    with the length of the stream.
     """
     if bin_ps <= 0 or span_ps <= 0:
         raise ContractError("bin_ps and span_ps must be positive")
@@ -412,8 +455,8 @@ def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
     for start in range(0, len(rec), _RECORD_BLOCK):
         block = rec[start:start + _RECORD_BLOCK]
         ch, t = block["channel"], block["t"]
-        waiting = np.concatenate((waiting, t[ch == ch_a]))
-        tb = np.concatenate((tb, t[ch == ch_b]))
+        waiting = np.concatenate((waiting, np.compress(ch == ch_a, t)))
+        tb = np.concatenate((tb, np.compress(ch == ch_b, t)))
         # Later records are no earlier than the last one seen, so an
         # a-time whose window ends by then has every pair in hand.
         last = int(t[-1])

@@ -56,6 +56,31 @@ def test_qd_photon_numbers_match_generator_choice():
             assert ours.random() == ref.random()     # same generator state
 
 
+def test_qd_photon_numbers_threshold_on_the_cdf_edges():
+    class Draws:
+        """Stands in for the generator, returning set uniform draws."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, n):
+            assert n == len(self.u)
+            return self.u
+
+    for g2 in (0.0, 0.02):
+        cdf = np.array([g2 / 2.0, 1.0 - g2, g2 / 2.0]).cumsum()
+        cdf /= cdf[-1]
+        u = np.array([0.0, cdf[0], np.nextafter(cdf[1], 0.0), cdf[1],
+                      np.nextafter(cdf[1], 1.0)])
+        u = u[u < 1.0]                   # random() draws from [0, 1)
+        assert 0.0 in u and (cdf[1] in u) == (g2 > 0.0)
+        one, two = tt._qd_photon_numbers(Draws(u), len(u), g2)
+        # how Generator.choice maps each draw to a photon number
+        nums = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(one, nums >= 1)
+        assert np.array_equal(two, nums == 2)
+
+
 def test_records_sorted_and_channel_ranges():
     st = tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=7))
     t = st.records["t"]
@@ -437,10 +462,12 @@ def test_coincidence_histogram_carries_state_across_record_blocks(monkeypatch):
         stream([0] * 6, [0, 1, 2, 3, 4, 3])
 
 
-def traced_peak(analyse, n, rng):
-    """Traced allocation peak of analyse(stream) on an n-record stream."""
+def traced_peak(analyse, n, rng, gap_ps=0):
+    """Traced allocation peak of analyse(stream) on an n-record stream,
+    whose second half starts gap_ps later."""
     records = np.empty(n, dtype=tt.RECORD_DTYPE)
     records["t"] = np.cumsum(rng.integers(0, 2000, n))
+    records["t"][n // 2:] += gap_ps
     records["channel"] = rng.integers(0, 2, n)
     st = tt.TimeTagStream(records, 80e6, channels=(0, 1))
     tracemalloc.start()
@@ -461,6 +488,61 @@ def test_coincidence_histogram_memory_does_not_grow_with_stream():
     small, large = traced_peak(analyse, 1 << 20, rng), traced_peak(analyse, 1 << 22, rng)
     assert abs(large - small) < 1 << 20
     assert large < (1 << 22) // 2 * 8          # one whole-channel copy
+
+
+def test_coincidence_histogram_cell_table_never_spans_a_gap():
+    rng = np.random.default_rng(29)
+
+    def analyse(st):
+        tt.coincidence_histogram(st, 0, 1, 20, 2000)
+
+    # Two dense clusters 1e15 ps apart: a cell table across the gap would
+    # need some 1e13 cells.
+    assert traced_peak(analyse, 1 << 20, rng, gap_ps=10 ** 15) < (1 << 22) // 2 * 8
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default-block", "block-3"])
+def test_coincidence_histogram_candidate_paths_are_exact(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(tt, "_HISTOGRAM_BLOCK", block)
+    rng = np.random.default_rng(31)
+
+    def stream(t):
+        records = np.empty(len(t), dtype=tt.RECORD_DTYPE)
+        records["t"] = np.sort(t)
+        records["channel"] = rng.integers(0, 2, len(t))
+        return tt.TimeTagStream(records, 80e6, channels=(0, 1, 2))
+
+    def dense(n, gap, offset=0):
+        return np.cumsum(rng.integers(0, 2 * gap, n)) + offset
+
+    for bin_ps, span_ps in ((10, 600), (100, 600), (20, 1000)):
+        # bin_ps 10 does not divide width / 16 = 75 ps; 100 exceeds it
+        width = 2 * span_ps
+        bursts = np.repeat(np.arange(50) * span_ps, 40)
+        cases = [
+            # dense clusters 1e15 ps apart, the first at negative times
+            # and holding more a-times than one pass
+            stream(np.concatenate([
+                dense(2 * tt._HISTOGRAM_BLOCK + 500, 20, -10 ** 15),
+                dense(500, 20)])),
+            # sparse against the window: binary search on every pass
+            stream(dense(600, 500 * width)),
+            # a few records per width: cells of width / 16
+            stream(dense(1500, width // 4)),
+            # bursts on one time, span_ps apart: on both window edges,
+            # and one ps either side of them
+            stream(bursts + rng.integers(-1, 2, len(bursts))),
+            stream(bursts),
+        ]
+        for st in cases:
+            # channel 2 is declared but absent
+            for ch_a, ch_b in ((0, 1), (1, 0), (0, 0), (0, 2), (2, 1)):
+                hist = tt.coincidence_histogram(st, ch_a, ch_b, bin_ps, span_ps)
+                starts, ref = all_pairs_histogram(st, ch_a, ch_b, bin_ps, span_ps)
+                assert np.array_equal(hist.bin_start_ps, starts)
+                assert np.array_equal(hist.counts, ref)
+                assert hist.empty == (ref.sum() == 0)
 
 
 def test_period_histogram_sums_blocks_exactly(monkeypatch):
