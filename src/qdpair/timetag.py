@@ -366,8 +366,8 @@ class Histogram:
 # Starts of channel a binned per pass, which bounds the pair arrays.
 _HISTOGRAM_BLOCK = 1 << 14
 
-# The candidate table of _add_pairs: its cells are at most 1/16 of the
-# histogram width, and it may hold at most 16 cells per record of a pass.
+# The candidate table of _add_pairs: its cells are 1/16 of the histogram
+# width, and it may hold at most 16 cells per record of a pass.
 _CELLS_PER_WIDTH = 16
 _CELLS_PER_RECORD = 16
 
@@ -386,27 +386,23 @@ def _add_pairs(counts: np.ndarray, ta: np.ndarray, tb: np.ndarray,
     against x - cell: a candidate outside the window falls into one of the
     cell / bin_ps pad bins at either end, which are cut off.
 
-    A cell is a whole number of bins, at most width / 16.  Within that it
-    is the pass's span over sqrt(a-times * b-times), which balances the
-    table against the candidates outside the window when records bunch.
-    The candidates are therefore at most the pairs of a histogram two
-    cells wider.  The table holds at most ``_CELLS_PER_RECORD`` cells per
-    record of the pass; a pass sparser than that against the window (a
-    sparse stream, or a gap) takes each a-time's exact range by binary
+    A cell is width / 16, rounded down to a whole number of bins and at
+    least one bin, so the candidates are at most the pairs of a histogram
+    two cells wider.  The table holds at most ``_CELLS_PER_RECORD`` cells
+    per record of the pass; a pass sparser than that against the window
+    (a sparse stream, or a gap) takes each a-time's exact range by binary
     search instead.
     """
     nbins = len(counts)
     width = nbins * bin_ps
-    widest = max(width // _CELLS_PER_WIDTH // bin_ps, 1) * bin_ps
+    cell = max(width // _CELLS_PER_WIDTH // bin_ps, 1) * bin_ps
+    pad = cell // bin_ps
     for i in range(0, len(ta), _HISTOGRAM_BLOCK):
         x = ta[i:i + _HISTOGRAM_BLOCK] + first_ps
         x0, x1 = int(x[0]), int(x[-1])
         b = tb[np.searchsorted(tb, x0):np.searchsorted(tb, x1 + width)]
         if not len(b):
             continue
-        cell = (x1 + width - x0) // math.isqrt(len(x) * len(b))
-        cell = min(max(cell // bin_ps, 1) * bin_ps, widest)
-        pad = cell // bin_ps
         ncells = (x1 + width - 1 - x0) // cell + 1
         if ncells <= _CELLS_PER_RECORD * (len(x) + len(b)):
             # start[k]: index of the first b-time in cell k or later.

@@ -528,7 +528,7 @@ def test_coincidence_histogram_candidate_paths_are_exact(monkeypatch, block):
                 dense(500, 20)])),
             # sparse against the window: binary search on every pass
             stream(dense(600, 500 * width)),
-            # a few records per width: cells of width / 16
+            # a few records per width: the cell table
             stream(dense(1500, width // 4)),
             # bursts on one time, span_ps apart: on both window edges,
             # and one ps either side of them
