@@ -20,9 +20,11 @@ so a 50:50 splitter sends |H>_a |V>_b to
 photons bunch completely (no coincidence term).
 
 The same machinery runs on wider mode sets (the entanglement-swapping
-model uses sixteen: eight modes and their loss environments), so the mode
-count is a constructor argument; the four-mode layout above is only the
-default.  Loss is the same two-mode mix, onto an empty environment mode.
+layout has sixteen: eight modes and their loss environments; ``swap``
+substitutes each creation operator by its image under this map instead
+of mixing states pass by pass), so the mode count is a constructor
+argument; the four-mode layout above is only the default.  Loss is the
+same two-mode mix, onto an empty environment mode.
 """
 
 from __future__ import annotations

@@ -67,7 +67,6 @@ import numpy as np
 
 from . import photostat
 from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
-from .fock import FockState, two_mode_mix
 from .twoqubit import TwoQubitDensity, singlet_fraction
 
 # Mode layout of the swap enumeration (one copy per photon species):
@@ -79,7 +78,6 @@ from .twoqubit import TwoQubitDensity, singlet_fraction
 _NSYS = 8
 _NMODES = 2 * _NSYS
 _MAX_PAIRS = 2            # photon-number cutoff: SPDC pairs per source
-_NMAX = 4 * _MAX_PAIRS    # two sides, two photons per pair
 _CLICK_MODES = (4, 5, 6, 7)
 _POL_OF_MODE = {4: 0, 5: 1, 6: 0, 7: 1}
 _NO_ROUTE = (0, 0, (0, 0, 0, 0))  # routing key: no click, no outer photon
@@ -288,48 +286,35 @@ def _resolve_p1(scenario: SwapScenario) -> float:
 # ---------------------------------------------------------------------------
 # Interfering-species Fock kernel.
 
-def _apply_creation(terms: dict, components) -> dict:
-    """Apply sum_k amp_k prod(a_dag over modes_k) to a sparse state."""
-    out = {}
-    for occ, amp in terms.items():
-        for modes, coeff in components:
-            new = list(occ)
-            a = amp * coeff
-            for m in modes:
-                a *= math.sqrt(new[m] + 1)
-                new[m] += 1
-            key = tuple(new)
-            out[key] = out.get(key, 0.0 + 0.0j) + a
-    return out
-
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Image of each system creation operator (row) on all modes: loss at 1/2,
+# a_m -> t a_m + i r e_m, then midpoint a_i -> t a_i + i r a_j, as in fock.
+_NETWORK = _INV_SQRT2 * np.hstack([np.eye(_NSYS), 1j * np.eye(_NSYS)])
+_NETWORK[:, 4:8] = _INV_SQRT2 * _NETWORK[:, 4:8] @ np.kron(
+    [[1.0, 1j], [1j, 1.0]], np.eye(2))
 
 
-def _core_state(core_l, core_r) -> FockState:
-    """Interfering-species state of both sources before any loss.
-
-    Quantum-dot primaries split on the source beamsplitter (outer gets
-    the transmitted H component and the reflected V component); SPDC
-    pair operators create one outer and one inner photon in the
-    polarisation-singlet combination.
-    """
-    terms = {(0,) * _NMODES: 1.0 + 0.0j}
-    for side, core in ((0, core_l), (1, core_r)):
-        o_h, o_v = 2 * side, 2 * side + 1
-        i_h, i_v = 4 + 2 * side, 5 + 2 * side
+def _expand(cores, image, base: int):
+    """Keys (digits in ``base``), occupations and amplitudes of the product
+    of creation operators on the vacuum, each mode replaced by its image (a
+    row of ``image``).  A quantum-dot photon splits on the source
+    beamsplitter; an SPDC pair is the singlet o_h i_v - o_v i_h."""
+    powers = base ** np.arange(_NMODES, dtype=np.int64)
+    keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    for side, core in enumerate(cores):
+        o_h, o_v, i_h, i_v = image[np.add([0, 1, 4, 5], 2 * side)]
+        forms = {("s", 0): o_h + 1j * i_h, ("s", 1): 1j * o_v + i_v,
+                 ("pair",): np.outer(o_h, i_v) - np.outer(o_v, i_h)}
         for op in core:
-            if op[0] == "s":
-                pol = op[1]
-                if pol == 0:
-                    comps = (((o_h,), _INV_SQRT2), ((i_h,), 1j * _INV_SQRT2))
-                else:
-                    comps = (((o_v,), 1j * _INV_SQRT2), ((i_v,), _INV_SQRT2))
-            else:
-                comps = (((o_h, i_v), _INV_SQRT2), ((o_v, i_h), -_INV_SQRT2))
-            terms = _apply_creation(terms, comps)
-    state = FockState(terms, nmax=_NMAX, nmodes=_NMODES)
-    return state.normalized()
+            form = forms[op]
+            step = powers if form.ndim == 1 else powers[:, None] + powers
+            keys, inv = np.unique((keys[:, None] + step[form != 0]).ravel(),
+                                  return_inverse=True)
+            prod = (coeffs[:, None] * (_INV_SQRT2 * form[form != 0])).ravel()
+            coeffs = np.bincount(inv, prod.real) + 1j * np.bincount(inv, prod.imag)
+    occ = keys[:, None] // powers % base
+    root_fact = np.sqrt([math.factorial(n) for n in range(base)])[occ]
+    return keys, occ, coeffs * root_fact.prod(axis=1)
 
 
 def _qubit_index(occ4) -> int:
@@ -341,42 +326,61 @@ def _qubit_index(occ4) -> int:
     return 2 * occ4[1] + occ4[3]
 
 
-def _photons(core) -> int:
-    """Photons one side emits: one per emitter photon, two per SPDC pair."""
-    return sum(1 if op[0] == "s" else 2 for op in core)
+class _Kernel(NamedTuple):
+    amp: np.ndarray         # (T,) amplitude of each term
+    occ: np.ndarray         # (T, 16) its occupations
+    expo: np.ndarray        # (T, 8) kept, then lost photons of oL, oR, iL, iR
+    idx: np.ndarray         # (T,) qubit index of the outer occupation
+    hit_term: np.ndarray    # (H,) term of each (term, pattern) hit
+    dist_group: np.ndarray  # (H,) its (pattern, sector, outer occupation)
+    vec_term: np.ndarray    # term of each hit with a qubit index, and its
+    vec_slot: np.ndarray    # 4 x (pattern, sector, environment) + index
+    vec_sector: np.ndarray  # sector of each (pattern, sector, environment)
+    sectors: tuple          # (pattern, sector, outer occupations), in order
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(core_l, core_r) -> tuple:
+def _kernel(core_l, core_r) -> _Kernel:
     """Terms of the interfering-species state after loss at eta = 1/2 on
     every mode, then the midpoint beamsplitter, that some pattern does not
-    veto: (amplitude, (kept, lost) photons of the arms oL, iL, oR, iR,
-    outer occupation, qubit index, environment occupation, (pattern,
-    sector) hits).  Each side holds a fixed photon number and the midpoint
-    leaves outer and environment modes alone, so the photons an inner arm
-    kept follow from the term.  Keyed on the emission structure alone: at
-    most 7 x 7 entries.
-    """
-    state = _core_state(core_l, core_r)
-    for m in range(_NSYS):
-        state = two_mode_mix(state, m, _NSYS + m, 0.5)
-    state = two_mode_mix(state, 4, 6, 0.5)
-    state = two_mode_mix(state, 5, 7, 0.5)
-    n_l, n_r = _photons(core_l), _photons(core_r)
-    terms = []
-    for occ, amp in state.terms.items():
-        hits = tuple((p_idx, (occ[m1], occ[m2]))
-                     for p_idx, (m1, m2, _corr) in enumerate(_PATTERNS)
-                     if not any(occ[m] for m in _CLICK_MODES if m not in (m1, m2)))
-        out_l, out_r = occ[0] + occ[1], occ[2] + occ[3]
-        lost = (occ[8] + occ[9], occ[12] + occ[13],
-                occ[10] + occ[11], occ[14] + occ[15])
-        kept = (out_l, n_l - out_l - lost[0] - lost[1],
-                out_r, n_r - out_r - lost[2] - lost[3])
-        if hits:
-            terms.append((amp, tuple(zip(kept, lost)), occ[:4],
-                          _qubit_index(occ[:4]), occ[_NSYS:], hits))
-    return tuple(terms)
+    veto, and their groups.  Expanded once, each core operator replaced by
+    its image under the whole network; normalised by the core-state norm,
+    the expanded norm must be 1.  Keyed on structure: at most 6 x 6 entries."""
+    # Each operator puts at most one photon in any mode: keys are exact.
+    base = len(core_l) + len(core_r) + 1
+    assert base ** _NMODES < 2 ** 63, "occupation keys overflow int64"
+    core = _expand((core_l, core_r), np.eye(_NSYS, _NMODES), base)[2]
+    keys, occ, amp = _expand((core_l, core_r), _NETWORK, base)
+    amp = amp / math.sqrt(np.vdot(core, core).real)
+    if abs(np.vdot(amp, amp).real - 1.0) > 1e-12:
+        raise NumericalError("swap kernel does not conserve the norm")
+    m1, m2 = np.array([pattern[:2] for pattern in _PATTERNS]).T
+    hits = occ[:, _CLICK_MODES].sum(axis=1) == occ[:, m1].T + occ[:, m2].T
+    keep = hits.any(axis=0)   # the terms some pattern does not veto
+    keys, occ, amp, hits = keys[keep], occ[keep], amp[keep], hits[:, keep]
+    pairs = occ.reshape(-1, 8, 2).sum(axis=2)  # oL oR, mid, lost oL oR iL iR
+    photons = [sum(1 + (op[0] == "pair") for op in c) for c in (core_l, core_r)]
+    kept_in = photons - pairs[:, [0, 1]] - pairs[:, [4, 5]] - pairs[:, [6, 7]]
+    expo = np.column_stack([pairs[:, :2], kept_in, pairs[:, 4:]])
+    idx = np.where(pairs[:, 0] * pairs[:, 1] == 1, 2 * occ[:, 1] + occ[:, 3], -1)
+    p_idx, hit_term = np.nonzero(hits)
+    sector = (p_idx * base + occ[hit_term, m1[p_idx]]) * base \
+        + occ[hit_term, m2[p_idx]]
+    b4, b8 = base ** 4, base ** 8
+    dist, dist_group = np.unique(sector * b4 + keys[hit_term] % b4,
+                                 return_inverse=True)
+    occ4s = (dist[:, None] // base ** np.arange(4) % base).tolist()
+    sectors = {}   # dist is sorted, so each sector's groups are contiguous
+    for code, occ4 in zip((dist // b4).tolist(), occ4s):
+        sectors.setdefault(code, []).append(tuple(occ4))
+    q = idx[hit_term] >= 0
+    env, vec_group = np.unique(sector[q] * b8 + keys[hit_term[q]] // b8,
+                               return_inverse=True)
+    return _Kernel(amp, occ, expo, idx, hit_term, dist_group, hit_term[q],
+                   4 * vec_group + idx[hit_term[q]],
+                   np.searchsorted(list(sectors), env // b8),
+                   tuple((c // base ** 2, (c // base % base, c % base), tuple(o))
+                         for c, o in sectors.items()))
 
 
 def _sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r, eta_in_r):
@@ -390,24 +394,20 @@ def _sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r, eta_in_r):
     (2 eta)^(kept/2) (2 (1 - eta))^(lost/2) per arm; terms with different
     environment occupations add incoherently.
     """
-    roots = [(math.sqrt(2.0 * eta), math.sqrt(2.0 * (1.0 - eta)))
-             for eta in (eta_out_l, eta_in_l, eta_out_r, eta_in_r)]
-    dists: dict = {}
-    vectors: dict = {}
-    for amp, arms, occ4, idx, env, hits in _kernel(core_l, core_r):
-        for (kept_root, lost_root), (kept, lost) in zip(roots, arms):
-            amp *= kept_root ** kept * lost_root ** lost
-        prob = abs(amp) ** 2
-        for hit in hits:
-            dist = dists.setdefault(hit, {})
-            dist[occ4] = dist.get(occ4, 0.0) + prob
-            if idx >= 0:
-                vectors.setdefault(hit + (env,), [0j] * 4)[idx] += amp
+    k = _kernel(core_l, core_r)
+    eta = np.array([eta_out_l, eta_out_r, eta_in_l, eta_in_r])
+    roots = np.sqrt(np.concatenate([2.0 * eta, 2.0 * (1.0 - eta)]))
+    amp = k.amp * np.prod(roots ** k.expo, axis=1)
+    prob = (amp.real ** 2 + amp.imag ** 2)[k.hit_term]
+    probs = iter(np.bincount(k.dist_group, prob).tolist())  # sector order
+    a, n = amp[k.vec_term], 4 * len(k.vec_sector)
+    v = (np.bincount(k.vec_slot, a.real, n)
+         + 1j * np.bincount(k.vec_slot, a.imag, n)).reshape(-1, 4)
+    coh = np.zeros((len(k.sectors), 4, 4), dtype=complex)
+    np.add.at(coh, k.vec_sector, v[:, :, None] * v[:, None, :].conj())
     blocks = {i: {} for i in range(len(_PATTERNS))}
-    for (p_idx, sector), dist in dists.items():
-        blocks[p_idx][sector] = [np.zeros((4, 4), dtype=complex), dist]
-    for (p_idx, sector, _env), v4 in vectors.items():
-        blocks[p_idx][sector][0] += np.outer(v4, np.conj(v4))
+    for block, (p_idx, sector, occ4s) in zip(coh, k.sectors):
+        blocks[p_idx][sector] = [block, dict(zip(occ4s, probs))]
     return blocks
 
 

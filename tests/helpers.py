@@ -173,12 +173,95 @@ def kraus_loss_channel(state, etas):
     return out
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _apply_creation(terms, components):
+    """Apply sum_k amp_k prod(a_dag over modes_k) to a sparse state."""
+    out = {}
+    for occ, amp in terms.items():
+        for modes, coeff in components:
+            new = list(occ)
+            a = amp * coeff
+            for m in modes:
+                a *= math.sqrt(new[m] + 1)
+                new[m] += 1
+            key = tuple(new)
+            out[key] = out.get(key, 0.0 + 0.0j) + a
+    return out
+
+
+def core_state(core_l, core_r):
+    """Reference interfering-species state of both sources before any loss,
+    on all sixteen modes of the swap layout, built one creation operator
+    at a time on a sparse dict and normalised.
+
+    Quantum-dot primaries split on the source beamsplitter (outer gets
+    the transmitted H component and the reflected V component); SPDC
+    pair operators create one outer and one inner photon in the
+    polarisation-singlet combination."""
+    terms = {(0,) * 16: 1.0 + 0.0j}
+    for side, core in ((0, core_l), (1, core_r)):
+        o_h, o_v = 2 * side, 2 * side + 1
+        i_h, i_v = 4 + 2 * side, 5 + 2 * side
+        for op in core:
+            if op[0] == "s":
+                if op[1] == 0:
+                    comps = (((o_h,), _INV_SQRT2), ((i_h,), 1j * _INV_SQRT2))
+                else:
+                    comps = (((o_v,), 1j * _INV_SQRT2), ((i_v,), _INV_SQRT2))
+            else:
+                comps = (((o_h, i_v), _INV_SQRT2), ((o_v, i_h), -_INV_SQRT2))
+            terms = _apply_creation(terms, comps)
+    nmax = max(sum(occ) for occ in terms)
+    return FockState(terms, nmax=nmax, nmodes=16).normalized()
+
+
+def qubit_index(occ4):
+    """Two-qubit basis index (H, V per arm) of an outer occupation with one
+    photon in each arm; -1 otherwise."""
+    if occ4[0] + occ4[1] != 1 or occ4[2] + occ4[3] != 1:
+        return -1
+    return 2 * occ4[1] + occ4[3]
+
+
+def mixing_kernel(core_l, core_r):
+    """Reference ``swap._kernel``: the core state run through ten
+    sequential two-mode mixes (loss at eta = 1/2 onto each system mode's
+    environment, then the midpoint pairs (4, 6) and (5, 7)).  Returns one
+    tuple per term that some pattern does not veto: (amplitude, (kept,
+    lost) photons of the arms oL, iL, oR, iR, outer occupation, qubit
+    index, environment occupation, (pattern, sector) hits)."""
+    state = core_state(core_l, core_r)
+    for m in range(8):
+        state = two_mode_mix(state, m, 8 + m, 0.5)
+    state = two_mode_mix(state, 4, 6, 0.5)
+    state = two_mode_mix(state, 5, 7, 0.5)
+    n_l = sum(1 if op[0] == "s" else 2 for op in core_l)
+    n_r = sum(1 if op[0] == "s" else 2 for op in core_r)
+    terms = []
+    for occ, amp in state.terms.items():
+        hits = tuple((p_idx, (occ[m1], occ[m2]))
+                     for p_idx, (m1, m2, _corr) in enumerate(swap._PATTERNS)
+                     if not any(occ[m] for m in (4, 5, 6, 7)
+                                if m not in (m1, m2)))
+        out_l, out_r = occ[0] + occ[1], occ[2] + occ[3]
+        lost = (occ[8] + occ[9], occ[12] + occ[13],
+                occ[10] + occ[11], occ[14] + occ[15])
+        kept = (out_l, n_l - out_l - lost[0] - lost[1],
+                out_r, n_r - out_r - lost[2] - lost[3])
+        if hits:
+            terms.append((amp, tuple(zip(kept, lost)), occ[:4],
+                          qubit_index(occ[:4]), occ[8:], hits))
+    return tuple(terms)
+
+
 def branch_sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r,
                          eta_in_r):
     """Reference ``swap._sector_blocks``: Kraus loss branches on the eight
     system modes, each normalised, mixed on the midpoint beamsplitter and
     grouped on its own, then re-weighted by its probability."""
-    core = swap._core_state(core_l, core_r)
+    core = core_state(core_l, core_r)
     state = FockState({occ[:8]: amp for occ, amp in core.terms.items()},
                       nmax=core.nmax, nmodes=8)
     etas = (eta_out_l, eta_out_l, eta_out_r, eta_out_r,
@@ -202,7 +285,7 @@ def branch_sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r,
                 for occ4, amp in outer.items():
                     occ_dist[occ4] = (occ_dist.get(occ4, 0.0)
                                       + weight * abs(amp) ** 2)
-                    idx = swap._qubit_index(occ4)
+                    idx = qubit_index(occ4)
                     if idx >= 0:
                         v4[idx] += amp
                 coh += weight * np.outer(v4, v4.conj())

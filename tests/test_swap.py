@@ -7,8 +7,9 @@ import pytest
 
 from qdpair import photostat, swap
 from qdpair import twoqubit as tq
-from qdpair.errors import ConfigError, ModelDomainError
-from helpers import branch_sector_blocks, joint_profile_heralded_state
+from qdpair.errors import ConfigError, ModelDomainError, NumericalError
+from helpers import (branch_sector_blocks, joint_profile_heralded_state,
+                     mixing_kernel)
 
 QD = swap.SwapScenario.qd_headline()
 SPDC = swap.SwapScenario.spdc_reference()
@@ -147,6 +148,131 @@ def test_heralded_state_matches_joint_profile_pooling(pnr):
         assert herald_ref > 0.0
         assert abs(herald - herald_ref) <= 1e-12 * herald_ref
         assert np.max(np.abs(rho - rho_ref)) <= 1e-12 * np.max(np.abs(rho_ref))
+
+
+PAIR = ("pair",)
+QD_CORES = ((), (("s", 0),), (("s", 1),), (("s", 0), ("s", 1)))
+SPDC_CORES = ((), (PAIR,), (PAIR, PAIR))
+
+
+@pytest.fixture
+def fresh_kernels():
+    # kernels built under a patched setting must not outlive the test
+    swap._kernel.cache_clear()
+    yield
+    swap._kernel.cache_clear()
+
+
+def kernel_terms(k):
+    """A kernel's arrays as {(outer occupation, environment, hits):
+    (amplitude, (kept, lost) of the arms oL, iL, oR, iR, qubit index)},
+    with hits read from the group indices, which are checked on the way."""
+    occ = [tuple(row) for row in k.occ.tolist()]
+    idx = k.idx.tolist()
+    labels = [(p_idx, sector, occ4) for p_idx, sector, occ4s in k.sectors
+              for occ4 in occ4s]
+    hits = {}
+    for t, g in zip(k.hit_term.tolist(), k.dist_group.tolist()):
+        assert labels[g][2] == occ[t][:4]
+        hits.setdefault(t, []).append(labels[g][:2])
+    assert sorted(hits) == list(range(len(occ)))
+    # each (pattern, sector, environment) group gathers exactly the hits
+    # of the terms with a qubit index
+    assert np.array_equal(k.vec_slot % 4, k.idx[k.vec_term])
+    groups, vec_hits = {}, []
+    for t, g in zip(k.vec_term.tolist(), (k.vec_slot // 4).tolist()):
+        key = k.sectors[k.vec_sector[g]][:2] + (occ[t][8:],)
+        assert groups.setdefault(g, key) == key
+        vec_hits.append((t, key[:2]))
+    assert len(set(groups.values())) == len(groups)
+    assert sorted(vec_hits) == sorted((t, h) for t, hs in hits.items()
+                                      for h in hs if idx[t] >= 0)
+    arms = [tuple(zip(row[:4], row[4:])) for row in
+            k.expo[:, [0, 2, 1, 3, 4, 6, 5, 7]].tolist()]
+    amp = k.amp.tolist()
+    return {(occ[t][:4], occ[t][8:], tuple(h)): (amp[t], arms[t], idx[t])
+            for t, h in hits.items()}
+
+
+def assert_kernel_matches_oracle(core_l, core_r):
+    ref = mixing_kernel(core_l, core_r)
+    got = kernel_terms(swap._kernel(core_l, core_r))
+    assert len(got) == len(ref)
+    for amp, arms, occ4, idx, env, hits in ref:
+        g_amp, g_arms, g_idx = got[(occ4, env, hits)]
+        assert abs(g_amp - amp) <= 1e-14
+        assert (g_arms, g_idx) == (arms, idx)
+
+
+def test_kernel_matches_mixing_oracle():
+    # every core structure at the default cutoff: the 24 pairs fig5 swaps
+    # and every quantum dot against SPDC, either way round
+    cores = QD_CORES + SPDC_CORES[1:]
+    for core_l in cores:
+        for core_r in cores:
+            assert_kernel_matches_oracle(core_l, core_r)
+
+
+def test_kernel_matches_mixing_oracle_at_cutoff_3(monkeypatch, fresh_kernels):
+    monkeypatch.setattr(swap, "_MAX_PAIRS", 3)
+    spdc = dataclasses.replace(SPDC, spdc_p1=0.05, fidelity_floor=None)
+    three = [core for _, core, _ in swap._side_branches(spdc)][-1]
+    assert three == (PAIR,) * 3
+    for other in SPDC_CORES + (QD_CORES[-1],):
+        assert_kernel_matches_oracle(three, other)
+        assert_kernel_matches_oracle(other, three)
+    assert_kernel_matches_oracle(three, three)
+
+
+def test_kernel_certifies_its_norm(monkeypatch, fresh_kernels):
+    # loss that drops the environment modes is not unitary: the expanded
+    # state then falls short of the core-state norm and the kernel says so
+    lossy = swap._NETWORK.copy()
+    lossy[:, 8:] = 0.0
+    monkeypatch.setattr(swap, "_NETWORK", lossy)
+    with pytest.raises(NumericalError):
+        swap._kernel((PAIR,), (PAIR,))
+
+
+# fig5's headline scenarios at 0, 10 and 20 dB with one multiplexed column,
+# recorded before the kernel was rebuilt as one expansion (rows: loss, QD,
+# SPDC and mux-10 rates, each SPDC pump set by bisection on the floor).
+PINNED_FIG5 = {
+    True: ((0.0, 1927811.6876347396, 206441.4615045943, 4918539.524442379),
+           (10.0, 19565.742160003967, 232.76601978301338, 11771.884552693495),
+           (20.0, 195.94563981599535, 2.0457478959877458, 106.01637210563908)),
+    False: ((0.0, 1970384.9761018266, 2649.562224165686, 198044.1339761474),
+            (10.0, 19850.977258796112, 8.720827700712567, 717.2712713162641),
+            (20.0, 198.65705345664543, 0.080215185120064, 6.632702472274865)),
+}
+
+
+@pytest.mark.parametrize("pnr", (True, False))
+def test_loss_sweep_matches_pinned_table(pnr):
+    qd = dataclasses.replace(QD, pnr=pnr)
+    spdc = dataclasses.replace(SPDC, pnr=pnr)
+    rows = swap.sweep_loss(qd, spdc, loss_grid_db=(0.0, 10.0, 20.0),
+                           mux_sizes=(10,))["rows"]
+    assert np.array(rows).shape == (3, 4)
+    for row, pinned in zip(rows, PINNED_FIG5[pnr]):
+        for got, want in zip(row, pinned):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_photon_number_cutoff_converges(monkeypatch, fresh_kernels):
+    # at the default fig5 pumps, the fidelity shift from a fourth pair per
+    # source is at most a tenth of the shift from a third
+    pumped = []
+    for pnr in (True, False):
+        base = dataclasses.replace(SPDC, pnr=pnr)
+        pumped.append(dataclasses.replace(
+            base, spdc_p1=swap.optimise_pump(base), fidelity_floor=None))
+    for s in pumped:
+        fids = []
+        for cutoff in (2, 3, 4):
+            monkeypatch.setattr(swap, "_MAX_PAIRS", cutoff)
+            fids.append(swap.swap_once(s, s).fidelity)
+        assert abs(fids[2] - fids[1]) <= 0.1 * abs(fids[1] - fids[0])
 
 
 def test_herald_probability_closed_form_pure_source():
