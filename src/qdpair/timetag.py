@@ -184,6 +184,34 @@ def _jitter_sigma(fwhm: float) -> float:
     return fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
+# Pulses per generator call when a draw covers every pulse, which bounds
+# each temporary by one block.  Block by block, random, normal,
+# exponential, uniform and integers(0, 2) give the values of one whole
+# draw and leave the generator where it would: the 32-bit half of an
+# output that integers(0, 2) leaves over stays in the bit generator.
+_PULSE_BLOCK = 1 << 14
+
+
+def _pulse_blocks(n: int):
+    return [slice(s, min(s + _PULSE_BLOCK, n)) for s in range(0, n, _PULSE_BLOCK)]
+
+
+def _thin(rng, keep: np.ndarray, test) -> None:
+    """keep &= test(rng.random(len(keep))), drawn a block at a time."""
+    for b in _pulse_blocks(len(keep)):
+        keep[b] &= test(rng.random(b.stop - b.start))
+
+
+def _kept(draw, idx: np.ndarray, n: int, *args) -> np.ndarray:
+    """draw(*args, n)[idx] for sorted pulse indices idx, drawn a block at a
+    time: the same values, and the same generator state after it."""
+    out = []
+    for b in _pulse_blocks(n):
+        lo, hi = np.searchsorted(idx, [b.start, b.stop])
+        out.append(draw(*args, b.stop - b.start)[idx[lo:hi] - b.start])
+    return np.concatenate(out)
+
+
 def _emg_delays(rng, size: int, t1: float, width: float) -> np.ndarray:
     d = rng.normal(0.0, width, size)
     d += rng.exponential(t1, size)
@@ -191,13 +219,17 @@ def _emg_delays(rng, size: int, t1: float, width: float) -> np.ndarray:
 
 
 def _qd_photon_numbers(rng, n: int, g2: float):
-    """Per-pulse photon number as masks (>= 1, == 2), from the one uniform
+    """Per-pulse photon number as masks (>= 1, == 2), from the uniform
     draw and the cdf with which ``rng.choice(3, p=[g2/2, 1-g2, g2/2])``
     samples it, so the masks and the generator state match that call."""
     cdf = np.array([g2 / 2.0, 1.0 - g2, g2 / 2.0]).cumsum()
     cdf /= cdf[-1]
-    u = rng.random(n)
-    return u >= cdf[0], u >= cdf[1]
+    one, two = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for b in _pulse_blocks(n):
+        u = rng.random(b.stop - b.start)
+        np.greater_equal(u, cdf[0], out=one[b])
+        np.greater_equal(u, cdf[1], out=two[b])
+    return one, two
 
 
 def _assemble(parts, rep_rate_hz, channels, t_zero, metadata) -> TimeTagStream:
@@ -220,37 +252,37 @@ def _assemble(parts, rep_rate_hz, channels, t_zero, metadata) -> TimeTagStream:
 
 
 def synthesize_stream(params: StreamParams) -> TimeTagStream:
-    """Generate a synthetic detection stream; deterministic given the seed."""
+    """Generate a synthetic detection stream; deterministic given the seed.
+
+    Pulse k starts at k * period.  Pairs and hbt modes keep only the
+    detected photons of each per-pulse draw, a block at a time, so their
+    memory follows the detections, not the pulses."""
     rng = np.random.default_rng(params.seed)
     n = params.pulses
     period = 1e12 / params.rep_rate_hz
-    base = np.arange(n, dtype=np.float64) * period
-    sig_j = _jitter_sigma(params.jitter_fwhm_ps)
-    meta = {"mode": params.mode, "params": dataclasses.asdict(params)}
-
-    def finish(ch_t_parts, t_zero):
-        # Each part's times are a fresh array, jittered and rounded in place.
-        stamped = []
-        for ch, t in ch_t_parts:
-            if sig_j > 0.0 and len(t):
-                t += rng.normal(0.0, sig_j, len(t))
-            stamped.append((np.asarray(ch, dtype=np.uint16),
-                            np.rint(t, out=t).astype(np.int64)))
-        return _assemble(stamped, params.rep_rate_hz,
-                         _CHANNELS_BY_MODE[params.mode], t_zero, meta)
-
     if params.mode == "laser":
-        t = base + params.center_ps
+        t = np.arange(n, dtype=np.float64) * period + params.center_ps
         if params.eta < 1.0:
             t = t[rng.random(n) < params.eta]
-        return finish([(np.zeros(len(t), dtype=np.uint16), t)], None)
+        parts = [(np.zeros(len(t), dtype=np.uint16), t)]
+    elif params.mode == "hbt":
+        parts = _hbt_parts(params, rng, period)
+    else:
+        parts = _pair_parts(params, rng, period)
+    # Each part's times are a fresh array, jittered and rounded in place,
+    # then replaced by their integer copy.
+    sig_j = _jitter_sigma(params.jitter_fwhm_ps)
+    for i, (ch, t) in enumerate(parts):
+        if sig_j > 0.0 and len(t):
+            t += rng.normal(0.0, sig_j, len(t))
+        parts[i] = (np.asarray(ch, dtype=np.uint16),
+                    np.rint(t, out=t).astype(np.int64))
+    meta = {"mode": params.mode, "params": dataclasses.asdict(params)}
+    return _assemble(parts, params.rep_rate_hz, _CHANNELS_BY_MODE[params.mode],
+                     None if params.mode == "laser" else 0, meta)
 
-    if params.mode == "hbt":
-        return _synthesize_hbt(params, rng, base, finish)
-    return _synthesize_pairs(params, rng, base, finish)
 
-
-def _synthesize_hbt(params, rng, base, finish):
+def _hbt_parts(params, rng, period) -> list:
     n = params.pulses
     parts = []
     if params.emission == "poissonian":
@@ -260,22 +292,23 @@ def _synthesize_hbt(params, rng, base, finish):
         det = rng.random(len(periods)) < params.eta
         periods, delays = periods[det], delays[det]
         arm = rng.integers(0, 2, len(periods))
-        parts.append((arm, base[periods] + delays))
+        parts.append((arm, periods * period + delays))
     else:
         prim, noise = _qd_photon_numbers(rng, n, params.g2)
-        noise &= rng.random(n) >= params.noise_rejection_prob
+        _thin(rng, noise, lambda u: u >= params.noise_rejection_prob)
         for mask, early in ((prim, False), (noise, True)):
-            idx = np.nonzero(mask & (rng.random(n) < params.eta))[0]
+            _thin(rng, mask, lambda u: u < params.eta)
+            idx = np.flatnonzero(mask)
             if early:
                 d = rng.uniform(0.0, params.noise_window_ps, len(idx))
             else:
                 d = _emg_delays(rng, len(idx), params.t1_ps, params.pulse_width_ps)
             arm = rng.integers(0, 2, len(idx))
-            parts.append((arm, base[idx] + d))
-    return finish(parts, 0)
+            parts.append((arm, idx * period + d))
+    return parts
 
 
-def _synthesize_pairs(params, rng, base, finish):
+def _pair_parts(params, rng, period) -> list:
     n = params.pulses
     setting = params.setting()
     k1, k2 = setting.arm_ket(0), setting.arm_ket(1)
@@ -294,53 +327,64 @@ def _synthesize_pairs(params, rng, base, finish):
     joint /= joint.sum()
     cum = np.cumsum(joint)
 
+    # Each species keeps the sorted indices of its detected pulses (the
+    # primaries their mask too) with their delays and arms only; the draws
+    # still run over every pulse, in the order and sizes that fix the stream.
     species = {}
     for name, pol in (("pH", 0), ("pV", 1)):
         det, det_noise = _qd_photon_numbers(rng, n, params.g2)
-        det_noise &= rng.random(n) >= params.noise_rejection_prob
-        det &= rng.random(n) < params.eta
-        det_noise &= rng.random(n) < params.eta
-        d = _emg_delays(rng, n, params.t1_ps, params.pulse_width_ps)
-        dn = rng.uniform(0.0, params.noise_window_ps, n)
+        _thin(rng, det_noise, lambda u: u >= params.noise_rejection_prob)
+        _thin(rng, det, lambda u: u < params.eta)
+        _thin(rng, det_noise, lambda u: u < params.eta)
+        idx, nidx = np.flatnonzero(det), np.flatnonzero(det_noise)
+        d = _kept(rng.normal, idx, n, 0.0, params.pulse_width_ps)
+        d += _kept(rng.exponential, idx, n, params.t1_ps)
+        dn = _kept(rng.uniform, nidx, n, 0.0, params.noise_window_ps)
         if pol == 0:
             d += params.offset_ps
             dn += params.offset_ps
-        species[name] = dict(det=det, delay=d, arm=rng.integers(0, 2, n), pol=pol)
-        species["n" + name[1]] = dict(det=det_noise, delay=dn,
-                                      arm=rng.integers(0, 2, n), pol=pol)
+        species[name] = dict(det=det, idx=idx, delay=d,
+                             arm=_kept(rng.integers, idx, n, 0, 2), pol=pol)
+        species["n" + name[1]] = dict(idx=nidx, delay=dn,
+                                      arm=_kept(rng.integers, nidx, n, 0, 2),
+                                      pol=pol)
 
     # Both primaries split across the arms interfere regardless of any
     # detected noise photon: the broadband noise photon occupies a
     # distinguishable temporal mode and does not spoil their coherence
-    # (it may later be removed by the temporal filter).
+    # (it may later be removed by the temporal filter).  The pulses
+    # where both are detected appear in the same order in both species.
     ph, pv = species["pH"], species["pV"]
-    interfering = ph["det"] & pv["det"] & (ph["arm"] != pv["arm"])
+    both = ph.pop("det") & pv.pop("det")
+    ih, iv = np.flatnonzero(both[ph["idx"]]), np.flatnonzero(both[pv["idx"]])
+    split = ph["arm"][ih] != pv["arm"][iv]
+    ih, iv = ih[split], iv[split]
 
     parts = []
     # Interfering coincidences: joint polarisation outcome from the coherent state.
-    idx = np.nonzero(interfering)[0]
-    if len(idx):
-        out = np.searchsorted(cum, rng.random(len(idx)), side="right")
+    if len(ih):
+        t0 = ph["idx"][ih] * period
+        out = np.searchsorted(cum, rng.random(len(ih)), side="right")
         o1, o2 = out // 2, out % 2
-        swap = rng.random(len(idx)) < 0.5
-        d_c = np.where(swap, pv["delay"][idx], ph["delay"][idx])
-        d_d = np.where(swap, ph["delay"][idx], pv["delay"][idx])
-        parts.append((o1.astype(np.uint16), base[idx] + d_c))
-        parts.append((2 + o2.astype(np.uint16), base[idx] + d_d))
+        swap = rng.random(len(ih)) < 0.5
+        d_c = np.where(swap, pv["delay"][iv], ph["delay"][ih])
+        d_d = np.where(swap, ph["delay"][ih], pv["delay"][iv])
+        parts.append((o1.astype(np.uint16), t0 + d_c))
+        parts.append((2 + o2.astype(np.uint16), t0 + d_d))
 
     # Everything else carries its classical polarisation through the analyser.
+    interfering = {"pH": ih, "pV": iv}
     for name, sp in species.items():
-        mask = sp["det"].copy()
-        if name in ("pH", "pV"):
-            mask &= ~interfering
-        pidx = np.nonzero(mask)[0]
+        keep = np.ones(len(sp["idx"]), dtype=bool)
+        keep[interfering.get(name, [])] = False
+        pidx = sp["idx"][keep]
         if not len(pidx):
             continue
-        arm = sp["arm"][pidx]
+        arm = sp["arm"][keep]
         passed = rng.random(len(pidx)) < q_pass[arm, sp["pol"]]
         ch = (2 * arm + (~passed).astype(np.uint16)).astype(np.uint16)
-        parts.append((ch, base[pidx] + sp["delay"][pidx]))
-    return finish(parts, 0)
+        parts.append((ch, pidx * period + sp["delay"][keep]))
+    return parts
 
 
 @dataclass(frozen=True)
@@ -703,25 +747,55 @@ class FilterSweepPoint:
     retained_fraction: float
 
 
+def _sweep_workers() -> int:
+    """Streams filter_fidelity_sweep synthesises at once: two, or one when
+    the process may use a single CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # not every platform has it
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
+
+
+def _setting_counts(params: StreamParams, i: int, setting, windows) -> list:
+    """Arm-pair counts of tomography setting i of a sweep, unfiltered and
+    then inside each window, from its own stream of child seed i."""
+    child = int(np.random.SeedSequence([params.seed, i]).generate_state(1)[0])
+    stream = synthesize_stream(dataclasses.replace(
+        params, analysis=(setting.label1, setting.label2), seed=child))
+    rel, slot = _fold(stream)
+    run = _slot_runs(slot)[1]
+    shared = np.repeat(run >= 2, run)
+    rel, slot = rel[shared], slot[shared]
+    ch = stream.records["channel"][shared]
+    kept = (w.mask(rel, stream.period_ps) for w in windows)
+    return [_coincidences(ch, slot)] + [_coincidences(ch[k], slot[k]) for k in kept]
+
+
 def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
                           params: StreamParams = None,
                           t_off_margin_ps: float = 45.0):
     """Full filter -> tomography pipeline over a grid of window-on times.
 
-    Processes one stream at a time: synthesises the paired stream of one
-    tomography setting, counts its coincidences unfiltered and inside each
-    window [t_on, period - t_off_margin), and drops it.  A slot holding one
-    record forms no coincidence under any window, and a window keeps or
-    drops each record on its own, so the stream is folded once and only
-    the records of slots holding two or more are counted and filtered
-    (about a third of them at the defaults).  Each window's
-    pass-pass counts are reconstructed and reported as the singlet
-    fraction plus coincidence retention against the unfiltered streams.
-    The default stream uses a slower emitter (T1 = 200 ps) than the
-    headline source so the window edge resolves against the detector
+    Synthesises the paired stream of each tomography setting, counts its
+    coincidences unfiltered and inside each window [t_on, period -
+    t_off_margin), and drops it.  Two settings run at once on a thread
+    pool (one on a single CPU), so at most two streams are alive; each
+    setting draws from its own child seed and the counts are collected in
+    setting order, so the result does not depend on the scheduling.  A
+    slot holding one record forms no coincidence under any window, and a
+    window keeps or drops each record on its own, so each stream is
+    folded once and only the records of slots holding two or more are
+    counted and filtered (about a third of them at the defaults).  Each
+    window's pass-pass counts are reconstructed and reported as the
+    singlet fraction plus coincidence retention against the unfiltered
+    streams.  The default stream uses a slower emitter (T1 = 200 ps) than
+    the headline source so the window edge resolves against the detector
     jitter, and a modest collection efficiency so the uncorrelated noise
     photons carry visible weight; every parameter can be overridden.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if params is None:
         params = StreamParams(t1_ps=200.0, pulses=10 ** 6, seed=20240801, eta=0.3)
     if params.mode != "pairs":
@@ -730,19 +804,10 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
     period = 1e12 / params.rep_rate_hz
     windows = [FilterWindow(float(t), period - t_off_margin_ps) for t in t_on_grid_ps]
 
-    def window_counts(i, s):
-        child = int(np.random.SeedSequence([params.seed, i]).generate_state(1)[0])
-        stream = synthesize_stream(dataclasses.replace(
-            params, analysis=(s.label1, s.label2), seed=child))
-        rel, slot = _fold(stream)
-        run = _slot_runs(slot)[1]
-        shared = np.repeat(run >= 2, run)
-        rel, slot = rel[shared], slot[shared]
-        ch = stream.records["channel"][shared]
-        kept = (w.mask(rel, period) for w in windows)
-        return [_coincidences(ch, slot)] + [_coincidences(ch[k], slot[k]) for k in kept]
-
-    counts = np.array([window_counts(i, s) for i, s in enumerate(settings)])
+    with ThreadPoolExecutor(_sweep_workers()) as pool:
+        counts = np.array(list(pool.map(
+            lambda i: _setting_counts(params, i, settings[i], windows),
+            range(len(settings)))))
     base_total = int(counts[:, 0].sum())
     if base_total == 0:
         raise ModelDomainError("no coincidences in the unfiltered streams")

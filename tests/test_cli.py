@@ -267,13 +267,27 @@ print(json.dumps(loaded))
 """
 
 
-def test_scipy_stays_unloaded_until_fig4b(tmp_path):
+def run_with_src(*argv):
+    """Run the interpreter on argv with this checkout's package importable."""
     env = dict(os.environ)
     src = str(Path(qdpair.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
-                       capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env)
+
+
+def test_scipy_stays_unloaded_until_fig4b(tmp_path):
+    r = run_with_src("-c", SCIPY_PROBE, str(tmp_path))
     assert r.returncode == 0, r.stderr
     loaded = json.loads(r.stdout.splitlines()[-1])
     assert loaded.pop("fig4b") is True
     assert not any(loaded.values()), loaded
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # The filter sweep imports its thread pool when it runs, so that no
+    # command pays for it at start-up.
+    r = run_with_src("-c", "import sys, qdpair.cli; "
+                           "print('concurrent.futures' in sys.modules)")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

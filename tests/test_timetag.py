@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import time
 import tracemalloc
 import weakref
 
@@ -11,7 +12,7 @@ import pytest
 from scipy import stats
 
 from helpers import copying_filter_sweep, sorting_pair_counts
-from qdpair import timetag as tt
+from qdpair import timetag as tt, tomography
 from qdpair.errors import ConfigError, ContractError, ModelDomainError
 
 
@@ -24,11 +25,21 @@ def test_synthesis_deterministic():
     assert not np.array_equal(a.records, c.records)
 
 
-# SHA-256 of synthesize_stream(params).records.tobytes() at 20000 pulses
-# and seed 7: any change to the order, size or use of a draw changes them.
+# SHA-256 of synthesize_stream(params).records.tobytes() at seed 7 and,
+# unless given, 20000 pulses: any change to the order, size or use of a
+# draw changes them.  The offset and noise-rejection streams cover those
+# paths of the pairs mode; an odd pulse count ends each per-pulse draw on
+# an odd block and leaves the arm draws (32 bits a value) half an output
+# over, which the next draw must take up as after one whole draw.
 SYNTHESIS_DIGESTS = [
     (dict(g2=0.3, eta=0.9, noise_window_ps=400.0, analysis=("D", "A")),
      "ba7d4d904efe6b792f159d898ac0e75584e8bd489416036d268e0c83a4681b47"),
+    (dict(offset_ps=30.0),
+     "0d1f40fc35cf02de5609f801202b07354517d7183d98f68d1afc6c50c7c0e542"),
+    (dict(g2=0.2, noise_rejection_prob=0.4),
+     "7f070e888b0b612763167f991670225b33fab3e3b38cc0f5a9a4d6e735d88575"),
+    (dict(pulses=20001),
+     "a61431f40a0a5eb7a7a6aff985866da866d6c7d28ee8de1b8fb739a69a8ac0f0"),
     (dict(mode="hbt", g2=0.1, noise_rejection_prob=0.5),
      "0bae492ad767edf57c833795e18b3a602097fc11657c1e7a889c697257bb4ca4"),
     (dict(mode="hbt", emission="poissonian"),
@@ -39,10 +50,33 @@ SYNTHESIS_DIGESTS = [
 
 
 @pytest.mark.parametrize("kwargs, digest", SYNTHESIS_DIGESTS,
-                         ids=["pairs", "hbt-qd", "hbt-poissonian", "laser"])
+                         ids=["pairs", "pairs-offset", "pairs-noise-rejection",
+                              "pairs-odd-pulses", "hbt-qd", "hbt-poissonian",
+                              "laser"])
 def test_synthesis_is_pinned_bit_for_bit(kwargs, digest):
-    st = tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=7, **kwargs))
+    st = tt.synthesize_stream(tt.StreamParams(**{"pulses": 20000, "seed": 7,
+                                                 **kwargs}))
     assert hashlib.sha256(st.records.tobytes()).hexdigest() == digest
+
+
+def traced_call(fn):
+    """Traced allocation peak of fn(), above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_synthesis_memory_follows_detections_not_pulses():
+    # At eta = 0.01 a stream holds about 0.01 records per pulse, so a peak
+    # under 8 bytes a pulse means no per-pulse float64 draw was kept whole.
+    for mode in ("pairs", "hbt"):
+        params = tt.StreamParams(pulses=200000, eta=0.01, seed=3, mode=mode)
+        peak = traced_call(lambda: tt.synthesize_stream(params))
+        assert peak < 8 * params.pulses, mode
 
 
 def test_qd_photon_numbers_match_generator_choice():
@@ -275,7 +309,31 @@ def test_filter_sweep_matches_copying_oracle_on_dense_slots():
         == copying_filter_sweep(grid, params, t_off_margin_ps=250.0)
 
 
-def test_filter_sweep_holds_one_stream_at_a_time(monkeypatch):
+def test_filter_sweep_is_independent_of_finishing_order(monkeypatch):
+    synthesize = tt.synthesize_stream
+    labels = [(s.label1, s.label2) for s in tomography.standard_settings()]
+    finished = []
+
+    def slow_on_even_settings(params):
+        i = labels.index(params.analysis)
+        if i % 2 == 0:
+            time.sleep(0.05)
+        stream = synthesize(params)
+        finished.append(i)
+        return stream
+
+    monkeypatch.setattr(tt, "synthesize_stream", slow_on_even_settings)
+    params = tt.StreamParams(t1_ps=200.0, pulses=20000, seed=5, eta=0.3)
+    grid = (-30.0, 0.0, 35.0)
+    points = tt.filter_fidelity_sweep(grid, params, t_off_margin_ps=30.0)
+    monkeypatch.undo()
+    assert sorted(finished) == list(range(36))
+    if tt._sweep_workers() > 1:
+        assert finished != sorted(finished)
+    assert points == copying_filter_sweep(grid, params, t_off_margin_ps=30.0)
+
+
+def test_filter_sweep_holds_at_most_two_streams(monkeypatch):
     synthesize = tt.synthesize_stream
     made, alive = [], []
 
@@ -289,7 +347,27 @@ def test_filter_sweep_holds_one_stream_at_a_time(monkeypatch):
     monkeypatch.setattr(tt, "synthesize_stream", tracked)
     params = tt.StreamParams(t1_ps=200.0, pulses=2000, seed=3, eta=0.3)
     tt.filter_fidelity_sweep((0.0, 35.0), params)
-    assert alive == [0] * 36
+    assert len(alive) == 36
+    assert max(alive) <= 1                  # the other worker's stream only
+
+
+# Traced peak of filter_fidelity_sweep at the parameters below when it
+# synthesised and counted one stream at a time, before two streams ran
+# at once on a thread pool.
+ONE_STREAM_SWEEP_PEAK = int(5.27 * 2 ** 20)
+
+
+def test_filter_sweep_peak_stays_under_one_stream_at_a_time():
+    params = tt.StreamParams(t1_ps=200.0, pulses=50000, seed=20240801, eta=0.3)
+    assert traced_call(lambda: tt.filter_fidelity_sweep(params=params)) \
+        <= ONE_STREAM_SWEEP_PEAK
+    # Worst interleaving: both workers at the peak of their largest setting.
+    period = 1e12 / params.rep_rate_hz
+    windows = [tt.FilterWindow(t, period - 45.0)
+               for t in (-45.0, -20.0, 0.0, 20.0, 35.0)]
+    one = max(traced_call(lambda: tt._setting_counts(params, i, s, windows))
+              for i, s in enumerate(tomography.standard_settings()))
+    assert 2 * one <= ONE_STREAM_SWEEP_PEAK
 
 
 def test_assemble_orders_by_time_then_channel():
@@ -470,13 +548,7 @@ def traced_peak(analyse, n, rng, gap_ps=0):
     records["t"][n // 2:] += gap_ps
     records["channel"] = rng.integers(0, 2, n)
     st = tt.TimeTagStream(records, 80e6, channels=(0, 1))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        analyse(st)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    return traced_call(lambda: analyse(st))
 
 
 def test_coincidence_histogram_memory_does_not_grow_with_stream():
