@@ -3,10 +3,12 @@
 Each command reads an optional JSON configuration, merges it over the
 built-in defaults (which follow the measured source: 60 ps lifetime,
 5 ps pump, 76.3 MHz repetition rate, 35 ps detector jitter, the
-measured efficiency budget), validates it strictly, and writes
-deterministic CSV/JSON files into the output directory.  Identical
-configuration and seed give byte-identical outputs; every output embeds
-or sits next to the resolved configuration and its SHA-256 hash.
+measured efficiency budget) and writes deterministic CSV/JSON files into
+the output directory.  Before any command runs, every key and every list
+element is type-checked against its default, and every section is
+range-checked by building its library objects.  Identical configuration
+and seed give byte-identical outputs; every output embeds or sits next
+to the resolved configuration and its SHA-256 hash.
 
 Commands
     entangle    post-selected two-qubit state, singlet overlap and rate
@@ -26,9 +28,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import hashlib
+import inspect
 import json
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -36,128 +42,166 @@ import numpy as np
 from . import photostat, swap, timetag, tomography, twoqubit, wavepacket
 from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
 
-_DEFAULTS = {
-    "seed": 20240801,
-    "source": {
-        "g2": 0.015,
-        "indistinguishability": 0.981,
-        "eta": 0.05,
-        "rep_rate_hz": 76.3e6,
-        "excitations_per_period": 1,
-        "g2_grid_max": 0.10,
-        "g2_grid_steps": 41,
-    },
-    "wavepacket": {
-        "t1_ps": 60.0,
-        "pulse_width_ps": 5.0,
-        "fidelity_at_zero": 0.958,
-        "delay_grid_max_ps": 200.0,
-        "delay_grid_steps": 41,
-    },
-    "tomography": {
-        "enabled": False,
-        "pairs": 100000,
-        "bootstrap": 0,
-    },
-    "timetag": {
-        "mode": "hbt",
-        "g2": 0.02,
-        "t1_ps": 200.0,
-        "pulse_width_ps": 5.0,
-        "rep_rate_hz": 76.3e6,
-        "pulses": 100000,
-        "eta": 0.3,
-        "jitter_fwhm_ps": 35.0,
-        "indistinguishability": 0.968,
-        "analysis": ["H", "H"],
-        "bin_ps": 20,
-        "span_periods": 8,
-        "t_on_grid_ps": [-45.0, -20.0, 0.0, 20.0, 35.0],
-        "t_off_margin_ps": 45.0,
-    },
-    "swap": {
-        "rep_rate_hz": 76.3e6,
-        "eta_det": 0.9,
-        "pnr": True,
-        "switch_eta": 0.97,
-        "insertion_eta": 1.0,
-        "qd_eta_s": 0.71,
-        "qd_g2": 0.013,
-        "qd_indistinguishability": 0.968,
-        "spdc_eta_s": 0.8,
-        "spdc_statistics": "thermal",
-        "fidelity_floor": 0.97,
-        "mux_sizes": [10, 30, 100],
-        "loss_db_max": 30.0,
-        "loss_db_step": 2.5,
-    },
-    "rates": {
-        "rep_rate_hz": 76.3e6,
-        "chain": photostat.EfficiencyChain.measured().to_dict(),
-        "measured_coincidence_rate_hz": None,
-    },
-}
+# CLI key -> library field, or keys named as their fields.  Each table
+# reads its keys' defaults from the library and passes the resolved
+# values back.  The keys are frozen: every sidecar hashes them.
+_QD = {"rep_rate_hz": "rep_rate_hz", "eta_det": "eta_det", "pnr": "pnr",
+       "qd_eta_s": "eta_s", "qd_g2": "qd_g2", "qd_indistinguishability": "qd_I"}
+_SPDC = {"rep_rate_hz": "rep_rate_hz", "eta_det": "eta_det", "pnr": "pnr",
+         "switch_eta": "switch_eta", "insertion_eta": "insertion_eta",
+         "spdc_eta_s": "eta_s", "spdc_statistics": "spdc_statistics",
+         "fidelity_floor": "fidelity_floor"}
+_STREAM = ("g2", "t1_ps", "pulse_width_ps", "rep_rate_hz", "eta", "jitter_fwhm_ps",
+           "indistinguishability")
+_WAVEPACKET = ("t1_ps", "pulse_width_ps")
+_LOSS_GRID = ("loss_db_max", "loss_db_step")
+_SWEEP = ("t_on_grid_ps", "t_off_margin_ps")
 
-# Keys whose value may not match the default's type exactly.
+
+def _defaults(source, table) -> dict:
+    """The defaults of a table's keys, read from a library object's fields
+    or from a library function's parameters."""
+    if callable(source):
+        source = types.SimpleNamespace(**{name: p.default for name, p in
+                                          inspect.signature(source).parameters.items()})
+    table = table if isinstance(table, dict) else dict(zip(table, table))
+    return {key: getattr(source, name) for key, name in table.items()}
+
+
+# The JSON round trip turns the library's tuples into lists.
+_DEFAULTS = json.loads(json.dumps({
+    "seed": timetag.SWEEP_STREAM.seed,
+    "source": {"g2": 0.015, "indistinguishability": 0.981,
+               **_defaults(wavepacket.postselected_weights, ("eta",)),
+               **_defaults(timetag.StreamParams, ("rep_rate_hz",)),
+               "excitations_per_period": 1,
+               "g2_grid_max": 0.10, "g2_grid_steps": 41},
+    "wavepacket": {**_defaults(wavepacket.WavepacketParams(), _WAVEPACKET),
+                   "fidelity_at_zero": 0.958, "delay_grid_max_ps": 200.0,
+                   "delay_grid_steps": 41},
+    "tomography": {"enabled": False, "pairs": 100000, "bootstrap": 0},
+    "timetag": {"mode": "hbt", **_defaults(timetag.SWEEP_STREAM, _STREAM),
+                **_defaults(timetag.StreamParams, ("pulses", "analysis")),
+                "bin_ps": 20, "span_periods": 8,
+                **_defaults(timetag.filter_fidelity_sweep, _SWEEP)},
+    "swap": {**_defaults(swap.SwapScenario.qd_headline(), _QD),
+             **_defaults(swap.SwapScenario.spdc_reference(), _SPDC),
+             **_defaults(swap.sweep_loss, ("mux_sizes",)),
+             **_defaults(swap.loss_grid, _LOSS_GRID)},
+    "rates": {**_defaults(timetag.StreamParams, ("rep_rate_hz",)),
+              "chain": photostat.EfficiencyChain.measured().to_dict(),
+              "measured_coincidence_rate_hz": None},
+}))
+
+# Keys whose value the library checks whole.
 _FREEFORM = {"rates.chain"}
-_NULLABLE = {"rates.measured_coincidence_rate_hz"}
-_LIST_KEYS = {"timetag.analysis", "timetag.t_on_grid_ps", "swap.mux_sizes"}
+_NUMBER = (int, float)
+_KINDS = {bool: (bool, "a boolean"), int: (int, "an integer"), str: (str, "a string"),
+          dict: (dict, "an object"), float: (_NUMBER, "a finite number"),
+          type(None): (_NUMBER, "a finite number")}
 
 
-def _check_leaf(path: str, value, default):
-    if path in _FREEFORM:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path} must be an object")
-        return value
-    if value is None:
-        if path in _NULLABLE:
-            return None
-        raise ConfigError(f"{path} must not be null")
-    if path in _LIST_KEYS:
+def _check(path: str, value, default):
+    """``value`` checked against the type of ``default``.  None admits null or a finite
+    number, a list nonempty lists of elements like its first, a section only its own
+    keys.  A boolean is never a number; a number is a float where the default is."""
+    if isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path} must be a nonempty array")
-        return value
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be a boolean")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path} must be an integer")
-        return value
-    if isinstance(default, float) or path in _NULLABLE:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path} must be a number")
-        return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path} must be a string")
-        return value
-    raise ConfigError(f"{path} has an unsupported value")
+        element = default[0]
+        if path == "timetag.analysis" and not isinstance(value[0], str):
+            element = 0.0   # four waveplate angles in place of two names
+        return [_check(f"{path}[{i}]", v, element) for i, v in enumerate(value)]
+    if value is None and default is None:
+        return None
+    allowed, kind = _KINDS[type(default)]
+    if isinstance(value, bool) != isinstance(default, bool) or \
+            not isinstance(value, allowed) or \
+            (allowed is _NUMBER and not np.isfinite(value)):
+        raise ConfigError(f"{path or 'config'} must be {kind}")
+    if isinstance(default, dict) and path not in _FREEFORM:
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in default:
+                raise ConfigError(f"unknown key {prefix}{key}")
+        return {key: _check(f"{prefix}{key}", value[key], d) if key in value else d
+                for key, d in default.items()}
+    return float(value) if allowed is _NUMBER else value
 
 
-def _merge(user: dict, defaults: dict, prefix: str = "") -> dict:
-    if not isinstance(user, dict):
-        raise ConfigError(f"{prefix or 'config'} must be an object")
-    out = {}
-    for key, default in defaults.items():
-        path = f"{prefix}{key}"
-        if key not in user:
-            out[key] = default
-        elif isinstance(default, dict) and path not in _FREEFORM:
-            out[key] = _merge(user[key], default, prefix=f"{path}.")
-        else:
-            out[key] = _check_leaf(path, user[key], default)
-    for key in user:
-        if key not in defaults:
-            raise ConfigError(f"unknown key {prefix}{key}")
-    return out
+@contextlib.contextmanager
+def _at(path: str):
+    """Name ``path`` in a value or type error raised inside the block."""
+    try:
+        yield
+    except ModelDomainError as exc:
+        raise ModelDomainError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _at_least(path: str, value: int, bound: int) -> int:
+    if value < bound:
+        raise ConfigError(f"{path} must be at least {bound}, got {value}")
+    return value
+
+
+def _objects(resolved: dict) -> types.SimpleNamespace:
+    """Every section's library objects, whose construction range-checks it."""
+    src, wp, tomo, tt, sw, rt = (resolved[key] for key in (
+        "source", "wavepacket", "tomography", "timetag", "swap", "rates"))
+    with _at("seed"):
+        np.random.SeedSequence(resolved["seed"])
+    with _at("rates"):
+        chain = photostat.EfficiencyChain.from_dict(rt["chain"])
+        rate = photostat.forward_rate(chain, rt["rep_rate_hz"])
+        measured = rt["measured_coincidence_rate_hz"]
+        back = (None if measured is None
+                else photostat.back_propagate_rate(measured, chain))
+    _at_least("source.excitations_per_period", src["excitations_per_period"], 1)
+    with _at("source"):
+        weights = wavepacket.postselected_weights(src["g2"], src["eta"])
+        rho = twoqubit.TwoQubitDensity.from_matrix(
+            weights[0] * twoqubit.rho_q(src["indistinguishability"]).matrix
+            + weights[1] * twoqubit.rho_b_half().matrix
+            + weights[2] * twoqubit.rho_b_zero().matrix)
+        photostat.qd_distribution_from_g2(src["g2_grid_max"])   # fig3's last g2
+        pair_rate = photostat.forward_rate(chain, src["rep_rate_hz"])
+    with _at("wavepacket"):
+        params = wavepacket.WavepacketParams(
+            i0=wavepacket.calibrate_i0(wp["fidelity_at_zero"]),
+            **{key: wp[key] for key in _WAVEPACKET})
+    _at_least("tomography.pairs", tomo["pairs"], tomography.MIN_PAIRS)
+    if tomo["bootstrap"]:   # 0 turns the bootstrap off
+        _at_least("tomography.bootstrap", tomo["bootstrap"], tomography.MIN_RESAMPLES)
+    with _at("timetag"):
+        stream = timetag.StreamParams(
+            mode=tt["mode"], seed=resolved["seed"], pulses=tt["pulses"],
+            analysis=tuple(tt["analysis"]), **{key: tt[key] for key in _STREAM})
+    with _at("swap"):
+        qd = swap.SwapScenario.qd_headline(
+            **{name: sw[key] for key, name in _QD.items()})
+        spdc = swap.SwapScenario.spdc_reference(
+            **{name: sw[key] for key, name in _SPDC.items()})
+        for n in sw["mux_sizes"]:    # each size must make a multiplexed source
+            dataclasses.replace(spdc, source_kind="spdc_multiplexed", mux_n=n)
+        loss_grid = swap.loss_grid(**{key: sw[key] for key in _LOSS_GRID})
+    g2_steps = _at_least("source.g2_grid_steps", src["g2_grid_steps"], 1)
+    delay_steps = _at_least("wavepacket.delay_grid_steps", wp["delay_grid_steps"], 1)
+    return types.SimpleNamespace(
+        chain=chain, rate=rate, back_propagated=back, weights=weights, rho=rho,
+        pair_rate=pair_rate, wavepacket=params, stream=stream, qd=qd, spdc=spdc,
+        g2_grid=np.linspace(0.0, src["g2_grid_max"], g2_steps),
+        delays=np.linspace(0.0, wp["delay_grid_max_ps"], delay_steps),
+        loss_grid=loss_grid, mux_sizes=tuple(sw["mux_sizes"]))
 
 
 def resolve_config(user: dict) -> dict:
     """Merge a user configuration over the defaults, rejecting unknown
-    keys and type mismatches."""
-    return _merge(user, _DEFAULTS)
+    keys and type mismatches, then build every section's library objects."""
+    resolved = _check("", user, _DEFAULTS)
+    _objects(resolved)
+    return resolved
 
 
 def config_digest(resolved: dict) -> str:
@@ -206,14 +250,9 @@ def _write_table(out_dir: Path, stem: str, columns, rows, fmt: str,
 
 def cmd_entangle(resolved: dict, out_dir: Path, fmt: str, digest: str):
     src = resolved["source"]
-    weights = wavepacket.postselected_weights(src["g2"], src["eta"])
-    mix = (weights[0] * twoqubit.rho_q(src["indistinguishability"]).matrix
-           + weights[1] * twoqubit.rho_b_half().matrix
-           + weights[2] * twoqubit.rho_b_zero().matrix)
-    rho = twoqubit.TwoQubitDensity.from_matrix(mix)
+    o = _objects(resolved)
+    weights, rho, (rate, sigma) = o.weights, o.rho, o.pair_rate
     overlap = twoqubit.overlap_with(rho, twoqubit.bell_state("psi_minus"))
-    chain = photostat.EfficiencyChain.from_dict(resolved["rates"]["chain"])
-    rate, sigma = photostat.forward_rate(chain, src["rep_rate_hz"])
     k = src["excitations_per_period"]
     payload = {
         "density_matrix": rho.to_json(),
@@ -248,7 +287,7 @@ def cmd_entangle(resolved: dict, out_dir: Path, fmt: str, digest: str):
 
 def cmd_fig3(resolved: dict, out_dir: Path, fmt: str, digest: str):
     src = resolved["source"]
-    grid = np.linspace(0.0, src["g2_grid_max"], src["g2_grid_steps"])
+    grid = _objects(resolved).g2_grid
     _, fid = wavepacket.g2_curve(grid, src["indistinguishability"], src["eta"])
     _, fid_unit = wavepacket.g2_curve(grid, 1.0, src["eta"])
     rows = [(g, f, fu) for g, f, fu in zip(grid, fid, fid_unit)]
@@ -258,84 +297,38 @@ def cmd_fig3(resolved: dict, out_dir: Path, fmt: str, digest: str):
 
 
 def cmd_fig4b(resolved: dict, out_dir: Path, fmt: str, digest: str):
-    wp = resolved["wavepacket"]
-    params = wavepacket.WavepacketParams(
-        t1_ps=wp["t1_ps"], pulse_width_ps=wp["pulse_width_ps"],
-        i0=wavepacket.calibrate_i0(wp["fidelity_at_zero"]))
-    taus = np.linspace(0.0, wp["delay_grid_max_ps"], wp["delay_grid_steps"])
-    taus, ind, fid = wavepacket.offset_curve(taus, params)
+    o = _objects(resolved)
+    taus, ind, fid = wavepacket.offset_curve(o.delays, o.wavepacket)
     rows = [(t, i, f) for t, i, f in zip(taus, ind, fid)]
     return _write_table(out_dir, "fig4b",
                         ("delay_ps", "indistinguishability", "fidelity"),
                         rows, fmt, resolved, digest)
 
 
-def _swap_scenarios(block: dict):
-    left = swap.SwapScenario.qd_headline(
-        rep_rate_hz=block["rep_rate_hz"], eta_s=block["qd_eta_s"],
-        eta_det=block["eta_det"], pnr=block["pnr"], qd_g2=block["qd_g2"],
-        qd_I=block["qd_indistinguishability"])
-    right = swap.SwapScenario.spdc_reference(
-        rep_rate_hz=block["rep_rate_hz"], eta_s=block["spdc_eta_s"],
-        eta_det=block["eta_det"], pnr=block["pnr"],
-        switch_eta=block["switch_eta"], insertion_eta=block["insertion_eta"],
-        spdc_statistics=block["spdc_statistics"],
-        fidelity_floor=block["fidelity_floor"])
-    return left, right
-
-
 def cmd_fig5(resolved: dict, out_dir: Path, fmt: str, digest: str):
-    block = resolved["swap"]
-    if block["loss_db_step"] <= 0.0 or block["loss_db_max"] < 0.0:
-        raise ConfigError("swap loss grid must have positive step and "
-                          "non-negative maximum")
-    grid = np.arange(0.0, block["loss_db_max"] + 0.5 * block["loss_db_step"],
-                     block["loss_db_step"])
-    left, right = _swap_scenarios(block)
-    table = swap.sweep_loss(left, right, loss_grid_db=grid,
-                            mux_sizes=tuple(int(n) for n in block["mux_sizes"]))
+    o = _objects(resolved)
+    table = swap.sweep_loss(o.qd, o.spdc, loss_grid_db=o.loss_grid, mux_sizes=o.mux_sizes)
     return _write_table(out_dir, "fig5", table["columns"], table["rows"],
                         fmt, resolved, digest)
 
 
 def cmd_rates(resolved: dict, out_dir: Path, fmt: str, digest: str):
-    block = resolved["rates"]
-    chain = photostat.EfficiencyChain.from_dict(block["chain"])
-    rate, sigma = photostat.forward_rate(chain, block["rep_rate_hz"])
-    payload = {
-        "forward_rate_hz": float(rate),
-        "forward_rate_sigma_hz": float(sigma),
-        "attempt_rate_hz": float(block["rep_rate_hz"] / 2.0),
-        "chain": chain.to_dict(),
-    }
-    measured = block["measured_coincidence_rate_hz"]
-    if measured is not None:
-        payload["back_propagated_rate_hz"] = float(
-            photostat.back_propagate_rate(measured, chain))
+    o = _objects(resolved)
+    payload = {"forward_rate_hz": float(o.rate[0]),
+               "forward_rate_sigma_hz": float(o.rate[1]),
+               "attempt_rate_hz": float(resolved["rates"]["rep_rate_hz"] / 2.0),
+               "chain": o.chain.to_dict()}
+    if o.back_propagated is not None:
+        payload["back_propagated_rate_hz"] = float(o.back_propagated)
     return [_write_json(out_dir / "rates.json", payload, resolved, digest)]
-
-
-def _stream_params(resolved: dict, mode: str = None) -> timetag.StreamParams:
-    tt = resolved["timetag"]
-    analysis = tt["analysis"]
-    if all(isinstance(a, str) for a in analysis):
-        analysis = tuple(analysis)
-    else:
-        analysis = tuple(float(a) for a in analysis)
-    return timetag.StreamParams(
-        mode=mode or tt["mode"], g2=tt["g2"], t1_ps=tt["t1_ps"],
-        pulse_width_ps=tt["pulse_width_ps"], rep_rate_hz=tt["rep_rate_hz"],
-        pulses=tt["pulses"], eta=tt["eta"],
-        jitter_fwhm_ps=tt["jitter_fwhm_ps"],
-        indistinguishability=tt["indistinguishability"],
-        analysis=analysis, seed=resolved["seed"])
 
 
 def cmd_timetag(resolved: dict, sub: str, out_dir: Path, fmt: str,
                 digest: str):
     tt = resolved["timetag"]
+    params = _objects(resolved).stream
     if sub == "synth":
-        stream = timetag.synthesize_stream(_stream_params(resolved))
+        stream = timetag.synthesize_stream(params)
         path = out_dir / "stream.qtt"
         timetag.write_stream(stream, path)
         sidecar = _write_json(out_dir / "stream.config.json",
@@ -344,7 +337,7 @@ def cmd_timetag(resolved: dict, sub: str, out_dir: Path, fmt: str,
                               resolved, digest)
         return [path, sidecar]
     if sub == "analyse":
-        stream = timetag.synthesize_stream(_stream_params(resolved))
+        stream = timetag.synthesize_stream(params)
         payload = {"mode": tt["mode"], "records": int(len(stream.records))}
         files = []
         if tt["mode"] == "hbt":
@@ -367,9 +360,8 @@ def cmd_timetag(resolved: dict, sub: str, out_dir: Path, fmt: str,
                                  resolved, digest))
         return files
     points = timetag.filter_fidelity_sweep(
-        t_on_grid_ps=tuple(float(t) for t in tt["t_on_grid_ps"]),
-        params=_stream_params(resolved, mode="pairs"),
-        t_off_margin_ps=tt["t_off_margin_ps"])
+        params=dataclasses.replace(params, mode="pairs"),
+        **{key: tt[key] for key in _SWEEP})
     rows = [(p.t_on_ps, p.singlet_fraction, p.coincidences,
              p.retained_fraction) for p in points]
     return _write_table(
@@ -427,7 +419,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         resolved = resolve_config(user)
         if args.seed is not None:
-            resolved["seed"] = args.seed
+            resolved = resolve_config(dict(resolved, seed=args.seed))
         digest = config_digest(resolved)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -96,10 +96,18 @@ _SIGMA_Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 SOURCE_KINDS = ("qd_postselected", "spdc", "spdc_multiplexed")
 
-# Grid used by the comparison sweep when none is supplied (dB per arm).
-DEFAULT_LOSS_GRID_DB = tuple(float(x) for x in np.arange(0.0, 31.0, 2.5))
-
 _P1_CEILING = {"thermal": 0.25, "poissonian": math.exp(-1.0)}
+
+
+def loss_grid(loss_db_max: float = 30.0, loss_db_step: float = 2.5) -> tuple:
+    """Per-arm channel losses 0, loss_db_step, ... up to loss_db_max (dB)."""
+    if loss_db_step <= 0.0 or loss_db_max < 0.0:
+        raise ConfigError("loss grid must have positive step and non-negative maximum")
+    return tuple(float(x) for x in
+                 np.arange(0.0, loss_db_max + 0.5 * loss_db_step, loss_db_step))
+
+
+DEFAULT_LOSS_GRID_DB = loss_grid()
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,6 @@ class SwapScenario:
         multiplexed variant with a 0.97 switch."""
         kind = "spdc_multiplexed" if mux_n > 1 else "spdc"
         base = dict(source_kind=kind, eta_s=0.8, eta_det=0.9, pnr=True,
-                    switch_eta=0.97, insertion_eta=1.0,
                     fidelity_floor=0.97, mux_n=mux_n)
         base.update(overrides)
         return cls(**base)
@@ -653,8 +660,8 @@ def _pump_search(scenario: SwapScenario, configs: dict = None):
 # ---------------------------------------------------------------------------
 # Loss sweep.
 
-def sweep_loss(left: SwapScenario, right: SwapScenario, loss_grid_db=None,
-               mux_sizes=(10, 30, 100)):
+def sweep_loss(left: SwapScenario, right: SwapScenario,
+               loss_grid_db=DEFAULT_LOSS_GRID_DB, mux_sizes=(10, 30, 100)):
     """Swap-rate comparison across symmetric channel loss.
 
     ``left`` is the quantum-dot scenario, ``right`` the non-multiplexed
@@ -668,8 +675,6 @@ def sweep_loss(left: SwapScenario, right: SwapScenario, loss_grid_db=None,
         raise ConfigError("left scenario must be the quantum-dot source")
     if right.source_kind not in ("spdc", "spdc_multiplexed"):
         raise ConfigError("right scenario must be an SPDC source")
-    if loss_grid_db is None:
-        loss_grid_db = DEFAULT_LOSS_GRID_DB
     loss_grid_db = [float(x) for x in loss_grid_db]
     if not loss_grid_db:
         raise ContractError("loss grid must be nonempty")

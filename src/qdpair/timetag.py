@@ -170,6 +170,7 @@ class StreamParams:
         if nw <= 0.0:
             raise ContractError("noise window must be positive")
         object.__setattr__(self, "noise_window_ps", float(nw))
+        self.setting()  # the analysis must name a setting
 
     def setting(self) -> tomography.MeasurementSetting:
         a = self.analysis
@@ -178,6 +179,11 @@ class StreamParams:
         if len(a) == 4:
             return tomography.MeasurementSetting.from_angles(*a)
         raise ContractError("analysis must be two names or four waveplate angles")
+
+
+# The filter sweep's stream: an emitter slower than the headline source, so the window
+# edge resolves against the jitter, at an efficiency where noise photons carry weight.
+SWEEP_STREAM = StreamParams(t1_ps=200.0, pulses=10 ** 6, eta=0.3, seed=20240801)
 
 
 def _jitter_sigma(fwhm: float) -> float:
@@ -773,7 +779,7 @@ def _setting_counts(params: StreamParams, i: int, setting, windows) -> list:
 
 
 def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
-                          params: StreamParams = None,
+                          params: StreamParams = SWEEP_STREAM,
                           t_off_margin_ps: float = 45.0):
     """Full filter -> tomography pipeline over a grid of window-on times.
 
@@ -789,15 +795,10 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
     counted and filtered (about a third of them at the defaults).  Each
     window's pass-pass counts are reconstructed and reported as the
     singlet fraction plus coincidence retention against the unfiltered
-    streams.  The default stream uses a slower emitter (T1 = 200 ps) than
-    the headline source so the window edge resolves against the detector
-    jitter, and a modest collection efficiency so the uncorrelated noise
-    photons carry visible weight; every parameter can be overridden.
+    streams.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    if params is None:
-        params = StreamParams(t1_ps=200.0, pulses=10 ** 6, seed=20240801, eta=0.3)
     if params.mode != "pairs":
         raise ContractError("the filter pipeline needs a pairs-mode stream")
     settings = tomography.standard_settings()

@@ -50,6 +50,8 @@ CANONICAL_ANGLES = {
 }
 
 SETTING_NAMES = ("H", "V", "D", "A", "R", "L")
+MIN_PAIRS = 1         # fewest pairs simulate_counts draws
+MIN_RESAMPLES = 50    # fewest resamples bootstrap_singlet_fraction takes
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -155,7 +157,7 @@ def simulate_counts(rho: TwoQubitDensity, settings, total_pairs: int,
     """Poisson-distributed synthetic counts, mean total_pairs * Tr[rho Pi_s]."""
     if not settings:
         raise ContractError("settings must be nonempty")
-    if total_pairs <= 0:
+    if total_pairs < MIN_PAIRS:
         raise ContractError("total_pairs must be positive")
     rng = np.random.default_rng(seed)
     out = []
@@ -348,8 +350,8 @@ def bootstrap_singlet_fraction(records, resamples: int, seed: int):
     reconstruction on the same settings, and returns the array of singlet
     fractions.
     """
-    if resamples < 50:
-        raise ContractError(f"need at least 50 resamples, got {resamples}")
+    if resamples < MIN_RESAMPLES:
+        raise ContractError(f"need at least {MIN_RESAMPLES} resamples, got {resamples}")
     ops, observed, design = _complete_design(records)
     rng = np.random.default_rng(seed)
     values = np.empty(resamples)

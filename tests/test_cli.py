@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qdpair
-from qdpair import cli, swap, timetag
+from qdpair import cli, photostat, swap, timetag
 from qdpair.errors import NumericalError
 
 
@@ -234,6 +234,67 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert run_cli("rates", "--out", str(tmp_path / "x4")) == 3
     with pytest.raises(SystemExit):
         run_cli("unknown-command")
+
+
+def test_default_config_digest_is_pinned():
+    # Every sidecar hashes the default configuration, so its digest must
+    # not move when the defaults' source does.
+    assert cli.config_digest(cli.resolve_config({})) == \
+        "565de46700cc53c5a25c38a5824fbb29e6353dcb9433e4355236c8dc16c7088e"
+
+
+# (command, configuration, extra arguments, exit code, text of the error).
+# The last two put the bad value in a section the command does not read.
+BAD_CONFIGS = [
+    (["fig3"], {"source": {"g2_grid_steps": -1}}, [], 2, "source.g2_grid_steps"),
+    (["fig3"], {"source": {"g2_grid_steps": 0}}, [], 2, "source.g2_grid_steps"),
+    (["fig4b"], {"wavepacket": {"delay_grid_steps": -1}}, [], 2,
+     "wavepacket.delay_grid_steps"),
+    (["fig4b"], {"wavepacket": {"delay_grid_steps": 0}}, [], 2,
+     "wavepacket.delay_grid_steps"),
+    (["fig5"], {"swap": {"mux_sizes": ["x"]}}, [], 2, "swap.mux_sizes[0]"),
+    (["fig5"], {"swap": {"mux_sizes": [10.7]}}, [], 2, "swap.mux_sizes[0]"),
+    (["fig5"], {"swap": {"mux_sizes": [10, 1]}}, [], 2, "swap: multiplexed"),
+    (["timetag", "sweep"], {"timetag": {"t_on_grid_ps": ["a"]}}, [], 2,
+     "timetag.t_on_grid_ps[0]"),
+    (["timetag", "sweep"], {"timetag": {"t_on_grid_ps": [0.0, True]}}, [], 2,
+     "timetag.t_on_grid_ps[1]"),
+    (["timetag", "analyse"], {"timetag": {"mode": "pairs", "analysis": ["H", 2]}},
+     [], 2, "timetag.analysis[1]"),
+    (["timetag", "synth"], {"timetag": {"analysis": ["H"]}}, [], 2,
+     "timetag: analysis must be"),
+    (["timetag", "synth"], {"seed": -1}, [], 2, "seed"),
+    (["timetag", "synth"], {}, ["--seed", "-1"], 2, "seed"),
+    (["entangle"], {"source": {"excitations_per_period": 0}}, [], 2,
+     "source.excitations_per_period"),
+    (["entangle"], {"source": {"excitations_per_period": -1}}, [], 2,
+     "source.excitations_per_period"),
+    (["entangle"], {"tomography": {"enabled": True, "bootstrap": 10}}, [], 2,
+     "tomography.bootstrap"),
+    (["entangle"], {"tomography": {"enabled": True, "pairs": 0}}, [], 2,
+     "tomography.pairs"),
+    (["entangle"], {"source": {"rep_rate_hz": float("inf")}}, [], 2,
+     "source.rep_rate_hz"),
+    (["timetag", "sweep"], {"timetag": {"t_on_grid_ps": [float("nan")]}}, [], 2,
+     "timetag.t_on_grid_ps[0]"),
+    (["rates"], {"rates": {"chain": dict(photostat.EfficiencyChain.measured()
+                                         .to_dict(), source=[None, 0.03])}},
+     [], 2, "rates: float()"),
+    (["rates"], {"timetag": {"mode": "foo"}}, [], 2, "timetag: unknown mode"),
+    (["rates"], {"wavepacket": {"fidelity_at_zero": 0.4}}, [], 4, "wavepacket"),
+]
+
+
+@pytest.mark.parametrize("argv,config,extra,code,message", BAD_CONFIGS,
+                         ids=[case[-1] for case in BAD_CONFIGS])
+def test_bad_config_stops_before_any_output(tmp_path, capsys, argv, config,
+                                            extra, code, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", write_config(tmp_path, config),
+                   "--out", str(out), *extra) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_console_script_entry_point(tmp_path):

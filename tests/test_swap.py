@@ -401,6 +401,17 @@ def test_loss_sweep_table():
         assert row[col] == swap.swap_once(s, s).rate_hz
 
 
+def test_loss_grid():
+    # the default grid: 0 to 30 dB per arm in 2.5 dB steps
+    assert swap.DEFAULT_LOSS_GRID_DB == \
+        tuple(float(x) for x in np.arange(0.0, 31.0, 2.5))
+    assert swap.loss_grid(10.0, 10.0) == (0.0, 10.0)
+    assert swap.loss_grid(0.0, 2.5) == (0.0,)
+    for bad in ((10.0, 0.0), (-1.0, 2.5)):
+        with pytest.raises(ConfigError):
+            swap.loss_grid(*bad)
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigError):
         swap.SwapScenario(source_kind="laser")
