@@ -178,6 +178,11 @@ def _objects(resolved: dict) -> types.SimpleNamespace:
         stream = timetag.StreamParams(
             mode=tt["mode"], seed=resolved["seed"], pulses=tt["pulses"],
             analysis=tuple(tt["analysis"]), **{key: tt[key] for key in _STREAM})
+    with _at("timetag.t_on_grid_ps"):
+        timetag.sweep_windows(params=stream, **{key: tt[key] for key in _SWEEP})
+    with _at("timetag.bin_ps"):    # the span of the HBT histogram
+        span_ps = int(tt["span_periods"] * (1e12 / stream.rep_rate_hz))
+        timetag.histogram_bins(tt["bin_ps"], span_ps)
     with _at("swap"):
         qd = swap.SwapScenario.qd_headline(
             **{name: sw[key] for key, name in _QD.items()})
@@ -190,7 +195,8 @@ def _objects(resolved: dict) -> types.SimpleNamespace:
     delay_steps = _at_least("wavepacket.delay_grid_steps", wp["delay_grid_steps"], 1)
     return types.SimpleNamespace(
         chain=chain, rate=rate, back_propagated=back, weights=weights, rho=rho,
-        pair_rate=pair_rate, wavepacket=params, stream=stream, qd=qd, spdc=spdc,
+        pair_rate=pair_rate, wavepacket=params, stream=stream, span_ps=span_ps,
+        qd=qd, spdc=spdc,
         g2_grid=np.linspace(0.0, src["g2_grid_max"], g2_steps),
         delays=np.linspace(0.0, wp["delay_grid_max_ps"], delay_steps),
         loss_grid=loss_grid, mux_sizes=tuple(sw["mux_sizes"]))
@@ -326,7 +332,8 @@ def cmd_rates(resolved: dict, out_dir: Path, fmt: str, digest: str):
 def cmd_timetag(resolved: dict, sub: str, out_dir: Path, fmt: str,
                 digest: str):
     tt = resolved["timetag"]
-    params = _objects(resolved).stream
+    o = _objects(resolved)
+    params = o.stream
     if sub == "synth":
         stream = timetag.synthesize_stream(params)
         path = out_dir / "stream.qtt"
@@ -341,9 +348,8 @@ def cmd_timetag(resolved: dict, sub: str, out_dir: Path, fmt: str,
         payload = {"mode": tt["mode"], "records": int(len(stream.records))}
         files = []
         if tt["mode"] == "hbt":
-            span = int(tt["span_periods"] * stream.period_ps)
             hist = timetag.coincidence_histogram(stream, 0, 1,
-                                                 tt["bin_ps"], span)
+                                                 tt["bin_ps"], o.span_ps)
             g2, err = timetag.g2_from_histogram(hist, stream.period_ps)
             payload["g2"] = float(g2)
             payload["g2_sigma"] = float(err)

@@ -471,6 +471,16 @@ def _add_pairs(counts: np.ndarray, ta: np.ndarray, tb: np.ndarray,
         counts += np.bincount(diffs, minlength=nbins + 2 * pad)[pad:pad + nbins]
 
 
+def histogram_bins(bin_ps: int, span_ps: int) -> int:
+    """Number of bin_ps bins of a histogram over +/- span_ps, checked."""
+    if bin_ps <= 0 or span_ps <= 0:
+        raise ContractError("bin_ps and span_ps must be positive")
+    if span_ps < bin_ps:
+        raise ContractError(
+            f"span_ps {span_ps} is shorter than one bin of {bin_ps} ps")
+    return 2 * (span_ps // bin_ps)
+
+
 def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
                           bin_ps: int, span_ps: int) -> Histogram:
     """Histogram of timestamp differences t_b - t_a over +/- span_ps.
@@ -486,12 +496,7 @@ def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
     histogram two cells (at most 2 span_ps / 8) wider.  None of it grows
     with the length of the stream.
     """
-    if bin_ps <= 0 or span_ps <= 0:
-        raise ContractError("bin_ps and span_ps must be positive")
-    if span_ps < bin_ps:
-        raise ContractError(
-            f"span_ps {span_ps} is shorter than one bin of {bin_ps} ps")
-    nbins = 2 * (span_ps // bin_ps)
+    nbins = histogram_bins(bin_ps, span_ps)
     starts = (np.arange(nbins) - nbins // 2) * bin_ps
     first = int(starts[0])
     counts = np.zeros(nbins, dtype=np.int64)
@@ -652,10 +657,15 @@ class FilterWindow:
     def length_ps(self) -> float:
         return self.t_off_ps - self.t_on_ps
 
-    def mask(self, rel_ps: np.ndarray, period_ps: float) -> np.ndarray:
-        """Which times relative to the pulse-peak reference fall in the window."""
+    def fitted(self, period_ps: float) -> "FilterWindow":
+        """The window, checked to be no longer than one repetition period."""
         if self.length_ps > period_ps + 1e-9:
             raise ContractError("filter window exceeds one repetition period")
+        return self
+
+    def mask(self, rel_ps: np.ndarray, period_ps: float) -> np.ndarray:
+        """Which times relative to the pulse-peak reference fall in the window."""
+        self.fitted(period_ps)
         return np.mod(rel_ps - self.t_on_ps, period_ps) < self.length_ps
 
 
@@ -778,6 +788,15 @@ def _setting_counts(params: StreamParams, i: int, setting, windows) -> list:
     return [_coincidences(ch, slot)] + [_coincidences(ch[k], slot[k]) for k in kept]
 
 
+def sweep_windows(t_on_grid_ps, params: StreamParams,
+                  t_off_margin_ps: float) -> list:
+    """The windows [t_on, period - t_off_margin) of a filter sweep over
+    streams synthesised from params, each checked against the period."""
+    period = 1e12 / params.rep_rate_hz
+    return [FilterWindow(float(t), period - t_off_margin_ps).fitted(period)
+            for t in t_on_grid_ps]
+
+
 def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
                           params: StreamParams = SWEEP_STREAM,
                           t_off_margin_ps: float = 45.0):
@@ -802,8 +821,7 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
     if params.mode != "pairs":
         raise ContractError("the filter pipeline needs a pairs-mode stream")
     settings = tomography.standard_settings()
-    period = 1e12 / params.rep_rate_hz
-    windows = [FilterWindow(float(t), period - t_off_margin_ps) for t in t_on_grid_ps]
+    windows = sweep_windows(t_on_grid_ps, params, t_off_margin_ps)
 
     with ThreadPoolExecutor(_sweep_workers()) as pool:
         counts = np.array(list(pool.map(

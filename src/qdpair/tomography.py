@@ -12,11 +12,16 @@ over unnormalised positive matrices sigma, which profiles out the count
 scale, by barrier Newton with a duality-gap certificate: a log-barrier
 keeps sigma positive definite, and a Frank-Wolfe gap computed apart from
 the solver bounds how far the likelihood can lie below its maximum.
+The solver takes a stack of count vectors on one set of settings and
+steps them in lockstep, each on its own path; a single reconstruction is
+a stack of one, and the bootstrap solves all its resamples in one call.
+Each setting builds its joint projector once and keeps it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,10 +125,17 @@ class MeasurementSetting:
             return waveplate_ket(self.hwp2_deg, self.qwp2_deg)
         raise ContractError("arm must be 0 or 1")
 
+    @functools.cached_property
+    def _projector(self) -> np.ndarray:
+        joint = np.kron(self.arm_ket(0), self.arm_ket(1))
+        projector = np.outer(joint, joint.conj())
+        projector.flags.writeable = False
+        return projector
+
     def joint_projector(self) -> np.ndarray:
-        k1, k2 = self.arm_ket(0), self.arm_ket(1)
-        joint = np.kron(k1, k2)
-        return np.outer(joint, joint.conj())
+        """P1 x P2, computed on first use and kept (read-only) with the
+        setting; it takes no part in comparing or hashing settings."""
+        return self._projector
 
 
 @dataclass(frozen=True)
@@ -193,7 +205,8 @@ _BASIS = _hermitian_basis()
 
 
 def _hermitian(x: np.ndarray) -> np.ndarray:
-    return (x @ _BASIS).reshape(4, 4)
+    """sigma(x) of each packed row x."""
+    return np.matmul(x[..., None, :], _BASIS).reshape(x.shape[:-1] + (4, 4))
 
 
 def _design_matrix(ops) -> np.ndarray:
@@ -202,59 +215,104 @@ def _design_matrix(ops) -> np.ndarray:
 
 
 GAP_BOUND = 1e-8
+_BASIS_H = _BASIS.conj().T
+
+
+def _mv(m, v) -> np.ndarray:
+    """m @ v for each vector v of the stack."""
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _dot(u, v) -> np.ndarray:
+    """u . v for each pair of vectors of the stacks."""
+    return np.matmul(u[..., None, :], v[..., None])[..., 0, 0]
 
 
 def _relative_eigvals(m, w, v) -> np.ndarray:
-    """Eigenvalues of m relative to the positive matrix v diag(w) v^dag."""
-    half = v / np.sqrt(w)
-    return np.linalg.eigvalsh(half.conj().T @ m @ half)
+    """Eigenvalues of each m relative to the positive matrix v diag(w) v^dag."""
+    half = v / np.sqrt(w)[..., None, :]
+    return np.linalg.eigvalsh(half.conj().swapaxes(-1, -2) @ m @ half)
 
 
-def _barrier_newton(d, n) -> np.ndarray:
-    """Unnormalised ML state by log-barrier Newton over the packed x.
+def _barrier_newton(d, n) -> tuple:
+    """Unnormalised ML states by log-barrier Newton over the packed x, for
+    a (B, S) stack of counts n sharing the design d.
 
-    Minimises f = a.x - sum_s n_s log(d_s.x) - mu log det sigma(x), with
-    design rows d_s, counts n_s and a = sum_s d_s, from sigma = I N / Tr A
+    For each row minimises f = a.x - sum_s n_s log(d_s.x) - mu log det
+    sigma(x), with design rows d_s and a = sum_s d_s, from sigma = I N / Tr A
     and 4 mu = N (4: barrier parameter of the 4x4 cone); centres each mu to
-    a Newton decrement below 1e-6 mu, then cuts mu a hundredfold until
-    4 mu <= 1e-10 N.  The eigenvalues e of sigma(dx) relative to sigma keep
-    each step inside the cone (so every d_s.x stays positive), and with
-    r_s = d_s.dx / d_s.x give the change in f without cancelling large terms.
+    a Newton decrement below 1e-6 mu in at most 50 steps, then cuts mu a
+    hundredfold until 4 mu <= 1e-10 N.  The eigenvalues e of sigma(dx)
+    relative to sigma keep each step inside the cone (so every d_s.x stays
+    positive), and with r_s = d_s.dx / d_s.x give the change in f without
+    cancelling large terms; a backtracking search that finds no decrease
+    in 50 halvings ends the mu level.
+
+    The rows still running step in lockstep, each with its own mu.  Every
+    stacked matmul, eigh, eigvalsh and solve calls, row by row, the BLAS
+    or LAPACK routine that the same expression calls on one unstacked
+    problem, so each row follows bit for bit the path it follows alone.
+    Returns the (B, 4, 4) sigmas and the Newton steps (linear solves) of
+    each row.
     """
     a = d.sum(0)
-    n_total = n.sum()
-    x = np.zeros(16)
-    x[:4] = n_total / a[:4].sum()
+    n_total = n.sum(-1)
+    x = np.zeros((len(n), 16))
+    x[:, :4] = (n_total / a[:4].sum())[:, None]
     mu = n_total / 4.0
-    while True:
-        for _ in range(50):
-            w, v = np.linalg.eigh(_hermitian(x))
-            s_inv = (v / w) @ v.conj().T
-            lam = d @ x
-            grad = a - d.T @ (n / lam) - mu * (_BASIS @ s_inv.T.ravel()).real
-            # Tr[S E_k S E_l] = vec(E_k) (S^T kron S) vec(E_l)^dag
-            kron = s_inv.T[:, None, :, None] * s_inv[None, :, None, :]
-            hess = ((d.T * (n / lam ** 2)) @ d + mu * (
-                _BASIS @ kron.reshape(16, 16) @ _BASIS.conj().T).real)
-            step = -np.linalg.solve(hess, grad)
-            decrement = -grad @ step
-            if decrement <= 1e-6 * mu:
-                break
-            r = (d @ step) / lam
-            e = _relative_eigvals(_hermitian(step), w, v)
-            t = 1.0 if e.min() > -1.0 else 0.99 / -e.min()
+    level = np.zeros(len(n), dtype=int)   # steps taken at the current mu
+    live = np.arange(len(n))
+    sigma = np.empty((len(n), 4, 4), dtype=complex)
+    steps = np.empty(len(n), dtype=int)
+    iteration = 0
+    while live.size:
+        iteration += 1
+        w, v = np.linalg.eigh(_hermitian(x))
+        s_inv = (v / w[:, None, :]) @ v.conj().swapaxes(1, 2)
+        s_inv_t = s_inv.swapaxes(1, 2)
+        lam = _mv(d, x)
+        grad = a - _mv(d.T, n / lam) - mu[:, None] * _mv(
+            _BASIS, s_inv_t.reshape(-1, 16)).real
+        # Tr[S E_k S E_l] = vec(E_k) (S^T kron S) vec(E_l)^dag
+        kron = s_inv_t[:, :, None, :, None] * s_inv[:, None, :, None, :]
+        hess = (np.matmul(d.T * (n / lam ** 2)[:, None, :], d) + mu[:, None, None] * (
+            _BASIS @ kron.reshape(-1, 16, 16) @ _BASIS_H).real)
+        step = -np.linalg.solve(hess, grad[..., None])[..., 0]
+        decrement = _dot(-grad, step)
+        # the rows that search, then those that step; a NaN decrement ends
+        # the level here, where it would fail the search
+        moved = decrement > 1e-6 * mu
+        if np.count_nonzero(moved):
+            r = _mv(d, step) / lam
+            e = _relative_eigvals(_hermitian(step), w, v)   # ascending
+            # a full step, or 0.99 of the way to the cone's edge where that
+            # lies within one; the maximum keeps the unused quotients finite
+            t = np.where(e[:, 0] > -1.0, 1.0, 0.99 / np.maximum(-e[:, 0], 1.0))
+            slope = _dot(a, step)
+            pending = moved.copy()
             for _ in range(50):
-                change = (t * (a @ step) - n @ np.log1p(t * r)
-                          - mu * np.log1p(t * e).sum())
-                if change <= -0.25 * t * decrement:
+                change = (t * slope - _dot(n, np.log1p(t[:, None] * r))
+                          - mu * np.log1p(t[:, None] * e).sum(-1))
+                pending &= ~(change <= -0.25 * t * decrement)
+                if not np.count_nonzero(pending):
                     break
-                t *= 0.5
-            else:  # no decrease left at working precision
-                break
-            x = x + t * step
-        if 4.0 * mu <= 1e-10 * n_total:
-            return _hermitian(x)
-        mu /= 100.0
+                t = np.where(pending, t * 0.5, t)
+            moved &= ~pending   # no decrease left at working precision
+            x = np.where(moved[:, None], x + t[:, None] * step, x)
+        level += moved
+        ended = ~moved | (level == 50)
+        if not np.count_nonzero(ended):
+            continue
+        level[ended] = 0
+        done = ended & (4.0 * mu <= 1e-10 * n_total)
+        mu = np.where(ended, mu / 100.0, mu)
+        if np.count_nonzero(done):
+            sigma[live[done]] = _hermitian(x[done])
+            steps[live[done]] = iteration
+            keep = ~done
+            live, x, n, n_total, mu, level = (
+                arr[keep] for arr in (live, x, n, n_total, mu, level))
+    return sigma, steps
 
 
 def _certified(ops, counts, sigma) -> np.ndarray:
@@ -295,14 +353,17 @@ def _complete_design(records) -> tuple:
     return ops, counts, design
 
 
-def _solve(ops, design, counts) -> tuple:
-    """Certified ML state for one set of counts: (rho, unnormalised sigma)."""
-    if counts.sum() <= 0.0:
+def _solve(ops, design, counts) -> list:
+    """Certified ML states for a (B, S) stack of counts, solved together:
+    (rho, unnormalised sigma) per row."""
+    if (counts.sum(-1) <= 0.0).any():
         raise ReconstructionError("no counts recorded")
-    sigma = _certified(ops, counts, _barrier_newton(design, counts))
-    rho = TwoQubitDensity.from_matrix(sigma / np.trace(sigma).real,
-                                      renormalize=True)
-    return rho, sigma
+    states = []
+    for row, sigma in zip(counts, _barrier_newton(design, counts)[0]):
+        sigma = _certified(ops, row, sigma)
+        states.append((TwoQubitDensity.from_matrix(
+            sigma / np.trace(sigma).real, renormalize=True), sigma))
+    return states
 
 
 def _log_factorials(counts) -> float:
@@ -322,7 +383,7 @@ def mle_reconstruct(records) -> tuple:
     NumericalError.
     """
     ops, counts, design = _complete_design(records)
-    rho, sigma = _solve(ops, design, counts)
+    (rho, sigma), = _solve(ops, design, counts[None])
     lam = np.einsum("sij,ji->s", ops, sigma).real
     loglik = float(counts @ np.log(lam) - lam.sum() - _log_factorials(counts))
     return rho, loglik
@@ -346,19 +407,19 @@ def log_likelihood(records, rho: TwoQubitDensity, scale: float = None) -> float:
 def bootstrap_singlet_fraction(records, resamples: int, seed: int):
     """Parametric-bootstrap sample of the singlet fraction.
 
-    Resamples each setting's counts from Poisson(observed), re-runs the
-    reconstruction on the same settings, and returns the array of singlet
-    fractions.
+    Draws every resample of each setting's counts from Poisson(observed)
+    (the draws of a resample-by-resample loop, in the same order),
+    reconstructs all of them on the same settings in one lockstep solve,
+    certifies each, and returns the array of singlet fractions.  Each
+    value is bit for bit that of ``mle_reconstruct`` on its resample.
     """
     if resamples < MIN_RESAMPLES:
         raise ContractError(f"need at least {MIN_RESAMPLES} resamples, got {resamples}")
     ops, observed, design = _complete_design(records)
-    rng = np.random.default_rng(seed)
-    values = np.empty(resamples)
-    for k in range(resamples):
-        rho, _ = _solve(ops, design, rng.poisson(observed).astype(float))
-        values[k] = singlet_fraction(rho).value
-    return values
+    draws = np.random.default_rng(seed).poisson(
+        observed, size=(resamples, len(observed))).astype(float)
+    return np.array([singlet_fraction(rho).value
+                     for rho, _ in _solve(ops, design, draws)])
 
 
 def bootstrap_uncertainty(records, resamples: int, seed: int) -> float:

@@ -124,6 +124,57 @@ def mle_multistart(ops, counts):
     return t @ t.conj().T
 
 
+def _scalar_hermitian(x):
+    return (x @ tomography._BASIS).reshape(4, 4)
+
+
+def _scalar_relative_eigvals(m, w, v):
+    half = v / np.sqrt(w)
+    return np.linalg.eigvalsh(half.conj().T @ m @ half)
+
+
+def scalar_barrier_newton(d, n):
+    """Reference ``tomography._barrier_newton``: the one-problem solver it
+    generalises, step for step, with a count of its Newton steps (linear
+    solves).  Returns (sigma, steps) for one count vector n."""
+    a = d.sum(0)
+    n_total = n.sum()
+    x = np.zeros(16)
+    x[:4] = n_total / a[:4].sum()
+    mu = n_total / 4.0
+    steps = 0
+    while True:
+        for _ in range(50):
+            w, v = np.linalg.eigh(_scalar_hermitian(x))
+            s_inv = (v / w) @ v.conj().T
+            lam = d @ x
+            grad = a - d.T @ (n / lam) - mu * (tomography._BASIS @ s_inv.T.ravel()).real
+            kron = s_inv.T[:, None, :, None] * s_inv[None, :, None, :]
+            hess = ((d.T * (n / lam ** 2)) @ d + mu * (
+                tomography._BASIS @ kron.reshape(16, 16)
+                @ tomography._BASIS.conj().T).real)
+            step = -np.linalg.solve(hess, grad)
+            steps += 1
+            decrement = -grad @ step
+            if decrement <= 1e-6 * mu:
+                break
+            r = (d @ step) / lam
+            e = _scalar_relative_eigvals(_scalar_hermitian(step), w, v)
+            t = 1.0 if e.min() > -1.0 else 0.99 / -e.min()
+            for _ in range(50):
+                change = (t * (a @ step) - n @ np.log1p(t * r)
+                          - mu * np.log1p(t * e).sum())
+                if change <= -0.25 * t * decrement:
+                    break
+                t *= 0.5
+            else:  # no decrease left at working precision
+                break
+            x = x + t * step
+        if 4.0 * mu <= 1e-10 * n_total:
+            return _scalar_hermitian(x), steps
+        mu /= 100.0
+
+
 def frank_wolfe_gap(ops, counts, rho):
     """Upper bound on the likelihood shortfall of rho (Frank-Wolfe gap).
 

@@ -277,6 +277,10 @@ BAD_CONFIGS = [
      "source.rep_rate_hz"),
     (["timetag", "sweep"], {"timetag": {"t_on_grid_ps": [float("nan")]}}, [], 2,
      "timetag.t_on_grid_ps[0]"),
+    (["timetag", "sweep"], {"timetag": {"t_on_grid_ps": [0.0, -100.0]}}, [], 2,
+     "timetag.t_on_grid_ps: filter window exceeds one repetition period"),
+    (["timetag", "analyse"], {"timetag": {"bin_ps": 200000}}, [], 2,
+     "timetag.bin_ps: span_ps"),
     (["rates"], {"rates": {"chain": dict(photostat.EfficiencyChain.measured()
                                          .to_dict(), source=[None, 0.03])}},
      [], 2, "rates: float()"),

@@ -9,7 +9,7 @@ from qdpair import twoqubit as tq
 from qdpair import wavepacket
 from qdpair.errors import ContractError, NumericalError, ReconstructionError
 from helpers import (frank_wolfe_gap, mle_multistart, random_density_matrix,
-                     uhlmann_fidelity)
+                     scalar_barrier_newton, uhlmann_fidelity)
 
 # A log of zero or a division by zero inside the solver fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -176,7 +176,7 @@ def test_likelihoods_keep_their_gammaln_values():
     ops, counts, design = tomo._complete_design(records)
     const = gammaln(counts + 1.0).sum()
     rho, loglik = tomo.mle_reconstruct(records)
-    lam = np.einsum("sij,ji->s", ops, tomo._solve(ops, design, counts)[1]).real
+    lam = np.einsum("sij,ji->s", ops, tomo._solve(ops, design, counts[None])[0][1]).real
     assert loglik == pytest.approx(counts @ np.log(lam) - lam.sum() - const,
                                    rel=1e-10)
     probs = np.einsum("sij,ji->s", ops, rho.matrix).real
@@ -246,6 +246,70 @@ def test_reconstruction_beats_multistart_oracle(records):
     oracle_rho = tq.TwoQubitDensity.from_matrix(
         oracle / np.trace(oracle).real, renormalize=True)
     assert loglik >= tomo.log_likelihood(records, oracle_rho) - gap
+
+
+def test_batched_solve_follows_each_scalar_path():
+    # Each row of one lockstep solve takes the path, bit for bit and step
+    # for step, that the one-problem solver takes on it alone.
+    cases = oracle_cases()
+    standard = [records for name, records in cases if name != "unequal times"]
+    unequal = [records for name, records in cases if name == "unequal times"]
+    ops, _, design = tomo._complete_design(standard[0])
+    counts = np.array([tomo._measurement_ops(r)[1] for r in standard])
+    batches = [(design, counts), (tomo._complete_design(unequal[0])[2],
+                                  tomo._measurement_ops(unequal[0])[1][None])]
+    for d, n in batches:
+        sigma, steps = tomo._barrier_newton(d, n)
+        for row, sigma_row, steps_row in zip(n, sigma, steps):
+            ref_sigma, ref_steps = scalar_barrier_newton(d, row)
+            assert np.array_equal(sigma_row, ref_sigma)
+            assert steps_row == ref_steps
+
+
+def test_batched_solve_keeps_the_cap_and_search_rules(monkeypatch):
+    # With a line search that sees a decrease only for steps that move
+    # every term by at most 1 % and shrink none by less than 1e-4, each of
+    # these rows ends some mu levels at the 50-step cap and others on a
+    # search that finds no decrease; the rows still follow their paths.
+    log1p = np.log1p
+    monkeypatch.setattr(np, "log1p", lambda z: log1p(z) - 10.0 * (
+        (np.abs(z) > 1e-2) | ((z < 0.0) & (np.abs(z) < 1e-4))))
+    records = [tomo.simulate_counts(tq.werner(p), tomo.standard_settings(),
+                                    3000, seed=k)
+               for k, p in enumerate((0.0, 0.7, 1.0))]
+    design = tomo._complete_design(records[0])[2]
+    counts = np.array([tomo._measurement_ops(r)[1] for r in records])
+    sigma, steps = tomo._barrier_newton(design, counts)
+    for row, sigma_row, steps_row in zip(counts, sigma, steps):
+        ref_sigma, ref_steps = scalar_barrier_newton(design, row)
+        assert np.array_equal(sigma_row, ref_sigma)
+        assert steps_row == ref_steps > 100
+
+
+def test_bootstrap_certifies_every_resample(monkeypatch):
+    ss = tomo.standard_settings()
+    records = tomo.simulate_counts(tq.werner(0.9), ss, 100000, seed=12)
+    solve = tomo._barrier_newton
+
+    def corrupt_one(d, n):
+        sigma, steps = solve(d, n)
+        sigma[len(sigma) // 2] = np.eye(4) * np.trace(sigma[0]).real / 4.0
+        return sigma, steps
+
+    monkeypatch.setattr(tomo, "_barrier_newton", corrupt_one)
+    with pytest.raises(NumericalError, match="duality gap"):
+        tomo.bootstrap_singlet_fraction(records, 50, seed=13)
+
+
+def test_setting_projector_is_built_once():
+    s = tomo.MeasurementSetting.from_names("D", "R")
+    proj = s.joint_projector()
+    joint = np.kron(tomo.waveplate_ket(22.5, 45.0), tomo.waveplate_ket(0.0, -45.0))
+    assert np.array_equal(proj, np.outer(joint, joint.conj()))
+    assert s.joint_projector() is proj and not proj.flags.writeable
+    # the kept projector takes no part in comparing or hashing settings
+    fresh = tomo.MeasurementSetting.from_names("D", "R")
+    assert fresh == s and hash(fresh) == hash(s) and repr(fresh) == repr(s)
 
 
 def test_certificate_rejects_a_non_optimal_state():
