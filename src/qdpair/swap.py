@@ -79,20 +79,29 @@ _NSYS = 8
 _NMODES = 2 * _NSYS
 _MAX_PAIRS = 2            # photon-number cutoff: SPDC pairs per source
 _CLICK_MODES = (4, 5, 6, 7)
-_POL_OF_MODE = {4: 0, 5: 1, 6: 0, 7: 1}
-_NO_ROUTE = (0, 0, (0, 0, 0, 0))  # routing key: no click, no outer photon
 
-# (detector mode 1, detector mode 2, needs sigma_z feed-forward).
+# (detector mode 1, detector mode 2, needs sigma_z feed-forward).  The two
+# detectors of a pattern are cross-polarised; detector 1 is the H one.
 # Cross-port patterns project onto the singlet directly; same-port
 # patterns herald the |Psi+> branch and need the correction.
 _PATTERNS = (
     (4, 7, False),   # port 1 H with port 2 V
-    (5, 6, False),   # port 1 V with port 2 H
+    (6, 5, False),   # port 2 H with port 1 V
     (4, 5, True),    # both clicks on port 1
     (6, 7, True),    # both clicks on port 2
 )
 
-_SIGMA_Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+_SIGMA_Z = np.array([1.0, -1.0, 1.0, -1.0])   # on the right outer qubit
+# Feed-forward sign of each pattern's coherent block.
+_SIGNS = np.array([np.outer(_SIGMA_Z, _SIGMA_Z) if corr else np.ones((4, 4))
+                   for _m1, _m2, corr in _PATTERNS])
+
+
+def _extent() -> int:
+    """Extent E of every routing-table coordinate (photons on a detector or
+    in an outer mode): an SPDC core puts at most _MAX_PAIRS photons in an
+    outer mode, quantum dots at most two classical photons in one."""
+    return max(_MAX_PAIRS, 2) + 1
 
 SOURCE_KINDS = ("qd_postselected", "spdc", "spdc_multiplexed")
 
@@ -305,7 +314,9 @@ def _expand(cores, image, base: int):
     """Keys (digits in ``base``), occupations and amplitudes of the product
     of creation operators on the vacuum, each mode replaced by its image (a
     row of ``image``).  A quantum-dot photon splits on the source
-    beamsplitter; an SPDC pair is the singlet o_h i_v - o_v i_h."""
+    beamsplitter; an SPDC pair is the singlet o_h i_v - o_v i_h.  The
+    occupations are decoded mode by mode into int8 (each below ``base``);
+    widen them before arithmetic that could overflow."""
     powers = base ** np.arange(_NMODES, dtype=np.int64)
     keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
     for side, core in enumerate(cores):
@@ -319,40 +330,39 @@ def _expand(cores, image, base: int):
                                   return_inverse=True)
             prod = (coeffs[:, None] * (_INV_SQRT2 * form[form != 0])).ravel()
             coeffs = np.bincount(inv, prod.real) + 1j * np.bincount(inv, prod.imag)
-    occ = keys[:, None] // powers % base
-    root_fact = np.sqrt([math.factorial(n) for n in range(base)])[occ]
-    return keys, occ, coeffs * root_fact.prod(axis=1)
-
-
-def _qubit_index(occ4) -> int:
-    """Map exactly-one-photon-per-arm outer occupations to the two-qubit
-    basis index (H, V ordering per arm); -1 when an arm is empty or holds
-    more than one photon (vetoed by the nodes)."""
-    if occ4[0] + occ4[1] != 1 or occ4[2] + occ4[3] != 1:
-        return -1
-    return 2 * occ4[1] + occ4[3]
+    occ = np.empty((len(keys), _NMODES), dtype=np.int8)
+    root_fact = np.sqrt([math.factorial(n) for n in range(base)])
+    rest = keys
+    for m in range(_NMODES):
+        rest, occ[:, m] = np.divmod(rest, base)
+        coeffs = coeffs * root_fact[occ[:, m]]
+    return keys, occ, coeffs
 
 
 class _Kernel(NamedTuple):
     amp: np.ndarray         # (T,) amplitude of each term
-    occ: np.ndarray         # (T, 16) its occupations
+    occ: np.ndarray         # (T, 16) its occupations (int8)
     expo: np.ndarray        # (T, 8) kept, then lost photons of oL, oR, iL, iR
     idx: np.ndarray         # (T,) qubit index of the outer occupation
     hit_term: np.ndarray    # (H,) term of each (term, pattern) hit
-    dist_group: np.ndarray  # (H,) its (pattern, sector, outer occupation)
+    hit_slot: np.ndarray    # (H,) E^4 x its sector + its outer occupation
     vec_term: np.ndarray    # term of each hit with a qubit index, and its
-    vec_slot: np.ndarray    # 4 x (pattern, sector, environment) + index
-    vec_sector: np.ndarray  # sector of each (pattern, sector, environment)
-    sectors: tuple          # (pattern, sector, outer occupations), in order
+    vec_slot: np.ndarray    # 4 x (sector, environment) + index
+    vec_sector: np.ndarray  # sector of each (sector, environment)
+    pattern: np.ndarray     # (S,) pattern of each sector
+    counts: np.ndarray      # (S, 2) its photons on detectors 1 and 2
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(core_l, core_r) -> _Kernel:
+def _kernel(core_l, core_r, extent: int) -> _Kernel:
     """Terms of the interfering-species state after loss at eta = 1/2 on
     every mode, then the midpoint beamsplitter, that some pattern does not
-    veto, and their groups.  Expanded once, each core operator replaced by
-    its image under the whole network; normalised by the core-state norm,
-    the expanded norm must be 1.  Keyed on structure: at most 6 x 6 entries."""
+    veto, and their groups as arrays; a sector is a (pattern, detector 1
+    count, detector 2 count).  Expanded once, each core operator replaced
+    by its image under the whole network.  Certified: normalised by the
+    core-state norm, the expanded norm must be 1, and every outer
+    occupation must lie below ``extent``, else NumericalError.  Cached by
+    structure and extent."""
     # Each operator puts at most one photon in any mode: keys are exact.
     base = len(core_l) + len(core_r) + 1
     assert base ** _NMODES < 2 ** 63, "occupation keys overflow int64"
@@ -365,155 +375,144 @@ def _kernel(core_l, core_r) -> _Kernel:
     hits = occ[:, _CLICK_MODES].sum(axis=1) == occ[:, m1].T + occ[:, m2].T
     keep = hits.any(axis=0)   # the terms some pattern does not veto
     keys, occ, amp, hits = keys[keep], occ[keep], amp[keep], hits[:, keep]
+    if occ[:, :4].max(initial=0) >= extent:
+        raise NumericalError("an outer occupation falls past the routing extent")
     pairs = occ.reshape(-1, 8, 2).sum(axis=2)  # oL oR, mid, lost oL oR iL iR
     photons = [sum(1 + (op[0] == "pair") for op in c) for c in (core_l, core_r)]
     kept_in = photons - pairs[:, [0, 1]] - pairs[:, [4, 5]] - pairs[:, [6, 7]]
-    expo = np.column_stack([pairs[:, :2], kept_in, pairs[:, 4:]])
+    expo = np.column_stack([pairs[:, :2], kept_in, pairs[:, 4:]]).astype(np.int8)
     idx = np.where(pairs[:, 0] * pairs[:, 1] == 1, 2 * occ[:, 1] + occ[:, 3], -1)
     p_idx, hit_term = np.nonzero(hits)
     sector = (p_idx * base + occ[hit_term, m1[p_idx]]) * base \
         + occ[hit_term, m2[p_idx]]
-    b4, b8 = base ** 4, base ** 8
-    dist, dist_group = np.unique(sector * b4 + keys[hit_term] % b4,
-                                 return_inverse=True)
-    occ4s = (dist[:, None] // base ** np.arange(4) % base).tolist()
-    sectors = {}   # dist is sorted, so each sector's groups are contiguous
-    for code, occ4 in zip((dist // b4).tolist(), occ4s):
-        sectors.setdefault(code, []).append(tuple(occ4))
+    codes, hit_sector = np.unique(sector, return_inverse=True)
+    outer = np.ravel_multi_index(occ[hit_term, :4].T, (extent,) * 4)
     q = idx[hit_term] >= 0
+    b8 = base ** 8
     env, vec_group = np.unique(sector[q] * b8 + keys[hit_term[q]] // b8,
                                return_inverse=True)
-    return _Kernel(amp, occ, expo, idx, hit_term, dist_group, hit_term[q],
+    return _Kernel(amp, occ, expo, idx, hit_term,
+                   hit_sector * extent ** 4 + outer, hit_term[q],
                    4 * vec_group + idx[hit_term[q]],
-                   np.searchsorted(list(sectors), env // b8),
-                   tuple((c // base ** 2, (c // base % base, c % base), tuple(o))
-                         for c, o in sectors.items()))
+                   np.searchsorted(codes, env // b8), codes // base ** 2,
+                   np.column_stack([codes // base % base, codes % base]))
+
+
+class _Sectors(NamedTuple):
+    counts: np.ndarray  # (S, 2) photons on detectors 1 (H) and 2 (V)
+    coh: np.ndarray     # (S, 4, 4) one-photon-per-arm block, sign corrected
+    dist: np.ndarray    # (S, E^4) outer occupation distribution
 
 
 def _sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r, eta_in_r):
-    """Pattern-resolved sector data of the interfering-species state.
-
-    For every herald pattern and every (detector 1, detector 2) photon
-    count, returns the coherent one-photon-per-arm block (4x4) and the
-    full outer occupation distribution for combination with classical
-    photons.  Detector counts outside the pattern's two modes veto the
-    sector.  Each kernel term is rescaled from eta = 1/2 by
-    (2 eta)^(kept/2) (2 (1 - eta))^(lost/2) per arm; terms with different
-    environment occupations add incoherently.
-    """
-    k = _kernel(core_l, core_r)
+    """Arrays over the kernel's sectors: detector counts, the coherent
+    one-photon-per-arm block with its feed-forward sign, and the dense
+    outer occupation distribution (E^4, C order over oLH oLV oRH oRV) for
+    combination with classical photons.  Each kernel term is rescaled from
+    eta = 1/2 by (2 eta)^(kept/2) (2 (1 - eta))^(lost/2) per arm; terms
+    with different environment occupations add incoherently."""
+    extent = _extent()
+    k = _kernel(core_l, core_r, extent)
     eta = np.array([eta_out_l, eta_out_r, eta_in_l, eta_in_r])
     roots = np.sqrt(np.concatenate([2.0 * eta, 2.0 * (1.0 - eta)]))
     amp = k.amp * np.prod(roots ** k.expo, axis=1)
     prob = (amp.real ** 2 + amp.imag ** 2)[k.hit_term]
-    probs = iter(np.bincount(k.dist_group, prob).tolist())  # sector order
+    n_sectors = len(k.pattern)
+    dist = np.bincount(k.hit_slot, prob, n_sectors * extent ** 4)
     a, n = amp[k.vec_term], 4 * len(k.vec_sector)
     v = (np.bincount(k.vec_slot, a.real, n)
          + 1j * np.bincount(k.vec_slot, a.imag, n)).reshape(-1, 4)
-    coh = np.zeros((len(k.sectors), 4, 4), dtype=complex)
+    coh = np.zeros((n_sectors, 4, 4), dtype=complex)
     np.add.at(coh, k.vec_sector, v[:, :, None] * v[:, None, :].conj())
-    blocks = {i: {} for i in range(len(_PATTERNS))}
-    for block, (p_idx, sector, occ4s) in zip(coh, k.sectors):
-        blocks[p_idx][sector] = [block, dict(zip(occ4s, probs))]
-    return blocks
+    return _Sectors(k.counts, coh * _SIGNS[k.pattern],
+                    dist.reshape(n_sectors, -1))
 
 
-def _convolve(a: dict, b: dict) -> dict:
-    """Join the routing tables of two independent photon groups.  A routing
-    table maps (added counts on detectors 1 and 2, added outer occupations)
-    to a weight; weights multiply, counts and occupations add."""
-    out: dict = {}
-    for (k1, k2, occ), w in a.items():
-        for (d1, d2, add), v in b.items():
-            key = (k1 + d1, k2 + d2, (occ[0] + add[0], occ[1] + add[1],
-                                      occ[2] + add[2], occ[3] + add[3]))
-            out[key] = out.get(key, 0.0) + w * v
-    return out
-
-
-def _side_tables(scenario: SwapScenario, side: int) -> dict:
+def _side_tables(scenario: SwapScenario) -> dict:
     """Routing tables of one source's classical photons, pooled over its
-    emission branches by core structure: core -> one weighted table per
-    pattern.  Clicks outside the pattern kill the branch and are omitted;
-    an in-line photon can click only the pattern detector of its own
-    polarisation.  Broadband photons are absorbed by the midpoint line
-    filter, so their only surviving route is an outer node."""
+    emission branches by core structure: core -> (E,) * 4 weights over
+    (photons on detector 1, on detector 2, in its outer H, outer V mode).
+    Detector 1 is every pattern's H detector, so one table serves all
+    four; clicks outside the pattern kill the branch and are omitted.  An
+    in-line photon can click only the detector of its own polarisation;
+    broadband photons are absorbed by the midpoint line filter, so their
+    only surviving route is an outer node.  Each photon adds one along an
+    axis with some weight; past the extent it raises NumericalError."""
+    extent = _extent()
     eta_out, eta_in = scenario.eta_collect, scenario.eta_inner
     tables: dict = {}
     for w, core, classical in _side_branches(scenario):
-        pooled = tables.setdefault(core, [{} for _ in _PATTERNS])
-        for (m1, _m2, _corr), acc in zip(_PATTERNS, pooled):
-            routes = {_NO_ROUTE: w}
-            for pol, in_line in classical:
-                outer = tuple(int(m == 2 * side + pol) for m in range(4))
-                photon = {(0, 0, outer): 0.5 * eta_out,
-                          _NO_ROUTE: 1.0 - 0.5 * eta_out
-                          - (0.5 * eta_in if in_line else 0.0)}
-                if in_line:  # the pattern's detectors are cross-polarised
-                    hit = int(_POL_OF_MODE[m1] == pol)
-                    photon[(hit, 1 - hit, (0, 0, 0, 0))] = 0.25 * eta_in
-                routes = _convolve(routes, photon)
-            for key, v in routes.items():
-                acc[key] = acc.get(key, 0.0) + v
+        routes = np.zeros((extent,) * 4)
+        routes[0, 0, 0, 0] = w
+        for pol, in_line in classical:
+            moves = [(2 + pol, 0.5 * eta_out)] + [(pol, 0.25 * eta_in)] * in_line
+            out = (1.0 - 0.5 * eta_out - (0.5 * eta_in if in_line else 0.0)) * routes
+            for axis, weight in moves:
+                head = (slice(None),) * axis
+                if routes[head + (-1,)].any():
+                    raise NumericalError("a photon falls past the routing extent")
+                out[head + (slice(1, None),)] += weight * routes[head + (slice(-1),)]
+            routes = out
+        tables[core] = tables.get(core, 0.0) + routes
     return tables
 
 
-def _accepted(k1: int, k2: int, pnr: bool) -> bool:
-    if pnr:
-        return k1 == 1 and k2 == 1
-    return k1 >= 1 and k2 >= 1
+def _join(left, right):
+    """Routing table of both sources' classical photons: (E,) * 6 weights
+    over (detector 1, detector 2, oLH, oLV, oRH, oRV).  Detector counts
+    convolve, each source keeps its own outer modes (an outer product) and
+    weights multiply.  A count past the extent raises NumericalError, as
+    the kernel certifies its norm."""
+    e = left.shape[0]
+    out = np.zeros((2 * e - 1, 2 * e - 1) + (e,) * 4)
+    for d1, d2 in np.argwhere(left.any(axis=(2, 3))):
+        out[d1:d1 + e, d2:d2 + e] += (left[None, None, d1, d2, :, :, None, None]
+                                      * right[:, :, None, None])
+    if out[e:].any() or out[:, e:].any():
+        raise NumericalError("a detector count falls past the routing extent")
+    return out[:e, :e]
 
 
-def _arm_probs(h: int, v: int, pnr: bool):
-    """Polarisation-read probabilities (pH, pV) for one outer arm, or
-    None when the arm is rejected.  Number-resolving nodes veto
-    anything but a single photon; threshold nodes accept multi-photon
-    arrivals but the read-out carries no usable correlation, so the arm
-    reads as a random polarisation."""
-    n = h + v
-    if n == 1:
-        return (1.0, 0.0) if h == 1 else (0.0, 1.0)
-    if pnr or n == 0:
-        return None
-    return (0.5, 0.5)
+@functools.lru_cache(maxsize=None)
+def _readout(extent: int, pnr: bool) -> np.ndarray:
+    """Read-out weights of the outer arms, (E^4, E^4, 4) over (interfering,
+    classical photons' outer occupation, two-qubit index).  Number-resolving
+    nodes veto anything but one photon per arm; threshold nodes accept more,
+    read as a random polarisation.  The clean entries (no classical photon,
+    one interfering photon per arm) are zero: the coherent block has them."""
+    n = 2 * extent - 1
+    arm = np.zeros((n, n, 2))   # (H, V photons in an arm) -> weight read H, V
+    arm[1, 0, 0] = arm[0, 1, 1] = 1.0
+    if not pnr:
+        arm[np.add.outer(range(n), range(n)) >= 2] = 0.5
+    occ = np.indices((extent,) * 4).reshape(4, -1)
+    tot = occ[:, :, None] + occ[:, None, :]
+    table = (arm[tot[0], tot[1], :, None]
+             * arm[tot[2], tot[3], None, :]).reshape(occ.shape[1], -1, 4)
+    table[(occ[0] + occ[1] == 1) & (occ[2] + occ[3] == 1), 0] = 0.0
+    table.flags.writeable = False
+    return table
 
 
-def _pattern_state(blocks, combos_by_pattern, pnr: bool):
-    """Accumulate the corrected heralded two-qubit operator (unnormalised)
-    of one core-structure pair, its routing tables already weighted."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for p_idx, (m1, m2, corr) in enumerate(_PATTERNS):
-        coh_acc = np.zeros((4, 4), dtype=complex)
-        diag_acc = np.zeros(4)
-        combos = combos_by_pattern[p_idx]
-        for (k1, k2), (coh, occ_dist) in blocks[p_idx].items():
-            for (d1, d2, dout), cw in combos.items():
-                if not _accepted(k1 + d1, k2 + d2, pnr):
-                    continue
-                if dout == (0, 0, 0, 0):
-                    coh_acc += cw * coh
-                clean = dout == (0, 0, 0, 0)
-                for occ4, prob in occ_dist.items():
-                    tot = (occ4[0] + dout[0], occ4[1] + dout[1],
-                           occ4[2] + dout[2], occ4[3] + dout[3])
-                    if clean and _qubit_index(tot) >= 0:
-                        continue  # single-photon arms, inside coh
-                    # A distinguishable or supernumerary photon at a
-                    # node decoheres that arm; the event contributes
-                    # classically.
-                    pl = _arm_probs(tot[0], tot[1], pnr)
-                    pr = _arm_probs(tot[2], tot[3], pnr)
-                    if pl is None or pr is None:
-                        continue
-                    for lv in (0, 1):
-                        for rv in (0, 1):
-                            diag_acc[2 * lv + rv] += \
-                                cw * prob * pl[lv] * pr[rv]
-        block = coh_acc + np.diag(diag_acc)
-        if corr:
-            block = block * np.outer(_SIGMA_Z_SIGNS, _SIGMA_Z_SIGNS)
-        rho += block
-    return rho
+def _pattern_state(sectors: _Sectors, routes, pnr: bool):
+    """Corrected heralded two-qubit operator (unnormalised) of one
+    core-structure pair, from its sector blocks and the joined routing table
+    of its classical photons, weights included.  Plain einsum contractions:
+    these operands are too small for BLAS to pay."""
+    extent = routes.shape[0]
+    routes = routes.reshape(extent, extent, -1)
+    present = routes.any(axis=(0, 1))
+    present[0] = True   # the clean column carries the coherent blocks
+    cols = np.flatnonzero(present)
+    # Number-resolving detectors need exactly one photon each, threshold
+    # ones at least one: accept[s, d1, d2] for the routed counts d1, d2.
+    total = sectors.counts[:, :, None] + np.arange(extent)
+    ok = total == 1 if pnr else total >= 1
+    accept = ok[:, 0, :, None] & ok[:, 1, None, :]
+    w = np.einsum("sab,abo->so", accept.astype(float), routes[:, :, cols])
+    joint = np.einsum("so,sq->oq", w, sectors.dist)
+    diag = np.einsum("oq,qol->l", joint, _readout(extent, pnr)[:, cols])
+    return np.einsum("s,sij->ij", w[:, 0], sectors.coh) + np.diag(diag)
 
 
 def heralded_state(left: SwapScenario, right: SwapScenario):
@@ -529,16 +528,15 @@ def heralded_state(left: SwapScenario, right: SwapScenario):
         raise ContractError("the midpoint station has one detector type; "
                             "pnr flags must match")
     rho = np.zeros((4, 4), dtype=complex)
-    tables_r = _side_tables(right, 1)
-    for core_l, routes_l in _side_tables(left, 0).items():
+    tables_l = _side_tables(left)
+    tables_r = tables_l if right == left else _side_tables(right)
+    for core_l, routes_l in tables_l.items():
         for core_r, routes_r in tables_r.items():
-            blocks = _sector_blocks(core_l, core_r,
-                                    left.eta_collect, left.eta_inner,
-                                    right.eta_collect, right.eta_inner)
-            combos = [_convolve(a, b) for a, b in zip(routes_l, routes_r)]
-            rho += _pattern_state(blocks, combos, left.pnr)
-    herald = float(np.trace(rho).real)
-    return rho, herald
+            sectors = _sector_blocks(core_l, core_r,
+                                     left.eta_collect, left.eta_inner,
+                                     right.eta_collect, right.eta_inner)
+            rho += _pattern_state(sectors, _join(routes_l, routes_r), left.pnr)
+    return rho, float(np.trace(rho).real)
 
 
 def swap_once(left: SwapScenario, right: SwapScenario) -> SwapResult:
@@ -601,12 +599,13 @@ def _pair_configs(scenario: SwapScenario) -> dict:
     weights, at the scenario's efficiencies and ``pnr``."""
     etas = (scenario.eta_collect, scenario.eta_inner) * 2
     cores = [(("pair",),) * n for n in range(_MAX_PAIRS + 1)]
-    empty = [{_NO_ROUTE: 1.0}] * len(_PATTERNS)
+    unrouted = np.zeros((_extent(),) * 6)   # SPDC has no classical photons
+    unrouted[(0,) * 6] = 1.0
     configs = {}
     for n_l, core_l in enumerate(cores):
         for n_r, core_r in enumerate(cores):
-            blocks = _sector_blocks(core_l, core_r, *etas)
-            configs[(n_l, n_r)] = _pattern_state(blocks, empty, scenario.pnr)
+            sectors = _sector_blocks(core_l, core_r, *etas)
+            configs[(n_l, n_r)] = _pattern_state(sectors, unrouted, scenario.pnr)
     return configs
 
 

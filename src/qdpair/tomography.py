@@ -315,22 +315,25 @@ def _barrier_newton(d, n) -> tuple:
     return sigma, steps
 
 
-def _certified(ops, counts, sigma) -> np.ndarray:
+def _certified(ops, counts, sigma, a_total=None, a_eigh=None) -> np.ndarray:
     """Rescale sigma to Tr[sigma A] = N and certify its likelihood.
 
     f(sigma) = Tr[sigma A] - sum n_s log Tr[sigma Pi_s] is convex with
     gradient G = A - sum (n_s / lam_s) Pi_s, and its minimiser lies in
     {tau >= 0, Tr[tau A] = N}.  Over that set the Frank-Wolfe gap
     Tr[G sigma] - N lambda_min(G, A) bounds f(sigma) - min f from above;
-    a gap above GAP_BOUND * N raises NumericalError.
+    a gap above GAP_BOUND * N raises NumericalError.  A stack of rows on
+    one design passes A = ops.sum(0) and its ``eigh`` once for all.
     """
-    a_total = ops.sum(0)
+    if a_total is None:
+        a_total = ops.sum(0)
+        a_eigh = np.linalg.eigh(a_total)
     n_total = counts.sum()
     sigma = sigma * (n_total / np.trace(sigma @ a_total).real)
     lam = np.einsum("sij,ji->s", ops, sigma).real
     g = a_total - np.einsum("s,sij->ij", counts / lam, ops)
     gap = (np.trace(g @ sigma).real
-           - n_total * _relative_eigvals(g, *np.linalg.eigh(a_total))[0])
+           - n_total * _relative_eigvals(g, *a_eigh)[0])
     if not gap <= GAP_BOUND * n_total:
         raise NumericalError(f"likelihood duality gap {gap:.3g} exceeds "
                              f"the bound {GAP_BOUND * n_total:.3g}")
@@ -358,9 +361,11 @@ def _solve(ops, design, counts) -> list:
     (rho, unnormalised sigma) per row."""
     if (counts.sum(-1) <= 0.0).any():
         raise ReconstructionError("no counts recorded")
+    a_total = ops.sum(0)
+    a_eigh = np.linalg.eigh(a_total)
     states = []
     for row, sigma in zip(counts, _barrier_newton(design, counts)[0]):
-        sigma = _certified(ops, row, sigma)
+        sigma = _certified(ops, row, sigma, a_total, a_eigh)
         states.append((TwoQubitDensity.from_matrix(
             sigma / np.trace(sigma).real, renormalize=True), sigma))
     return states

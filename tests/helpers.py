@@ -343,6 +343,129 @@ def branch_sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r,
     return blocks
 
 
+# Dict routing path, the reference for the swap model's routing arrays: a
+# routing table maps (added counts on detectors 1 and 2, added outer
+# occupations) to a weight, and the pattern pass walks every entry.
+
+_POL_OF_MODE = {4: 0, 5: 1, 6: 0, 7: 1}
+_NO_ROUTE = (0, 0, (0, 0, 0, 0))  # routing key: no click, no outer photon
+_SIGMA_Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """Join the routing tables of two independent photon groups.  A routing
+    table maps (added counts on detectors 1 and 2, added outer occupations)
+    to a weight; weights multiply, counts and occupations add."""
+    out: dict = {}
+    for (k1, k2, occ), w in a.items():
+        for (d1, d2, add), v in b.items():
+            key = (k1 + d1, k2 + d2, (occ[0] + add[0], occ[1] + add[1],
+                                      occ[2] + add[2], occ[3] + add[3]))
+            out[key] = out.get(key, 0.0) + w * v
+    return out
+
+
+def _side_tables(scenario, side: int) -> dict:
+    """Routing tables of one source's classical photons, pooled over its
+    emission branches by core structure: core -> one weighted table per
+    pattern.  Clicks outside the pattern kill the branch and are omitted;
+    an in-line photon can click only the pattern detector of its own
+    polarisation.  Broadband photons are absorbed by the midpoint line
+    filter, so their only surviving route is an outer node."""
+    eta_out, eta_in = scenario.eta_collect, scenario.eta_inner
+    tables: dict = {}
+    for w, core, classical in swap._side_branches(scenario):
+        pooled = tables.setdefault(core, [{} for _ in swap._PATTERNS])
+        for (m1, _m2, _corr), acc in zip(swap._PATTERNS, pooled):
+            routes = {_NO_ROUTE: w}
+            for pol, in_line in classical:
+                outer = tuple(int(m == 2 * side + pol) for m in range(4))
+                photon = {(0, 0, outer): 0.5 * eta_out,
+                          _NO_ROUTE: 1.0 - 0.5 * eta_out
+                          - (0.5 * eta_in if in_line else 0.0)}
+                if in_line:  # the pattern's detectors are cross-polarised
+                    hit = int(_POL_OF_MODE[m1] == pol)
+                    photon[(hit, 1 - hit, (0, 0, 0, 0))] = 0.25 * eta_in
+                routes = _convolve(routes, photon)
+            for key, v in routes.items():
+                acc[key] = acc.get(key, 0.0) + v
+    return tables
+
+
+def _accepted(k1: int, k2: int, pnr: bool) -> bool:
+    if pnr:
+        return k1 == 1 and k2 == 1
+    return k1 >= 1 and k2 >= 1
+
+
+def _arm_probs(h: int, v: int, pnr: bool):
+    """Polarisation-read probabilities (pH, pV) for one outer arm, or
+    None when the arm is rejected.  Number-resolving nodes veto
+    anything but a single photon; threshold nodes accept multi-photon
+    arrivals but the read-out carries no usable correlation, so the arm
+    reads as a random polarisation."""
+    n = h + v
+    if n == 1:
+        return (1.0, 0.0) if h == 1 else (0.0, 1.0)
+    if pnr or n == 0:
+        return None
+    return (0.5, 0.5)
+
+
+def _pattern_state(blocks, combos_by_pattern, pnr: bool):
+    """Accumulate the corrected heralded two-qubit operator (unnormalised)
+    of one core-structure pair, its routing tables already weighted."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for p_idx, (m1, m2, corr) in enumerate(swap._PATTERNS):
+        coh_acc = np.zeros((4, 4), dtype=complex)
+        diag_acc = np.zeros(4)
+        combos = combos_by_pattern[p_idx]
+        for (k1, k2), (coh, occ_dist) in blocks[p_idx].items():
+            for (d1, d2, dout), cw in combos.items():
+                if not _accepted(k1 + d1, k2 + d2, pnr):
+                    continue
+                if dout == (0, 0, 0, 0):
+                    coh_acc += cw * coh
+                clean = dout == (0, 0, 0, 0)
+                for occ4, prob in occ_dist.items():
+                    tot = (occ4[0] + dout[0], occ4[1] + dout[1],
+                           occ4[2] + dout[2], occ4[3] + dout[3])
+                    if clean and qubit_index(tot) >= 0:
+                        continue  # single-photon arms, inside coh
+                    # A distinguishable or supernumerary photon at a
+                    # node decoheres that arm; the event contributes
+                    # classically.
+                    pl = _arm_probs(tot[0], tot[1], pnr)
+                    pr = _arm_probs(tot[2], tot[3], pnr)
+                    if pl is None or pr is None:
+                        continue
+                    for lv in (0, 1):
+                        for rv in (0, 1):
+                            diag_acc[2 * lv + rv] += \
+                                cw * prob * pl[lv] * pr[rv]
+        block = coh_acc + np.diag(diag_acc)
+        if corr:
+            block = block * np.outer(_SIGMA_Z_SIGNS, _SIGMA_Z_SIGNS)
+        rho += block
+    return rho
+
+
+def pooled_heralded_state(left, right):
+    """Reference ``swap.heralded_state`` on the dict routing path: each
+    source's routing tables pooled by core structure and joined per
+    pattern, with the sector blocks of ``branch_sector_blocks``."""
+    etas = (left.eta_collect, left.eta_inner, right.eta_collect,
+            right.eta_inner)
+    rho = np.zeros((4, 4), dtype=complex)
+    tables_r = _side_tables(right, 1)
+    for core_l, routes_l in _side_tables(left, 0).items():
+        for core_r, routes_r in tables_r.items():
+            blocks = branch_sector_blocks(core_l, core_r, *etas)
+            combos = [_convolve(a, b) for a, b in zip(routes_l, routes_r)]
+            rho += _pattern_state(blocks, combos, left.pnr)
+    return rho, float(np.trace(rho).real)
+
+
 def _joint_profile_combos(classical_l, classical_r, pattern, etas_l, etas_r):
     """Routing outcomes of both sides' distinguishable photons for one
     pattern, folded photon by photon: weight by (added count on detector
@@ -358,9 +481,9 @@ def _joint_profile_combos(classical_l, classical_r, pattern, etas_l, etas_r):
         outer = [0, 0, 0, 0]
         outer[2 * side + pol] = 1
         options.append(((0, 0, tuple(outer)), 0.5 * eta_out))
-        if swap._POL_OF_MODE[m1] == pol and in_line:
+        if _POL_OF_MODE[m1] == pol and in_line:
             options.append(((1, 0, (0, 0, 0, 0)), 0.25 * eta_in))
-        if swap._POL_OF_MODE[m2] == pol and in_line:
+        if _POL_OF_MODE[m2] == pol and in_line:
             options.append(((0, 1, (0, 0, 0, 0)), 0.25 * eta_in))
         new = {}
         for (k1, k2, dout), w in combos.items():
@@ -376,7 +499,8 @@ def joint_profile_heralded_state(left, right):
     """Reference ``swap.heralded_state``: every emission branch of the left
     source paired with every branch of the right one, grouped by core
     structure, with the routing table of each joint classical profile
-    built from both sides' photons and the pattern pass run per profile."""
+    built from both sides' photons and the dict pattern pass run per
+    profile on the sector blocks of ``branch_sector_blocks``."""
     etas_l = (left.eta_collect, left.eta_inner)
     etas_r = (right.eta_collect, right.eta_inner)
     pool = {}
@@ -387,11 +511,11 @@ def joint_profile_heralded_state(left, right):
                 + w_l * w_r
     rho = np.zeros((4, 4), dtype=complex)
     for (core_l, core_r), profiles in pool.items():
-        blocks = swap._sector_blocks(core_l, core_r, *etas_l, *etas_r)
+        blocks = branch_sector_blocks(core_l, core_r, *etas_l, *etas_r)
         for (cl_l, cl_r), w in profiles.items():
             combos = [_joint_profile_combos(cl_l, cl_r, pat, etas_l, etas_r)
                       for pat in swap._PATTERNS]
-            rho += w * swap._pattern_state(blocks, combos, left.pnr)
+            rho += w * _pattern_state(blocks, combos, left.pnr)
     return rho, float(np.trace(rho).real)
 
 

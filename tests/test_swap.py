@@ -8,8 +8,8 @@ import pytest
 from qdpair import photostat, swap
 from qdpair import twoqubit as tq
 from qdpair.errors import ConfigError, ModelDomainError, NumericalError
-from helpers import (branch_sector_blocks, joint_profile_heralded_state,
-                     mixing_kernel)
+from helpers import (joint_profile_heralded_state, mixing_kernel,
+                     pooled_heralded_state)
 
 QD = swap.SwapScenario.qd_headline()
 SPDC = swap.SwapScenario.spdc_reference()
@@ -105,9 +105,10 @@ def test_heralded_state_consistent_with_swap_once():
 
 
 @pytest.mark.parametrize("pnr", (True, False))
-def test_heralded_state_matches_branch_kernel(monkeypatch, pnr):
+def test_heralded_state_matches_branch_kernel(pnr):
     # pairings no other test swaps: unequal losses, two unlike SPDC sources,
-    # and a quantum dot against SPDC, against the per-branch Kraus kernel
+    # and a quantum dot against SPDC, against the dict routing path on the
+    # per-branch Kraus kernel
     qd_a = dataclasses.replace(QD, channel_loss_db=2.0)
     qd_b = dataclasses.replace(QD, qd_g2=0.04, qd_I=0.9, eta_s=0.6,
                                channel_loss_db=13.0)
@@ -120,10 +121,9 @@ def test_heralded_state_matches_branch_kernel(monkeypatch, pnr):
               dataclasses.replace(right, pnr=pnr))
              for left, right in ((qd_a, qd_b), (spdc_a, spdc_b),
                                  (qd_b, spdc_a))]
-    got = [swap.heralded_state(left, right) for left, right in pairs]
-    monkeypatch.setattr(swap, "_sector_blocks", branch_sector_blocks)
-    for (rho, herald), (left, right) in zip(got, pairs):
-        rho_ref, herald_ref = swap.heralded_state(left, right)
+    for left, right in pairs:
+        rho, herald = swap.heralded_state(left, right)
+        rho_ref, herald_ref = pooled_heralded_state(left, right)
         assert herald_ref > 0.0
         assert abs(herald - herald_ref) <= 1e-12 * herald_ref
         assert np.max(np.abs(rho - rho_ref)) <= 1e-12 * np.max(np.abs(rho_ref))
@@ -163,25 +163,27 @@ def fresh_kernels():
     swap._kernel.cache_clear()
 
 
-def kernel_terms(k):
+def kernel_terms(k, extent):
     """A kernel's arrays as {(outer occupation, environment, hits):
     (amplitude, (kept, lost) of the arms oL, iL, oR, iR, qubit index)},
-    with hits read from the group indices, which are checked on the way."""
+    with hits read from the sector arrays, which are checked on the way."""
     occ = [tuple(row) for row in k.occ.tolist()]
     idx = k.idx.tolist()
-    labels = [(p_idx, sector, occ4) for p_idx, sector, occ4s in k.sectors
-              for occ4 in occ4s]
+    labels = [(p_idx, tuple(counts)) for p_idx, counts
+              in zip(k.pattern.tolist(), k.counts.tolist())]
+    assert len(set(labels)) == len(labels)
     hits = {}
-    for t, g in zip(k.hit_term.tolist(), k.dist_group.tolist()):
-        assert labels[g][2] == occ[t][:4]
-        hits.setdefault(t, []).append(labels[g][:2])
+    for t, slot in zip(k.hit_term.tolist(), k.hit_slot.tolist()):
+        sector, outer = divmod(slot, extent ** 4)
+        assert np.unravel_index(outer, (extent,) * 4) == occ[t][:4]
+        hits.setdefault(t, []).append(labels[sector])
     assert sorted(hits) == list(range(len(occ)))
-    # each (pattern, sector, environment) group gathers exactly the hits
-    # of the terms with a qubit index
+    # each (sector, environment) group gathers exactly the hits of the
+    # terms with a qubit index
     assert np.array_equal(k.vec_slot % 4, k.idx[k.vec_term])
     groups, vec_hits = {}, []
     for t, g in zip(k.vec_term.tolist(), (k.vec_slot // 4).tolist()):
-        key = k.sectors[k.vec_sector[g]][:2] + (occ[t][8:],)
+        key = labels[k.vec_sector[g]] + (occ[t][8:],)
         assert groups.setdefault(g, key) == key
         vec_hits.append((t, key[:2]))
     assert len(set(groups.values())) == len(groups)
@@ -196,7 +198,8 @@ def kernel_terms(k):
 
 def assert_kernel_matches_oracle(core_l, core_r):
     ref = mixing_kernel(core_l, core_r)
-    got = kernel_terms(swap._kernel(core_l, core_r))
+    extent = swap._extent()
+    got = kernel_terms(swap._kernel(core_l, core_r, extent), extent)
     assert len(got) == len(ref)
     for amp, arms, occ4, idx, env, hits in ref:
         g_amp, g_arms, g_idx = got[(occ4, env, hits)]
@@ -231,7 +234,40 @@ def test_kernel_certifies_its_norm(monkeypatch, fresh_kernels):
     lossy[:, 8:] = 0.0
     monkeypatch.setattr(swap, "_NETWORK", lossy)
     with pytest.raises(NumericalError):
-        swap._kernel((PAIR,), (PAIR,))
+        swap._kernel((PAIR,), (PAIR,), swap._extent())
+
+
+@pytest.mark.parametrize("pnr", (True, False))
+def test_heralded_state_matches_dict_path_at_cutoff_3(monkeypatch,
+                                                      fresh_kernels, pnr):
+    # a fourth extent value per coordinate: three SPDC pairs put up to three
+    # photons in an outer mode of the right arm, and the quantum dot's
+    # classical photons reach the detectors and the left arm
+    monkeypatch.setattr(swap, "_MAX_PAIRS", 3)
+    assert swap._extent() == 4
+    left = dataclasses.replace(QD, qd_g2=0.05, qd_I=0.9, channel_loss_db=4.0,
+                               pnr=pnr)
+    right = dataclasses.replace(SPDC, spdc_p1=0.08, fidelity_floor=None,
+                                channel_loss_db=2.0, pnr=pnr)
+    rho, herald = swap.heralded_state(left, right)
+    rho_ref, herald_ref = pooled_heralded_state(left, right)
+    assert herald_ref > 0.0
+    assert abs(herald - herald_ref) <= 1e-12 * herald_ref
+    assert np.max(np.abs(rho - rho_ref)) <= 1e-12 * np.max(np.abs(rho_ref))
+
+
+def test_routing_certifies_its_extent(monkeypatch, fresh_kernels):
+    # at extent 2 each source's in-line photons still fit (one per detector
+    # and outer mode), but two sources' H photons can both reach detector 1
+    monkeypatch.setattr(swap, "_extent", lambda: 2)
+    qd = dataclasses.replace(QD, qd_g2=0.0, qd_I=0.9)
+    assert all(t.shape == (2,) * 4 for t in swap._side_tables(qd).values())
+    with pytest.raises(NumericalError, match="detector count"):
+        swap.heralded_state(qd, qd)
+    # and one source's two H photons cannot share its outer H mode
+    noisy = dataclasses.replace(qd, qd_g2=0.05)
+    with pytest.raises(NumericalError, match="routing extent"):
+        swap._side_tables(noisy)
 
 
 # fig5's headline scenarios at 0, 10 and 20 dB with one multiplexed column,
