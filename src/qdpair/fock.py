@@ -19,19 +19,19 @@ so a 50:50 splitter sends |H>_a |V>_b to
 (|H>_c|V>_d + i|HV>_c + i|HV>_d - |H>_d|V>_c) / 2, and two identical
 photons bunch completely (no coincidence term).
 
-The same machinery runs on wider mode sets (the entanglement-swapping
-layout has sixteen: eight modes and their loss environments; ``swap``
-substitutes each creation operator by its image under this map instead
-of mixing states pass by pass), so the mode count is a constructor
-argument; the four-mode layout above is only the default.  Loss is the
-same two-mode mix, onto an empty environment mode.
+One engine, ``expand``, runs every linear network (Scheel,
+quant-ph/0406127): each a_m^dag of a term is replaced by its image, row
+m of a mode-transfer matrix, and the product expanded on the vacuum.  It
+also runs the sixteen-mode entanglement-swapping layout (eight modes and
+their loss environments), so the mode count is a constructor argument.
+Loss maps each mode onto itself and an empty environment mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -156,23 +156,53 @@ def tensor(left: FockState, right: FockState) -> FockState:
     return FockState(out, nmax=left.nmax, nmodes=left.nmodes)
 
 
-def _bs_expansion(m: int, n: int, t: float):
-    """Image of (i^dag)^m (j^dag)^n under the two-mode mix, as a list of
-    (photons in i, photons in j, amplitude) for normalised kets."""
-    r = math.sqrt(max(0.0, 1.0 - t * t))
-    ir = 1j * r
-    norm = math.sqrt(math.factorial(m) * math.factorial(n))
-    out = []
-    for p in range(m + 1):
-        for q in range(n + 1):
-            k1 = p + q
-            k2 = m + n - k1
-            amp = (math.comb(m, p) * math.comb(n, q)
-                   * (t ** (p + n - q)) * (ir ** (m - p + q))
-                   * math.sqrt(math.factorial(k1) * math.factorial(k2)) / norm)
-            if amp != 0:
-                out.append((k1, k2, amp))
-    return tuple(out)
+def expand(factors, nmodes: int, base: int):
+    """Keys (digits in ``base``), int8 occupations (widen them before
+    arithmetic) and amplitudes of the product of ``factors`` on the vacuum
+    of ``nmodes`` modes: a 1-D factor is sum_k f_k a_k^dag, a 2-D one sum_kl
+    f_kl a_k^dag a_l^dag.  ``base`` must exceed every occupation reached;
+    past int8 occupations or int64 keys it raises ContractError."""
+    if base > 128 or base ** nmodes >= 2 ** 63:
+        raise ContractError(f"keys in base {base} overflow on {nmodes} modes")
+    powers = base ** np.arange(nmodes, dtype=np.int64)
+    keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    for form in factors:
+        step = powers if form.ndim == 1 else powers[:, None] + powers
+        keys, inv = np.unique((keys[:, None] + step[form != 0]).ravel(),
+                              return_inverse=True)
+        prod = (coeffs[:, None] * form[form != 0]).ravel()
+        coeffs = np.bincount(inv, prod.real) + 1j * np.bincount(inv, prod.imag)
+    occ = np.empty((len(keys), nmodes), dtype=np.int8)
+    root_fact = np.sqrt([math.factorial(n) for n in range(base)])
+    rest = keys
+    for m in range(nmodes):
+        rest, occ[:, m] = np.divmod(rest, base)
+        coeffs = coeffs * root_fact[occ[:, m]]
+    return keys, occ, coeffs
+
+
+def _image(state: FockState, transfer) -> dict:
+    """Terms of ``state`` with each a_m^dag replaced by row m of the
+    ``transfer`` matrix, in the order they first appear across the input
+    terms; keys in base (largest total photon number + 1)."""
+    base = max(map(sum, state.terms), default=0) + 1
+    out: dict = {}
+    for occ, amp in state.terms.items():
+        factors = [transfer[m] for m, n in enumerate(occ) for _ in range(n)]
+        _, new, coeffs = expand(factors, transfer.shape[1], base)
+        amp /= math.sqrt(math.prod(map(math.factorial, occ)))
+        for key, c in zip(map(tuple, new.tolist()), coeffs.tolist()):
+            out[key] = out.get(key, 0.0 + 0.0j) + amp * c
+    return out
+
+
+def _mix(state: FockState, pairs) -> FockState:
+    """One image of ``state`` under two-mode mixes of disjoint (i, j, T)."""
+    u = np.eye(state.nmodes, dtype=complex)
+    for i, j, transmissivity in pairs:
+        t, r = math.sqrt(transmissivity), math.sqrt(1.0 - transmissivity)
+        u[[i, i, j, j], [i, j, i, j]] = t, 1j * r, 1j * r, t
+    return FockState(_image(state, u), nmax=state.nmax, nmodes=state.nmodes)
 
 
 def two_mode_mix(state: FockState, mode_i: int, mode_j: int,
@@ -187,20 +217,7 @@ def two_mode_mix(state: FockState, mode_i: int, mode_j: int,
         raise ContractError(f"transmissivity {transmissivity} outside [0, 1]")
     if mode_i == mode_j:
         raise ContractError("mode pair must be distinct")
-    t = math.sqrt(transmissivity)
-    out = {}
-    for occ, amp in state.terms.items():
-        m, n = occ[mode_i], occ[mode_j]
-        if m == 0 and n == 0:
-            out[occ] = out.get(occ, 0.0 + 0.0j) + amp
-            continue
-        for k1, k2, coeff in _bs_expansion(m, n, t):
-            new = list(occ)
-            new[mode_i] = k1
-            new[mode_j] = k2
-            new = tuple(new)
-            out[new] = out.get(new, 0.0 + 0.0j) + amp * coeff
-    return FockState(out, nmax=state.nmax, nmodes=state.nmodes)
+    return _mix(state, [(mode_i, mode_j, transmissivity)])
 
 
 @dataclass(frozen=True)
@@ -231,9 +248,8 @@ def apply_beamsplitter(state: FockState, spec: BeamsplitterSpec = None) -> FockS
         raise ContractError("apply_beamsplitter expects the four-mode layout")
     if spec is None:
         spec = BeamsplitterSpec.balanced()
-    out = two_mode_mix(state, 0, 2, spec.transmissivity_h)
-    out = two_mode_mix(out, 1, 3, spec.transmissivity_v)
-    return out
+    return _mix(state, [(0, 2, spec.transmissivity_h),
+                        (1, 3, spec.transmissivity_v)])
 
 
 def post_select_coincidence(state: FockState):
@@ -259,27 +275,25 @@ def post_select_coincidence(state: FockState):
 def loss_channel(state: FockState, etas) -> list:
     """Apply independent per-mode loss, branching over Kraus outcomes.
 
-    ``etas`` is a per-mode survival probability sequence.  Mode m is mixed
-    with transmissivity ``etas[m]`` onto its own empty environment mode;
-    each branch is one environment occupation (photons lost per mode), in
-    lexicographic order.  The factor i per reflected photon is undone, so
-    a term |n> of the branch losing l carries the Kraus amplitude
-    sqrt(C(n, l) eta^(n - l) (1 - eta)^l).  Returns a list of
-    ``(probability, normalised FockState)`` pairs summing to the input
-    norm; branches below 1e-18 weight are dropped.
+    ``etas`` is a per-mode survival probability sequence, each in [0, 1].
+    Mode m is dilated onto its own empty environment mode by the real map
+    a_m^dag -> sqrt(eta_m) a_m^dag + sqrt(1 - eta_m) e_m^dag, so each
+    branch is one environment occupation (photons lost per mode), in
+    lexicographic order, and a term |n> of the branch losing l carries the
+    Kraus amplitude sqrt(C(n, l) eta^(n - l) (1 - eta)^l) with no phase.
+    Returns a list of ``(probability, normalised FockState)`` pairs
+    summing to the input norm; branches below 1e-18 weight are dropped.
     """
-    etas = list(etas)
+    etas = np.fromiter(etas, dtype=float)
     n = state.nmodes
     if len(etas) != n:
         raise ContractError("need one survival probability per mode")
-    dilated = FockState({occ + (0,) * n: amp for occ, amp in state.terms.items()},
-                        nmax=state.nmax, nmodes=2 * n)
-    for m, eta in enumerate(etas):
-        dilated = two_mode_mix(dilated, m, n + m, eta)
+    if not np.all((etas >= 0.0) & (etas <= 1.0)):
+        raise ContractError(f"survival probabilities {etas} outside [0, 1]")
+    dilation = np.hstack([np.diag(np.sqrt(etas)), np.diag(np.sqrt(1.0 - etas))])
     groups: dict = {}
-    for occ, amp in dilated.terms.items():
-        lost = occ[n:]
-        groups.setdefault(lost, {})[occ[:n]] = amp * (-1j) ** sum(lost)
+    for occ, amp in _image(state, dilation).items():
+        groups.setdefault(occ[n:], {})[occ[:n]] = amp
     out = []
     for lost in sorted(groups):
         branch = FockState(groups[lost], nmax=state.nmax, nmodes=n)

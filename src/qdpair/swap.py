@@ -67,6 +67,7 @@ import numpy as np
 
 from . import photostat
 from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
+from .fock import expand
 from .twoqubit import TwoQubitDensity, singlet_fraction
 
 # Mode layout of the swap enumeration (one copy per photon species):
@@ -303,40 +304,25 @@ def _resolve_p1(scenario: SwapScenario) -> float:
 # Interfering-species Fock kernel.
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# Image of each system creation operator (row) on all modes: loss at 1/2,
-# a_m -> t a_m + i r e_m, then midpoint a_i -> t a_i + i r a_j, as in fock.
+# Mode-transfer matrix of the whole network (row m: image of system mode m,
+# fock convention): loss at 1/2 onto mode 8 + m, then the midpoint pairs.
 _NETWORK = _INV_SQRT2 * np.hstack([np.eye(_NSYS), 1j * np.eye(_NSYS)])
 _NETWORK[:, 4:8] = _INV_SQRT2 * _NETWORK[:, 4:8] @ np.kron(
     [[1.0, 1j], [1j, 1.0]], np.eye(2))
 
 
-def _expand(cores, image, base: int):
-    """Keys (digits in ``base``), occupations and amplitudes of the product
-    of creation operators on the vacuum, each mode replaced by its image (a
-    row of ``image``).  A quantum-dot photon splits on the source
-    beamsplitter; an SPDC pair is the singlet o_h i_v - o_v i_h.  The
-    occupations are decoded mode by mode into int8 (each below ``base``);
-    widen them before arithmetic that could overflow."""
-    powers = base ** np.arange(_NMODES, dtype=np.int64)
-    keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+def _forms(cores, image) -> list:
+    """Factors for ``fock.expand``: each core operator, scaled by 1/sqrt(2),
+    with each system mode replaced by its row of ``image``.  A quantum-dot
+    photon splits on the source beamsplitter; an SPDC pair is the singlet
+    o_h i_v - o_v i_h."""
+    out = []
     for side, core in enumerate(cores):
         o_h, o_v, i_h, i_v = image[np.add([0, 1, 4, 5], 2 * side)]
         forms = {("s", 0): o_h + 1j * i_h, ("s", 1): 1j * o_v + i_v,
                  ("pair",): np.outer(o_h, i_v) - np.outer(o_v, i_h)}
-        for op in core:
-            form = forms[op]
-            step = powers if form.ndim == 1 else powers[:, None] + powers
-            keys, inv = np.unique((keys[:, None] + step[form != 0]).ravel(),
-                                  return_inverse=True)
-            prod = (coeffs[:, None] * (_INV_SQRT2 * form[form != 0])).ravel()
-            coeffs = np.bincount(inv, prod.real) + 1j * np.bincount(inv, prod.imag)
-    occ = np.empty((len(keys), _NMODES), dtype=np.int8)
-    root_fact = np.sqrt([math.factorial(n) for n in range(base)])
-    rest = keys
-    for m in range(_NMODES):
-        rest, occ[:, m] = np.divmod(rest, base)
-        coeffs = coeffs * root_fact[occ[:, m]]
-    return keys, occ, coeffs
+        out += [_INV_SQRT2 * forms[op] for op in core]
+    return out
 
 
 class _Kernel(NamedTuple):
@@ -365,9 +351,9 @@ def _kernel(core_l, core_r, extent: int) -> _Kernel:
     structure and extent."""
     # Each operator puts at most one photon in any mode: keys are exact.
     base = len(core_l) + len(core_r) + 1
-    assert base ** _NMODES < 2 ** 63, "occupation keys overflow int64"
-    core = _expand((core_l, core_r), np.eye(_NSYS, _NMODES), base)[2]
-    keys, occ, amp = _expand((core_l, core_r), _NETWORK, base)
+    cores = (core_l, core_r)
+    core = expand(_forms(cores, np.eye(_NSYS, _NMODES)), _NMODES, base)[2]
+    keys, occ, amp = expand(_forms(cores, _NETWORK), _NMODES, base)
     amp = amp / math.sqrt(np.vdot(core, core).real)
     if abs(np.vdot(amp, amp).real - 1.0) > 1e-12:
         raise NumericalError("swap kernel does not conserve the norm")

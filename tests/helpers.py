@@ -9,7 +9,8 @@ from scipy.linalg import eigh, sqrtm
 from scipy.optimize import minimize
 
 from qdpair import swap, timetag, tomography, twoqubit
-from qdpair.fock import FockState, two_mode_mix
+from qdpair.errors import ContractError
+from qdpair.fock import FockState
 
 
 def uhlmann_fidelity(rho, sigma):
@@ -190,6 +191,56 @@ def frank_wolfe_gap(ops, counts, rho):
     g = a_total - np.einsum("s,sij->ij", weights, ops)
     return (np.trace(g @ sigma).real
             - n_total * eigh(g, a_total, eigvals_only=True)[0])
+
+
+# Pass-by-pass dict mixer, the reference for ``fock``'s creation-operator
+# expansion: each term's pair occupation expanded binomially on its own.
+
+def _bs_expansion(m: int, n: int, t: float):
+    """Image of (i^dag)^m (j^dag)^n under the two-mode mix, as a list of
+    (photons in i, photons in j, amplitude) for normalised kets."""
+    r = math.sqrt(max(0.0, 1.0 - t * t))
+    ir = 1j * r
+    norm = math.sqrt(math.factorial(m) * math.factorial(n))
+    out = []
+    for p in range(m + 1):
+        for q in range(n + 1):
+            k1 = p + q
+            k2 = m + n - k1
+            amp = (math.comb(m, p) * math.comb(n, q)
+                   * (t ** (p + n - q)) * (ir ** (m - p + q))
+                   * math.sqrt(math.factorial(k1) * math.factorial(k2)) / norm)
+            if amp != 0:
+                out.append((k1, k2, amp))
+    return tuple(out)
+
+
+def two_mode_mix(state: FockState, mode_i: int, mode_j: int,
+                 transmissivity: float = 0.5) -> FockState:
+    """Apply the beamsplitter creation-operator map to one mode pair.
+
+    ``transmissivity`` is the intensity transmission T; t = sqrt(T).
+    Photon number is conserved term by term, so the map is unitary on
+    the truncated space.
+    """
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ContractError(f"transmissivity {transmissivity} outside [0, 1]")
+    if mode_i == mode_j:
+        raise ContractError("mode pair must be distinct")
+    t = math.sqrt(transmissivity)
+    out = {}
+    for occ, amp in state.terms.items():
+        m, n = occ[mode_i], occ[mode_j]
+        if m == 0 and n == 0:
+            out[occ] = out.get(occ, 0.0 + 0.0j) + amp
+            continue
+        for k1, k2, coeff in _bs_expansion(m, n, t):
+            new = list(occ)
+            new[mode_i] = k1
+            new[mode_j] = k2
+            new = tuple(new)
+            out[new] = out.get(new, 0.0 + 0.0j) + amp * coeff
+    return FockState(out, nmax=state.nmax, nmodes=state.nmodes)
 
 
 def kraus_loss_channel(state, etas):

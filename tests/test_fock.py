@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from qdpair import fock
 from qdpair.errors import ContractError
 from qdpair.twoqubit import bell_state, overlap_with, singlet_fraction
+import helpers
 from helpers import kraus_loss_channel
 
 
@@ -113,6 +114,54 @@ def test_two_mode_mix_matches_matrix_exponential():
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 
+def test_two_mode_mix_matches_pass_by_pass_mixer():
+    # independent oracle: the dict engine that expands each term's pair
+    # occupation binomially, at the end points, the balanced splitter and
+    # a uniform draw of T
+    rng = np.random.default_rng(48)
+    for nmodes in range(2, 7):
+        for T in (0.0, 0.5, 1.0, None):
+            for _ in range(10):
+                nmax = int(rng.integers(1, 6))
+                st = random_state(rng, nmodes=nmodes, nmax=nmax,
+                                  nterms=min(5, nmax + 1))
+                i, j = (int(m) for m in rng.choice(nmodes, 2, replace=False))
+                t = float(rng.uniform()) if T is None else T
+                got = fock.two_mode_mix(st, i, j, transmissivity=t)
+                ref = helpers.two_mode_mix(st, i, j, transmissivity=t)
+                assert set(got.terms) == set(ref.terms)
+                for occ, amp in ref.terms.items():
+                    assert abs(got.terms[occ] - amp) <= 1e-14
+
+
+def test_expansion_keys_are_bounded():
+    # keys are digits in base (largest total photon number + 1): sixteen
+    # dilated modes hold 15 photons only past int64, and 128 photons do
+    # not fit an int8 occupation
+    st = fock.FockState({(15,) + (0,) * 7: 1.0}, nmax=15, nmodes=8)
+    with pytest.raises(ContractError):
+        fock.loss_channel(st, [0.5] * 8)
+    st = fock.FockState({(128, 0): 1.0}, nmax=128, nmodes=2)
+    with pytest.raises(ContractError):
+        fock.two_mode_mix(st, 0, 1)
+
+
+def test_loss_on_eight_modes_with_four_photons():
+    # the base follows the photons, not nmax: 21 ** 16 would overflow int64
+    rng = np.random.default_rng(49)
+    st = fock.FockState({(1, 0, 0, 2, 0, 0, 1, 0): 0.6,
+                         (0, 1, 1, 0, 0, 1, 0, 1): 0.8}, nmax=20, nmodes=8)
+    etas = rng.uniform(0.05, 0.95, size=8)
+    got = fock.loss_channel(st, etas)
+    ref = kraus_loss_channel(st, etas)
+    assert len(got) == len(ref)
+    for (p, br), (p_ref, br_ref) in zip(got, ref):
+        assert abs(p - p_ref) <= 1e-12
+        assert list(br.terms) == list(br_ref.terms)
+        for occ, amp in br_ref.terms.items():
+            assert abs(br.terms[occ] - amp) <= 1e-12
+
+
 def test_identical_photons_bunch_completely():
     # two indistinguishable photons in the same polarisation never exit on
     # opposite sides of a balanced splitter
@@ -204,3 +253,6 @@ def test_state_validation_errors():
         fock.two_mode_mix(st, 0, 1, transmissivity=1.5)
     with pytest.raises(ContractError):
         fock.loss_channel(st, (0.5,))
+    for eta in (1.5, -0.1):
+        with pytest.raises(ContractError):
+            fock.loss_channel(st, (eta, 0.5))
