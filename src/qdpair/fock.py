@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .errors import ContractError
 from .twoqubit import TwoQubitDensity
 
 DEFAULT_NMAX = 4
-# Amplitudes below this are dropped when pruning.
+# Amplitudes below this are dropped when a state is built.
 AMPLITUDE_PRUNE = 1e-15
 
 SPATIAL_IN = ("a", "b")
@@ -71,8 +70,7 @@ class FockState:
 
     __slots__ = ("terms", "nmax", "nmodes")
 
-    def __init__(self, terms: dict, nmax: int = DEFAULT_NMAX, nmodes: int = 4,
-                 prune: bool = True):
+    def __init__(self, terms: dict, nmax: int = DEFAULT_NMAX, nmodes: int = 4):
         if nmax < 0:
             raise ContractError("nmax must be non-negative")
         clean = {}
@@ -85,21 +83,12 @@ class FockState:
             if sum(occ) > nmax:
                 raise ContractError(f"occupation {occ} exceeds nmax={nmax}")
             amp = complex(amp)
-            if prune and abs(amp) < AMPLITUDE_PRUNE:
+            if abs(amp) < AMPLITUDE_PRUNE:
                 continue
             clean[occ] = clean.get(occ, 0.0 + 0.0j) + amp
         self.terms = clean
         self.nmax = nmax
         self.nmodes = nmodes
-
-    @classmethod
-    def vacuum(cls, nmax: int = DEFAULT_NMAX, nmodes: int = 4) -> "FockState":
-        return cls({(0,) * nmodes: 1.0}, nmax=nmax, nmodes=nmodes)
-
-    @classmethod
-    def ket(cls, occ: Iterable, nmax: int = DEFAULT_NMAX) -> "FockState":
-        occ = tuple(occ)
-        return cls({occ: 1.0}, nmax=nmax, nmodes=len(occ))
 
     def norm_squared(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.terms.values()))
@@ -111,20 +100,6 @@ class FockState:
         s = 1.0 / math.sqrt(n2)
         return FockState({occ: a * s for occ, a in self.terms.items()},
                          nmax=self.nmax, nmodes=self.nmodes)
-
-    def amplitude(self, occ: Iterable) -> complex:
-        return self.terms.get(tuple(occ), 0.0 + 0.0j)
-
-    def to_json(self) -> dict:
-        terms = [{"occ": list(occ), "re": float(a.real), "im": float(a.imag)}
-                 for occ, a in sorted(self.terms.items())]
-        return {"nmax": self.nmax, "terms": terms}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FockState":
-        terms = {tuple(t["occ"]): complex(t["re"], t["im"]) for t in data["terms"]}
-        nmodes = len(next(iter(terms))) if terms else 4
-        return cls(terms, nmax=int(data["nmax"]), nmodes=nmodes)
 
     def __repr__(self):
         parts = [f"{a:.4g}|{','.join(map(str, occ))}>"

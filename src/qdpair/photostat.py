@@ -12,7 +12,7 @@ emitter) and backward (from detected coincidences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, ContractError, ModelDomainError
 
@@ -22,7 +22,6 @@ class PhotonNumberDistribution:
     """Per-pulse photon-number probabilities P_0 .. P_k."""
 
     probs: tuple
-    g2_requested: float = None  # set when derived from a g2 target
 
     def __post_init__(self):
         p = tuple(float(x) for x in self.probs)
@@ -46,17 +45,6 @@ class PhotonNumberDistribution:
             return 0.0
         return sum(n * (n - 1) * p for n, p in enumerate(self.probs)) / mu ** 2
 
-    def truncated(self, nmax: int) -> "PhotonNumberDistribution":
-        """Drop terms above nmax and renormalise."""
-        if nmax < 0:
-            raise ContractError("nmax must be non-negative")
-        p = self.probs[:nmax + 1]
-        total = sum(p)
-        if total <= 0.0:
-            raise ContractError("truncation removed all probability")
-        return PhotonNumberDistribution(tuple(x / total for x in p),
-                                        g2_requested=self.g2_requested)
-
 
 def qd_distribution_from_g2(g2: float) -> PhotonNumberDistribution:
     """Per-pulse distribution of a pulsed single-photon emitter with
@@ -68,7 +56,7 @@ def qd_distribution_from_g2(g2: float) -> PhotonNumberDistribution:
     """
     if not 0.0 <= g2 < 0.5:
         raise ModelDomainError(f"g2={g2} outside [0, 0.5) where the mapping holds")
-    dist = PhotonNumberDistribution((g2 / 2.0, 1.0 - g2, g2 / 2.0), g2_requested=g2)
+    dist = PhotonNumberDistribution((g2 / 2.0, 1.0 - g2, g2 / 2.0))
     if abs(dist.g2 - g2) > 1e-9:
         raise ContractError("g2 round trip failed")  # pragma: no cover
     return dist

@@ -251,9 +251,7 @@ def _qd_window_cases(g2: float, indist: float):
     second photon of a double emission is broadband re-excitation
     noise."""
     q = math.sqrt(indist)
-    p0 = g2 / 2.0
-    p1 = 1.0 - g2
-    p2 = g2 / 2.0
+    p0, p1, p2 = photostat.qd_distribution_from_g2(g2).probs
     return (
         (p0, 0, 0, 0),
         (p1 * q, 1, 0, 0),
@@ -533,12 +531,17 @@ def swap_once(left: SwapScenario, right: SwapScenario) -> SwapResult:
     feed-forward correction, so ideal sources give exactly 1 at any
     loss.
     """
-    rho, herald = heralded_state(left, right)
+    fid, herald = _heralded(heralded_state(left, right)[0])
+    return SwapResult(left.rep_rate_hz * herald, fid)
+
+
+def _heralded(rho: np.ndarray) -> tuple:
+    """(singlet fraction, herald probability) of an unnormalised heralded
+    state, whose trace is the herald probability."""
+    herald = float(np.trace(rho).real)
     if herald <= 1e-300:
         raise ModelDomainError("no usable heralds at these parameters")
-    dense = TwoQubitDensity.from_matrix(rho / herald)
-    fid = singlet_fraction(dense).value
-    return SwapResult(left.rep_rate_hz * herald, fid)
+    return singlet_fraction(TwoQubitDensity.from_matrix(rho / herald)).value, herald
 
 
 # ---------------------------------------------------------------------------
@@ -608,13 +611,8 @@ def _pump_search(scenario: SwapScenario, configs: dict = None):
 
     def evaluate(p1):
         probs = _spdc_numbers(p1, scenario.spdc_statistics, scenario.mux_n)
-        rho = sum(probs[n_l] * probs[n_r] * block
-                  for (n_l, n_r), block in configs.items())
-        herald = float(np.trace(rho).real)
-        if herald <= 1e-300:
-            raise ModelDomainError("no usable heralds at these parameters")
-        dense = TwoQubitDensity.from_matrix(rho / herald)
-        return singlet_fraction(dense).value, herald
+        return _heralded(sum(probs[n_l] * probs[n_r] * block
+                             for (n_l, n_r), block in configs.items()))
 
     lo = 1e-6
     hi = _P1_CEILING[scenario.spdc_statistics] * (1.0 - 1e-9)

@@ -400,7 +400,10 @@ class Histogram:
     bin_start_ps: np.ndarray
     counts: np.ndarray
     bin_ps: int
-    empty: bool = False
+
+    @property
+    def empty(self) -> bool:
+        return not self.counts.any()
 
     @property
     def centers(self) -> np.ndarray:
@@ -518,7 +521,7 @@ def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
         earliest = int(waiting[0]) if len(waiting) else last
         tb = tb[np.searchsorted(tb, earliest + first, side="left"):]
     _add_pairs(counts, waiting, tb, first, bin_ps)
-    return Histogram(starts, counts, bin_ps, empty=not counts.any())
+    return Histogram(starts, counts, bin_ps)
 
 
 def period_histogram(stream: TimeTagStream, channel: int = None,
@@ -533,14 +536,12 @@ def period_histogram(stream: TimeTagStream, channel: int = None,
     starts = np.arange(nbins, dtype=np.int64) * bin_ps
     edges = np.append(starts, nbins * bin_ps)
     counts = np.zeros(nbins, dtype=np.int64)
-    seen = 0
     rec = stream.records
     for start in range(0, len(rec), _RECORD_BLOCK):
         block = rec[start:start + _RECORD_BLOCK]
         t = block["t"] if channel is None else block["t"][block["channel"] == channel]
-        seen += len(t)
         counts += np.histogram(np.mod(t.astype(np.float64), period), bins=edges)[0]
-    return Histogram(starts, counts, bin_ps, empty=not seen)
+    return Histogram(starts, counts, bin_ps)
 
 
 def g2_from_histogram(hist: Histogram, rep_period_ps: float):
@@ -811,8 +812,10 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
     slot holding one record forms no coincidence under any window, and a
     window keeps or drops each record on its own, so each stream is
     folded once and only the records of slots holding two or more are
-    counted and filtered (about a third of them at the defaults).  Each
-    window's pass-pass counts are reconstructed and reported as the
+    counted and filtered (about a third of them at the defaults).  The
+    windows' pass-pass counts are reconstructed together, each window one
+    row of one lockstep solve and one certificate
+    (``tomography.singlet_fractions``), and each window is reported as the
     singlet fraction plus coincidence retention against the unfiltered
     streams.
     """
@@ -831,12 +834,9 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
     if base_total == 0:
         raise ModelDomainError("no coincidences in the unfiltered streams")
 
-    points = []
-    for j, t_on in enumerate(t_on_grid_ps, start=1):
-        records = [tomography.CountRecord(s, int(m[0, 0]))
-                   for s, m in zip(settings, counts[:, j])]
-        total = int(counts[:, j].sum())
-        rho, _ = tomography.mle_reconstruct(records)
-        sf = twoqubit.singlet_fraction(rho).value
-        points.append(FilterSweepPoint(float(t_on), sf, total, total / base_total))
-    return points
+    ops = np.array([s.joint_projector() for s in settings])
+    passes = np.ascontiguousarray(counts[:, 1:, 0, 0].T, dtype=float)
+    fractions = tomography.singlet_fractions(ops, passes).tolist()
+    totals = counts[:, 1:].sum(axis=(0, 2, 3)).tolist()
+    return [FilterSweepPoint(float(t_on), sf, total, total / base_total)
+            for t_on, sf, total in zip(t_on_grid_ps, fractions, totals)]

@@ -12,10 +12,12 @@ over unnormalised positive matrices sigma, which profiles out the count
 scale, by barrier Newton with a duality-gap certificate: a log-barrier
 keeps sigma positive definite, and a Frank-Wolfe gap computed apart from
 the solver bounds how far the likelihood can lie below its maximum.
-The solver takes a stack of count vectors on one set of settings and
-steps them in lockstep, each on its own path; a single reconstruction is
-a stack of one, and the bootstrap solves all its resamples in one call.
-Each setting builds its joint projector once and keeps it.
+Every reconstruction is a row of one stack of count vectors on one set
+of settings: the solver steps the rows in lockstep, each on its own path,
+and the certificate checks them all at once.  A single reconstruction is
+a stack of one; ``singlet_fractions`` solves and certifies a bootstrap's
+resamples, or a filter sweep's windows, in one call.  Each setting builds
+its joint projector once and keeps it.
 """
 
 from __future__ import annotations
@@ -181,6 +183,9 @@ def simulate_counts(rho: TwoQubitDensity, settings, total_pairs: int,
 
 def _measurement_ops(records):
     """Per-record operators with integration time folded in, plus counts."""
+    records = list(records)
+    if not records:
+        raise ContractError("no count records supplied")
     ops = np.array([r.integration_time * r.setting.joint_projector() for r in records])
     counts = np.array([r.counts for r in records], dtype=float)
     return ops, counts
@@ -226,6 +231,11 @@ def _mv(m, v) -> np.ndarray:
 def _dot(u, v) -> np.ndarray:
     """u . v for each pair of vectors of the stacks."""
     return np.matmul(u[..., None, :], v[..., None])[..., 0, 0]
+
+
+def _trace(m) -> np.ndarray:
+    """Real part of the trace of each matrix of the stack."""
+    return np.trace(m, axis1=-2, axis2=-1).real
 
 
 def _relative_eigvals(m, w, v) -> np.ndarray:
@@ -315,60 +325,62 @@ def _barrier_newton(d, n) -> tuple:
     return sigma, steps
 
 
-def _certified(ops, counts, sigma, a_total=None, a_eigh=None) -> np.ndarray:
-    """Rescale sigma to Tr[sigma A] = N and certify its likelihood.
+def _certified(ops, counts, sigma) -> np.ndarray:
+    """Rescale each sigma of a (B, 4, 4) stack to Tr[sigma A] = N and
+    certify its likelihood against its row of the (B, S) counts.
 
     f(sigma) = Tr[sigma A] - sum n_s log Tr[sigma Pi_s] is convex with
     gradient G = A - sum (n_s / lam_s) Pi_s, and its minimiser lies in
     {tau >= 0, Tr[tau A] = N}.  Over that set the Frank-Wolfe gap
     Tr[G sigma] - N lambda_min(G, A) bounds f(sigma) - min f from above;
-    a gap above GAP_BOUND * N raises NumericalError.  A stack of rows on
-    one design passes A = ops.sum(0) and its ``eigh`` once for all.
+    a gap above GAP_BOUND * N on any row raises NumericalError.  A =
+    ops.sum(0) and its ``eigh`` serve every row, and each row's
+    arithmetic is that of the same expressions on it alone.
     """
-    if a_total is None:
-        a_total = ops.sum(0)
-        a_eigh = np.linalg.eigh(a_total)
-    n_total = counts.sum()
-    sigma = sigma * (n_total / np.trace(sigma @ a_total).real)
-    lam = np.einsum("sij,ji->s", ops, sigma).real
-    g = a_total - np.einsum("s,sij->ij", counts / lam, ops)
-    gap = (np.trace(g @ sigma).real
-           - n_total * _relative_eigvals(g, *a_eigh)[0])
-    if not gap <= GAP_BOUND * n_total:
-        raise NumericalError(f"likelihood duality gap {gap:.3g} exceeds "
-                             f"the bound {GAP_BOUND * n_total:.3g}")
+    a_total = ops.sum(0)
+    n_total = counts.sum(-1)
+    sigma = sigma * (n_total / _trace(sigma @ a_total))[:, None, None]
+    lam = np.einsum("sij,bji->bs", ops, sigma).real
+    g = a_total - np.einsum("bs,sij->bij", counts / lam, ops)
+    gap = (_trace(g @ sigma)
+           - n_total * _relative_eigvals(g, *np.linalg.eigh(a_total))[:, 0])
+    bound = GAP_BOUND * n_total
+    k = np.argmin(gap <= bound)   # the first row over its bound, if any
+    if not gap[k] <= bound[k]:
+        raise NumericalError(f"likelihood duality gap {gap[k]:.3g} exceeds "
+                             f"the bound {bound[k]:.3g}")
     return sigma
 
 
-def _complete_design(records) -> tuple:
-    """Operators, counts and design matrix of the records, checked to be
-    informationally complete."""
-    records = list(records)
-    if not records:
-        raise ContractError("no count records supplied")
-    ops, counts = _measurement_ops(records)
+def _checked_design(ops) -> np.ndarray:
+    """Design matrix of the operators, checked to be informationally
+    complete."""
     design = _design_matrix(ops)
     rank = int(np.linalg.matrix_rank(design, tol=1e-9))
     if rank < 16:
         raise ReconstructionError(
             "measurement settings are not informationally complete "
             f"(rank {rank} < 16)")
-    return ops, counts, design
+    return design
 
 
-def _solve(ops, design, counts) -> list:
-    """Certified ML states for a (B, S) stack of counts, solved together:
-    (rho, unnormalised sigma) per row."""
+def _complete_design(records) -> tuple:
+    """Operators, counts and checked design matrix of the records."""
+    ops, counts = _measurement_ops(records)
+    return ops, counts, _checked_design(ops)
+
+
+def _solve(ops, design, counts) -> np.ndarray:
+    """Certified unnormalised ML states, (B, 4, 4), for a (B, S) stack of
+    counts, solved together."""
     if (counts.sum(-1) <= 0.0).any():
         raise ReconstructionError("no counts recorded")
-    a_total = ops.sum(0)
-    a_eigh = np.linalg.eigh(a_total)
-    states = []
-    for row, sigma in zip(counts, _barrier_newton(design, counts)[0]):
-        sigma = _certified(ops, row, sigma, a_total, a_eigh)
-        states.append((TwoQubitDensity.from_matrix(
-            sigma / np.trace(sigma).real, renormalize=True), sigma))
-    return states
+    return _certified(ops, counts, _barrier_newton(design, counts)[0])
+
+
+def _state(sigma) -> TwoQubitDensity:
+    """The density matrix of an unnormalised ML state."""
+    return TwoQubitDensity.from_matrix(sigma / _trace(sigma), renormalize=True)
 
 
 def _log_factorials(counts) -> float:
@@ -388,10 +400,10 @@ def mle_reconstruct(records) -> tuple:
     NumericalError.
     """
     ops, counts, design = _complete_design(records)
-    (rho, sigma), = _solve(ops, design, counts[None])
+    sigma, = _solve(ops, design, counts[None])
     lam = np.einsum("sij,ji->s", ops, sigma).real
     loglik = float(counts @ np.log(lam) - lam.sum() - _log_factorials(counts))
-    return rho, loglik
+    return _state(sigma), loglik
 
 
 def log_likelihood(records, rho: TwoQubitDensity, scale: float = None) -> float:
@@ -400,7 +412,7 @@ def log_likelihood(records, rho: TwoQubitDensity, scale: float = None) -> float:
     When ``scale`` (expected pairs per unit integration time) is omitted
     it is profiled analytically: scale* = sum(n) / sum(Tr[rho Pi_s]).
     """
-    ops, counts = _measurement_ops(list(records))
+    ops, counts = _measurement_ops(records)
     probs = np.einsum("sij,ji->s", ops, rho.matrix).real
     probs = np.maximum(probs, 1e-300)
     if scale is None:
@@ -409,22 +421,35 @@ def log_likelihood(records, rho: TwoQubitDensity, scale: float = None) -> float:
     return float(counts @ np.log(lam) - lam.sum() - _log_factorials(counts))
 
 
+def singlet_fractions(ops, counts) -> np.ndarray:
+    """Singlet fraction of the certified ML state of each row of a (B, S)
+    stack of counts on one set of settings.
+
+    ``ops`` are the (S, 4, 4) measurement operators: each setting's joint
+    projector times its integration time.  The rows are reconstructed in
+    one lockstep solve and certified as one stack; each value is bit for
+    bit that of ``mle_reconstruct`` on its row alone, and every row passes
+    the same checks.
+    """
+    sigma = _solve(ops, _checked_design(ops), counts)
+    return np.array([singlet_fraction(_state(s)).value for s in sigma])
+
+
 def bootstrap_singlet_fraction(records, resamples: int, seed: int):
     """Parametric-bootstrap sample of the singlet fraction.
 
     Draws every resample of each setting's counts from Poisson(observed)
-    (the draws of a resample-by-resample loop, in the same order),
-    reconstructs all of them on the same settings in one lockstep solve,
-    certifies each, and returns the array of singlet fractions.  Each
-    value is bit for bit that of ``mle_reconstruct`` on its resample.
+    (the draws of a resample-by-resample loop, in the same order) and
+    returns their ``singlet_fractions``: one solve and one certificate
+    for the whole stack.  Each value is bit for bit that of
+    ``mle_reconstruct`` on its resample.
     """
     if resamples < MIN_RESAMPLES:
         raise ContractError(f"need at least {MIN_RESAMPLES} resamples, got {resamples}")
-    ops, observed, design = _complete_design(records)
+    ops, observed = _measurement_ops(records)
     draws = np.random.default_rng(seed).poisson(
         observed, size=(resamples, len(observed))).astype(float)
-    return np.array([singlet_fraction(rho).value
-                     for rho, _ in _solve(ops, design, draws)])
+    return singlet_fractions(ops, draws)
 
 
 def bootstrap_uncertainty(records, resamples: int, seed: int) -> float:

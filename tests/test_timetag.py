@@ -309,6 +309,20 @@ def test_filter_sweep_matches_copying_oracle_on_dense_slots():
         == copying_filter_sweep(grid, params, t_off_margin_ps=250.0)
 
 
+def test_filter_sweep_solves_every_window_in_one_stack(monkeypatch):
+    # the windows are the rows of one lockstep solve and one certificate
+    calls = {"_barrier_newton": [], "_certified": []}
+    for name, log in calls.items():
+        def logged(*args, fn=getattr(tomography, name), log=log):
+            log.append(args[1].shape)
+            return fn(*args)
+        monkeypatch.setattr(tomography, name, logged)
+    grid = (-30.0, -10.0, 0.0, 35.0, 60.0)
+    params = tt.StreamParams(t1_ps=200.0, pulses=20000, seed=5, eta=0.3)
+    assert len(tt.filter_fidelity_sweep(grid, params, t_off_margin_ps=30.0)) == 5
+    assert calls == {"_barrier_newton": [(5, 36)], "_certified": [(5, 36)]}
+
+
 def test_filter_sweep_is_independent_of_finishing_order(monkeypatch):
     synthesize = tt.synthesize_stream
     labels = [(s.label1, s.label2) for s in tomography.standard_settings()]
@@ -501,6 +515,9 @@ def test_coincidence_histogram_matches_all_pairs_reference():
     full = tt.coincidence_histogram(st, 0, 1, bin_ps, span_ps).counts
     assert full[0] >= len(ta[::5000]) and full[-1] >= len(ta[::7000])
     assert tt.coincidence_histogram(st, 0, 2, bin_ps, span_ps).empty
+    # a channel without records folds to an empty period histogram
+    assert tt.period_histogram(st, 2, 100).empty
+    assert not tt.period_histogram(st, 0, 100).empty
 
 
 def test_coincidence_histogram_carries_state_across_record_blocks(monkeypatch):

@@ -176,7 +176,7 @@ def test_likelihoods_keep_their_gammaln_values():
     ops, counts, design = tomo._complete_design(records)
     const = gammaln(counts + 1.0).sum()
     rho, loglik = tomo.mle_reconstruct(records)
-    lam = np.einsum("sij,ji->s", ops, tomo._solve(ops, design, counts[None])[0][1]).real
+    lam = np.einsum("sij,ji->s", ops, tomo._solve(ops, design, counts[None])[0]).real
     assert loglik == pytest.approx(counts @ np.log(lam) - lam.sum() - const,
                                    rel=1e-10)
     probs = np.einsum("sij,ji->s", ops, rho.matrix).real
@@ -319,7 +319,7 @@ def test_certificate_rejects_a_non_optimal_state():
     mixed = np.eye(4, dtype=complex) / 4.0
     assert frank_wolfe_gap(ops, counts, mixed) > tomo.GAP_BOUND * counts.sum()
     with pytest.raises(NumericalError, match="duality gap"):
-        tomo._certified(ops, counts, mixed)
+        tomo._certified(ops, counts[None], mixed[None])
     rec, _ = tomo.mle_reconstruct(records)
-    sigma = tomo._certified(ops, counts, rec.matrix)
+    sigma, = tomo._certified(ops, counts[None], rec.matrix[None])
     assert np.trace(sigma @ ops.sum(0)).real == pytest.approx(counts.sum())
