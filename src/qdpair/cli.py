@@ -188,8 +188,8 @@ def _objects(resolved: dict) -> types.SimpleNamespace:
             **{name: sw[key] for key, name in _QD.items()})
         spdc = swap.SwapScenario.spdc_reference(
             **{name: sw[key] for key, name in _SPDC.items()})
-        for n in sw["mux_sizes"]:    # each size must make a multiplexed source
-            dataclasses.replace(spdc, source_kind="spdc_multiplexed", mux_n=n)
+        if min(sw["mux_sizes"]) < 2:
+            raise ConfigError("multiplexed sources need mux_n >= 2")
         loss_grid = swap.loss_grid(**{key: sw[key] for key in _LOSS_GRID})
     g2_steps = _at_least("source.g2_grid_steps", src["g2_grid_steps"], 1)
     delay_steps = _at_least("wavepacket.delay_grid_steps", wp["delay_grid_steps"], 1)

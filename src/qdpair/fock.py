@@ -30,7 +30,6 @@ Loss maps each mode onto itself and an empty environment mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,36 +194,15 @@ def two_mode_mix(state: FockState, mode_i: int, mode_j: int,
     return _mix(state, [(mode_i, mode_j, transmissivity)])
 
 
-@dataclass(frozen=True)
-class BeamsplitterSpec:
-    """Polarisation-resolved intensity transmissivities of the output coupler."""
+def apply_beamsplitter(state: FockState) -> FockState:
+    """Interfere spatial modes a and b on the balanced output coupler.
 
-    transmissivity_h: float = 0.5
-    transmissivity_v: float = 0.5
-
-    def __post_init__(self):
-        for name, val in (("transmissivity_h", self.transmissivity_h),
-                          ("transmissivity_v", self.transmissivity_v)):
-            if not 0.0 <= val <= 1.0:
-                raise ContractError(f"{name}={val} outside [0, 1]")
-
-    @classmethod
-    def balanced(cls) -> "BeamsplitterSpec":
-        return cls(0.5, 0.5)
-
-
-def apply_beamsplitter(state: FockState, spec: BeamsplitterSpec = None) -> FockState:
-    """Interfere spatial modes a and b on the output coupler.
-
-    Couples (aH, bH) with transmissivity T_H and (aV, bV) with T_V; the
+    Couples (aH, bH) and (aV, bV), each with transmissivity 1/2; the
     result is read on the same slots as (cH, cV, dH, dV).
     """
     if state.nmodes != 4:
         raise ContractError("apply_beamsplitter expects the four-mode layout")
-    if spec is None:
-        spec = BeamsplitterSpec.balanced()
-    return _mix(state, [(0, 2, spec.transmissivity_h),
-                        (1, 3, spec.transmissivity_v)])
+    return _mix(state, [(0, 2, 0.5), (1, 3, 0.5)])
 
 
 def post_select_coincidence(state: FockState):

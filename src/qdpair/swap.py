@@ -29,9 +29,10 @@ Source models
                   early and spectrally broad, far outside the line.
     spdc          0/1/2 polarisation-entangled pairs per pulse with the
                   pair-number distribution of photostat; all pairs share
-                  the interfering species.  Multiplexed variants boost
-                  the fire probability to 1 - (1 - p)^N and pay one
-                  switch traversal in efficiency.
+                  the interfering species.  With mux_n = N > 1 the
+                  source is multiplexed: the fire probability is boosted
+                  to 1 - (1 - p)^N and every photon pays one switch
+                  traversal in efficiency.
 
 Detection and conditioning
     The midpoint station filters to the emission line, a prerequisite
@@ -104,7 +105,7 @@ def _extent() -> int:
     outer mode, quantum dots at most two classical photons in one."""
     return max(_MAX_PAIRS, 2) + 1
 
-SOURCE_KINDS = ("qd_postselected", "spdc", "spdc_multiplexed")
+SOURCE_KINDS = ("qd_postselected", "spdc")
 
 _P1_CEILING = {"thermal": 0.25, "poissonian": math.exp(-1.0)}
 
@@ -130,8 +131,9 @@ class SwapScenario:
     ``channel_loss_db`` is the one-way loss of this source's inner arm.
     ``spdc_p1`` is the single-pair probability per pulse; leave it unset
     to have it chosen by ``optimise_pump`` against ``fidelity_floor``.
-    Multiplexed sources combine ``mux_n`` heralded units through one
-    switch traversal (``switch_eta`` times ``insertion_eta``).
+    An SPDC source with ``mux_n`` > 1 is multiplexed: it combines
+    ``mux_n`` heralded units through one switch traversal (``switch_eta``
+    times ``insertion_eta``).  A quantum-dot source takes ``mux_n`` = 1.
     """
 
     source_kind: str
@@ -172,8 +174,8 @@ class SwapScenario:
             raise ConfigError(f"unknown spdc_statistics {self.spdc_statistics!r}")
         if int(self.mux_n) != self.mux_n or self.mux_n < 1:
             raise ConfigError("mux_n must be a positive integer")
-        if self.source_kind == "spdc_multiplexed" and self.mux_n < 2:
-            raise ConfigError("multiplexed sources need mux_n >= 2")
+        if self.source_kind == "qd_postselected" and self.mux_n != 1:
+            raise ConfigError("quantum-dot sources take mux_n = 1")
 
     @classmethod
     def qd_headline(cls, **overrides) -> "SwapScenario":
@@ -189,10 +191,9 @@ class SwapScenario:
     def spdc_reference(cls, mux_n: int = 1, **overrides) -> "SwapScenario":
         """SPDC source at the comparison assumptions: extraction 0.8,
         midpoint detectors 0.9 with number resolution, pump optimised
-        against a 0.97 fidelity floor; ``mux_n`` > 1 selects the
-        multiplexed variant with a 0.97 switch."""
-        kind = "spdc_multiplexed" if mux_n > 1 else "spdc"
-        base = dict(source_kind=kind, eta_s=0.8, eta_det=0.9, pnr=True,
+        against a 0.97 fidelity floor; ``mux_n`` > 1 multiplexes it
+        through a 0.97 switch."""
+        base = dict(source_kind="spdc", eta_s=0.8, eta_det=0.9, pnr=True,
                     fidelity_floor=0.97, mux_n=mux_n)
         base.update(overrides)
         return cls(**base)
@@ -200,7 +201,7 @@ class SwapScenario:
     @property
     def eta_collect(self) -> float:
         """Collection efficiency after any multiplexing switch."""
-        if self.source_kind == "spdc_multiplexed":
+        if self.mux_n > 1:
             return self.eta_s * self.switch_eta * self.insertion_eta
         return self.eta_s
 
@@ -562,9 +563,8 @@ def pair_rate(scenario: SwapScenario) -> float:
     if scenario.source_kind == "qd_postselected":
         return 0.5 * scenario.rep_rate_hz * eta * eta
     p1 = _resolve_p1(scenario)
-    if scenario.source_kind == "spdc_multiplexed":
-        probs = _spdc_numbers(p1, scenario.spdc_statistics, scenario.mux_n)
-        p1 = probs[1]
+    if scenario.mux_n > 1:
+        p1 = _spdc_numbers(p1, scenario.spdc_statistics, scenario.mux_n)[1]
     return scenario.rep_rate_hz * p1 * eta * eta
 
 
@@ -647,16 +647,17 @@ def sweep_loss(left: SwapScenario, right: SwapScenario,
                loss_grid_db=DEFAULT_LOSS_GRID_DB, mux_sizes=(10, 30, 100)):
     """Swap-rate comparison across symmetric channel loss.
 
-    ``left`` is the quantum-dot scenario, ``right`` the non-multiplexed
-    SPDC scenario; multiplexed SPDC columns are derived from ``right``
-    for each entry of ``mux_sizes``.  Every source is swapped against an
-    identical copy of itself with the same per-arm loss; SPDC pumps are
-    re-optimised at each loss point when a fidelity floor is set.
+    ``left`` is the quantum-dot scenario, ``right`` the SPDC scenario;
+    its plain column is swapped at ``mux_n`` = 1 and one multiplexed
+    column at each entry of ``mux_sizes``.  Every source is swapped
+    against an identical copy of itself with the same per-arm loss; SPDC
+    pumps are re-optimised at each loss point when a fidelity floor is
+    set.
     Returns ``{"columns": [...], "rows": [...]}``.
     """
     if left.source_kind != "qd_postselected":
         raise ConfigError("left scenario must be the quantum-dot source")
-    if right.source_kind not in ("spdc", "spdc_multiplexed"):
+    if right.source_kind != "spdc":
         raise ConfigError("right scenario must be an SPDC source")
     loss_grid_db = [float(x) for x in loss_grid_db]
     if not loss_grid_db:
@@ -672,11 +673,9 @@ def sweep_loss(left: SwapScenario, right: SwapScenario,
     for loss in loss_grid_db:
         qd = dataclasses.replace(left, channel_loss_db=loss)
         row = [loss, swap_once(qd, qd).rate_hz]
-        base = dataclasses.replace(right, source_kind="spdc", mux_n=1,
-                                   channel_loss_db=loss)
+        base = dataclasses.replace(right, mux_n=1, channel_loss_db=loss)
         row.append(_optimised_rate(base, _pair_configs(base) if pumped else None))
-        muxed = [dataclasses.replace(right, source_kind="spdc_multiplexed",
-                                     mux_n=n, channel_loss_db=loss)
+        muxed = [dataclasses.replace(right, mux_n=n, channel_loss_db=loss)
                  for n in mux_sizes]
         # The pair-number operators depend on eta_collect and eta_inner, not mux_n.
         configs = _pair_configs(muxed[0]) if pumped and muxed else None

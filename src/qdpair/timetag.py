@@ -35,7 +35,7 @@ import dataclasses
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not at the first draw
@@ -63,34 +63,31 @@ _RECORD_BLOCK = 1 << 18
 _CHANNELS_FROM_RECORDS = object()
 
 
-def _channels_used(channel: np.ndarray) -> set:
-    """Channel numbers present, counted one block at a time so the int64
-    copy bincount makes stays at 2 MiB whatever the stream length."""
+def _checked_channels(rec: np.ndarray) -> set:
+    """Channel numbers present in time-ordered records, or ContractError.
+
+    One walk over the records a block at a time: each block's times are
+    checked to be nondecreasing, starting from the previous block's last
+    time, then its channels are counted, so the int64 copy bincount makes
+    stays at 2 MiB whatever the stream length."""
     seen = set()
-    for start in range(0, len(channel), _RECORD_BLOCK):
-        block = channel[start:start + _RECORD_BLOCK]
+    for start in range(0, len(rec), _RECORD_BLOCK):
+        t = rec["t"][max(start - 1, 0):start + _RECORD_BLOCK]
+        if np.any(t[1:] < t[:-1]):
+            raise ContractError("timestamps must be nondecreasing")
+        block = rec["channel"][start:start + _RECORD_BLOCK]
         seen.update(np.flatnonzero(np.bincount(block)).tolist())
     return seen
 
 
-def _nondecreasing(t: np.ndarray) -> bool:
-    """Whether t never decreases, checked in blocks overlapping by one."""
-    for start in range(0, len(t), _RECORD_BLOCK):
-        block = t[max(start - 1, 0):start + _RECORD_BLOCK]
-        if np.any(block[1:] < block[:-1]):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class TimeTagStream:
-    """Ordered detection records plus clock metadata."""
+    """Ordered detection records plus their repetition clock."""
 
     records: np.ndarray
     rep_rate_hz: float
     t_zero_ps: int = None
     channels: tuple = (0, 1, 2, 3)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         rec = np.asarray(self.records)
@@ -100,9 +97,7 @@ class TimeTagStream:
             rec = out
         if self.rep_rate_hz <= 0.0:
             raise ContractError("rep_rate_hz must be positive")
-        if not _nondecreasing(rec["t"]):
-            raise ContractError("timestamps must be nondecreasing")
-        used = _channels_used(rec["channel"])
+        used = _checked_channels(rec)
         if self.channels is _CHANNELS_FROM_RECORDS:
             object.__setattr__(self, "channels", tuple(sorted(used | {0})))
         bad = used - set(self.channels)
@@ -162,6 +157,8 @@ class StreamParams:
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.emission not in ("qd", "poissonian"):
             raise ContractError(f"unknown emission {self.emission!r}")
+        if self.emission == "poissonian" and self.mode != "hbt":
+            raise ContractError("poissonian emission needs the hbt mode")
         if self.mean_photons <= 0.0:
             raise ContractError("mean_photons must be positive")
         if not 0.0 <= self.indistinguishability <= 1.0:
@@ -238,7 +235,7 @@ def _qd_photon_numbers(rng, n: int, g2: float):
     return one, two
 
 
-def _assemble(parts, rep_rate_hz, channels, t_zero, metadata) -> TimeTagStream:
+def _assemble(parts, rep_rate_hz, channels, t_zero) -> TimeTagStream:
     if parts:
         ch = np.concatenate([p[0] for p in parts])
         key = np.concatenate([p[1] for p in parts])
@@ -254,7 +251,7 @@ def _assemble(parts, rep_rate_hz, channels, t_zero, metadata) -> TimeTagStream:
     rec["channel"] = key & 7
     key >>= 3
     rec["t"] = key
-    return TimeTagStream(rec, rep_rate_hz, t_zero, channels, metadata)
+    return TimeTagStream(rec, rep_rate_hz, t_zero, channels)
 
 
 def synthesize_stream(params: StreamParams) -> TimeTagStream:
@@ -283,9 +280,8 @@ def synthesize_stream(params: StreamParams) -> TimeTagStream:
             t += rng.normal(0.0, sig_j, len(t))
         parts[i] = (np.asarray(ch, dtype=np.uint16),
                     np.rint(t, out=t).astype(np.int64))
-    meta = {"mode": params.mode, "params": dataclasses.asdict(params)}
     return _assemble(parts, params.rep_rate_hz, _CHANNELS_BY_MODE[params.mode],
-                     None if params.mode == "laser" else 0, meta)
+                     None if params.mode == "laser" else 0)
 
 
 def _hbt_parts(params, rng, period) -> list:
@@ -675,9 +671,7 @@ def apply_temporal_filter(stream: TimeTagStream, window: FilterWindow) -> TimeTa
     if stream.t_zero_ps is None:
         raise ContractError("stream has no pulse-peak reference; set t_zero first")
     keep = window.mask(_fold(stream)[0], stream.period_ps)
-    meta = dict(stream.metadata)
-    meta["filter_window_ps"] = (window.t_on_ps, window.t_off_ps)
-    return dataclasses.replace(stream, records=stream.records[keep], metadata=meta)
+    return dataclasses.replace(stream, records=stream.records[keep])
 
 
 def reference_from_pulse_histogram(laser_stream: TimeTagStream) -> int:
@@ -719,7 +713,7 @@ def read_stream(path) -> TimeTagStream:
                           count=body // RECORD_DTYPE.itemsize)
     return TimeTagStream(rec, rep_mhz / 1000.0,
                          None if t0 == _T_ZERO_UNSET else t0,
-                         _CHANNELS_FROM_RECORDS, {"source": str(path)})
+                         _CHANNELS_FROM_RECORDS)
 
 
 def _fold(stream: TimeTagStream):
@@ -793,6 +787,8 @@ def sweep_windows(t_on_grid_ps, params: StreamParams,
                   t_off_margin_ps: float) -> list:
     """The windows [t_on, period - t_off_margin) of a filter sweep over
     streams synthesised from params, each checked against the period."""
+    if len(t_on_grid_ps) == 0:
+        raise ContractError("the window grid must be nonempty")
     period = 1e12 / params.rep_rate_hz
     return [FilterWindow(float(t), period - t_off_margin_ps).fitted(period)
             for t in t_on_grid_ps]

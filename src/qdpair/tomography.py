@@ -345,8 +345,9 @@ def _certified(ops, counts, sigma) -> np.ndarray:
     gap = (_trace(g @ sigma)
            - n_total * _relative_eigvals(g, *np.linalg.eigh(a_total))[:, 0])
     bound = GAP_BOUND * n_total
-    k = np.argmin(gap <= bound)   # the first row over its bound, if any
-    if not gap[k] <= bound[k]:
+    over = np.flatnonzero(~(gap <= bound))   # NaN gaps fail too
+    if len(over):
+        k = over[0]
         raise NumericalError(f"likelihood duality gap {gap[k]:.3g} exceeds "
                              f"the bound {bound[k]:.3g}")
     return sigma
@@ -406,18 +407,15 @@ def mle_reconstruct(records) -> tuple:
     return _state(sigma), loglik
 
 
-def log_likelihood(records, rho: TwoQubitDensity, scale: float = None) -> float:
-    """Poisson log-likelihood of the records under a given state.
-
-    When ``scale`` (expected pairs per unit integration time) is omitted
-    it is profiled analytically: scale* = sum(n) / sum(Tr[rho Pi_s]).
+def log_likelihood(records, rho: TwoQubitDensity) -> float:
+    """Poisson log-likelihood of the records under a given state, with the
+    scale (expected pairs per unit integration time) profiled
+    analytically: scale* = sum(n) / sum(Tr[rho Pi_s]).
     """
     ops, counts = _measurement_ops(records)
     probs = np.einsum("sij,ji->s", ops, rho.matrix).real
     probs = np.maximum(probs, 1e-300)
-    if scale is None:
-        scale = counts.sum() / probs.sum()
-    lam = scale * probs
+    lam = counts.sum() / probs.sum() * probs
     return float(counts @ np.log(lam) - lam.sum() - _log_factorials(counts))
 
 

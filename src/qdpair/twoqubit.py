@@ -77,15 +77,13 @@ class TwoQubitDensity:
         return cls(m)
 
 
-def bell_state(kind: str, phase: float = 0.0) -> TwoQubitDensity:
-    """One of the four Bell states, with an optional extra phase e^{i*phase}
-    on the second branch of the superposition."""
-    p = np.exp(1j * phase)
+def bell_state(kind: str) -> TwoQubitDensity:
+    """One of the four Bell states."""
     kets = {
-        "phi_plus": np.array([1, 0, 0, p]) / np.sqrt(2),
-        "phi_minus": np.array([1, 0, 0, -p]) / np.sqrt(2),
-        "psi_plus": np.array([0, 1, p, 0]) / np.sqrt(2),
-        "psi_minus": np.array([0, 1, -p, 0]) / np.sqrt(2),
+        "phi_plus": np.array([1, 0, 0, 1]) / np.sqrt(2),
+        "phi_minus": np.array([1, 0, 0, -1]) / np.sqrt(2),
+        "psi_plus": np.array([0, 1, 1, 0]) / np.sqrt(2),
+        "psi_minus": np.array([0, 1, -1, 0]) / np.sqrt(2),
     }
     if kind not in kets:
         raise ContractError(f"unknown Bell state {kind!r}; expected one of {sorted(kets)}")
@@ -125,11 +123,11 @@ def rho_b_half() -> TwoQubitDensity:
     return TwoQubitDensity(m)
 
 
-def werner(p: float, kind: str = "psi_minus") -> TwoQubitDensity:
-    """Werner state: p |bell><bell| + (1 - p) I/4."""
+def werner(p: float) -> TwoQubitDensity:
+    """Werner state: p |psi-><psi-| + (1 - p) I/4."""
     if not 0.0 <= p <= 1.0:
         raise ContractError(f"Werner weight must lie in [0, 1], got {p}")
-    m = p * bell_state(kind).matrix + (1.0 - p) * np.eye(4) / 4.0
+    m = p * bell_state("psi_minus").matrix + (1.0 - p) * np.eye(4) / 4.0
     return TwoQubitDensity(m)
 
 

@@ -302,9 +302,8 @@ def test_bad_config_stops_before_any_output(tmp_path, capsys, argv, config,
 
 
 def test_console_script_entry_point(tmp_path):
-    r = subprocess.run([sys.executable, "-m", "qdpair.cli", "rates",
-                        "--out", str(tmp_path), "--format", "json"],
-                       capture_output=True, text=True)
+    r = run_with_src("-m", "qdpair.cli", "rates",
+                     "--out", str(tmp_path), "--format", "json")
     assert r.returncode == 0
     assert "rates.json" in r.stdout
 

@@ -114,9 +114,9 @@ def test_heralded_state_matches_branch_kernel(pnr):
                                channel_loss_db=13.0)
     spdc_a = dataclasses.replace(SPDC, spdc_p1=0.03, fidelity_floor=None,
                                  eta_s=0.7, channel_loss_db=4.0)
-    spdc_b = dataclasses.replace(SPDC, source_kind="spdc_multiplexed",
-                                 mux_n=12, spdc_p1=0.11, fidelity_floor=None,
-                                 eta_s=0.85, channel_loss_db=9.0)
+    spdc_b = dataclasses.replace(SPDC, mux_n=12, spdc_p1=0.11,
+                                 fidelity_floor=None, eta_s=0.85,
+                                 channel_loss_db=9.0)
     pairs = [(dataclasses.replace(left, pnr=pnr),
               dataclasses.replace(right, pnr=pnr))
              for left, right in ((qd_a, qd_b), (spdc_a, spdc_b),
@@ -386,8 +386,21 @@ def test_pair_rate_formulas():
     expected = sp.rep_rate_hz * 0.02 * sp.eta_collect ** 2
     assert abs(swap.pair_rate(sp) - expected) <= 1e-6
     # multiplexing boosts the effective single-pair probability
-    mux = dataclasses.replace(sp, source_kind="spdc_multiplexed", mux_n=30)
+    mux = dataclasses.replace(sp, mux_n=30)
     assert swap.pair_rate(mux) > 10.0 * swap.pair_rate(sp)
+
+
+def test_mux_n_alone_multiplexes_an_spdc_source():
+    # every SPDC quantity with mux_n > 1 is the multiplexed one: the switch
+    # in the collection efficiency, the boosted single-pair probability in
+    # the pair rate and the boosted pair numbers in the swap
+    s = swap.SwapScenario(source_kind="spdc", mux_n=10, spdc_p1=0.02,
+                          eta_s=0.8, eta_det=0.9, pnr=True)
+    assert s.eta_collect == pytest.approx(0.8 * 0.97, rel=1e-15)
+    assert swap.pair_rate(s) == pytest.approx(8389683.769067355, rel=1e-12)
+    res = swap.swap_once(s, s)
+    assert res.rate_hz == pytest.approx(379124.8038771894, rel=1e-12)
+    assert res.fidelity == pytest.approx(0.9945428988809785, rel=1e-12)
 
 
 def test_projected_gigahertz_pair_rates():
@@ -421,19 +434,16 @@ def test_loss_sweep_table():
     assert rows[1][3] > rows[1][2]
     # the SPDC columns are the swap at the pump optimise_pump picks
     for row in rows:
-        for col, kind, mux_n in ((2, "spdc", 1), (3, "spdc_multiplexed", 10),
-                                 (4, "spdc_multiplexed", 30)):
-            s = dataclasses.replace(SPDC, source_kind=kind, mux_n=mux_n,
-                                    channel_loss_db=row[0])
+        for col, mux_n in ((2, 1), (3, 10), (4, 30)):
+            s = dataclasses.replace(SPDC, mux_n=mux_n, channel_loss_db=row[0])
             s = dataclasses.replace(s, spdc_p1=swap.optimise_pump(s))
             ref = swap.swap_once(s, s).rate_hz
             assert abs(row[col] - ref) <= 1e-12 * ref
     # a configured pump is used as it is
     fixed = dataclasses.replace(SPDC, spdc_p1=0.02)
     row = swap.sweep_loss(QD, fixed, loss_grid_db=(5.0,), mux_sizes=(10,))["rows"][0]
-    for col, kind, mux_n in ((2, "spdc", 1), (3, "spdc_multiplexed", 10)):
-        s = dataclasses.replace(fixed, source_kind=kind, mux_n=mux_n,
-                                channel_loss_db=5.0)
+    for col, mux_n in ((2, 1), (3, 10)):
+        s = dataclasses.replace(fixed, mux_n=mux_n, channel_loss_db=5.0)
         assert row[col] == swap.swap_once(s, s).rate_hz
 
 
@@ -460,6 +470,8 @@ def test_scenario_validation():
         swap.SwapScenario(source_kind="qd_postselected", qd_g2=0.9)
     with pytest.raises(ConfigError):
         swap.SwapScenario(source_kind="qd_postselected", mux_n=0)
+    with pytest.raises(ConfigError, match="mux_n = 1"):
+        swap.SwapScenario(source_kind="qd_postselected", mux_n=2)
     with pytest.raises(ConfigError):
         swap.SwapScenario(source_kind="qd_postselected", channel_loss_db=-1.0)
     with pytest.raises(ConfigError):

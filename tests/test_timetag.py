@@ -289,6 +289,16 @@ def test_filter_sweep_improves_fidelity():
     assert pts[1].coincidences < pts[0].coincidences
 
 
+def test_filter_sweep_rejects_an_empty_window_grid(monkeypatch):
+    with pytest.raises(ContractError, match="nonempty"):
+        tt.sweep_windows((), tt.SWEEP_STREAM, 45.0)
+    synthesised = []
+    monkeypatch.setattr(tt, "synthesize_stream", synthesised.append)
+    with pytest.raises(ContractError, match="nonempty"):
+        tt.filter_fidelity_sweep(())
+    assert synthesised == []                # rejected before any stream
+
+
 def test_filter_sweep_matches_copying_oracle():
     params = tt.StreamParams(t1_ps=200.0, pulses=20000, seed=5, eta=0.3)
     grid = (-30.0, -10.0, 0.0, 35.0, 60.0)
@@ -390,7 +400,7 @@ def test_assemble_orders_by_time_then_channel():
     ts[::3] = ts[1::3]                      # ties in time, some in channel too
     ch = rng.integers(0, 8, len(ts)).astype(np.uint16)
     st = tt._assemble([(ch[:100], ts[:100]), (ch[100:], ts[100:])], 80e6,
-                      tuple(range(8)), None, {})
+                      tuple(range(8)), None)
     order = np.lexsort((ch, ts))
     assert np.array_equal(st.records["t"], ts[order])
     assert np.array_equal(st.records["channel"], ch[order])
@@ -410,9 +420,9 @@ def test_undeclared_channels_rejected(tmp_path, monkeypatch):
     tt.write_stream(tt.TimeTagStream(records, 80e6, channels=(0, 2, 9)), path)
     assert tt.read_stream(path).channels == (0, 2, 9)
     counted = []
-    count = tt._channels_used
-    monkeypatch.setattr(tt, "_channels_used",
-                        lambda channel: counted.append(1) or count(channel))
+    count = tt._checked_channels
+    monkeypatch.setattr(tt, "_checked_channels",
+                        lambda rec: counted.append(1) or count(rec))
     assert tt.read_stream(path).channels == (0, 2, 9)
     assert len(counted) == 1                # read_stream counts channels once
 
@@ -552,9 +562,12 @@ def test_coincidence_histogram_carries_state_across_record_blocks(monkeypatch):
             assert np.array_equal(hist.bin_start_ps, starts)
             assert np.array_equal(hist.counts, ref)
     assert tt.coincidence_histogram(cases[3], 0, 1, bin_ps, span_ps).counts.any()
-    # a step back across a block edge is still caught
+    # a step back across a block edge is still caught, and ahead of an
+    # undeclared channel in an earlier block
     with pytest.raises(ContractError, match="nondecreasing"):
         stream([0] * 6, [0, 1, 2, 3, 4, 3])
+    with pytest.raises(ContractError, match="nondecreasing"):
+        stream([9] + [0] * 9, [0, 1, 2, 3, 4, 5, 6, 7, 9, 8])
 
 
 def traced_peak(analyse, n, rng, gap_ps=0):
@@ -675,8 +688,11 @@ def test_coincidence_histogram_rejects_span_shorter_than_one_bin():
 
 
 def test_stream_params_validation():
+    # poissonian emission is an hbt-mode option only
     for kwargs in (dict(mode="weird"), dict(eta=1.5), dict(pulses=0),
                    dict(g2=-0.1), dict(emission="laser_like"),
-                   dict(indistinguishability=1.2)):
+                   dict(indistinguishability=1.2),
+                   dict(mode="pairs", emission="poissonian"),
+                   dict(mode="laser", emission="poissonian")):
         with pytest.raises(ContractError):
             tt.StreamParams(**kwargs)

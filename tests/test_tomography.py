@@ -1,5 +1,7 @@
 """Tests for polarisation tomography and maximum-likelihood reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -312,7 +314,7 @@ def test_setting_projector_is_built_once():
     assert fresh == s and hash(fresh) == hash(s) and repr(fresh) == repr(s)
 
 
-def test_certificate_rejects_a_non_optimal_state():
+def test_certificate_rejects_a_non_optimal_state(monkeypatch):
     ss = tomo.standard_settings()
     records = tomo.simulate_counts(tq.bell_state("psi_minus"), ss, 100000, seed=2)
     ops, counts = tomo._measurement_ops(records)
@@ -323,3 +325,25 @@ def test_certificate_rejects_a_non_optimal_state():
     rec, _ = tomo.mle_reconstruct(records)
     sigma, = tomo._certified(ops, counts[None], rec.matrix[None])
     assert np.trace(sigma @ ops.sum(0)).real == pytest.approx(counts.sum())
+    # the first failing row is named, and a NaN gap fails
+    stack = np.stack([counts, counts])
+    gap = frank_wolfe_gap(ops, counts, mixed)
+    with pytest.raises(NumericalError, match=re.escape(f"duality gap {gap:.3g} ")):
+        tomo._certified(ops, stack, np.stack([rec.matrix, mixed]))
+    eigvals = tomo._relative_eigvals
+
+    def nan_in_row_1(*args):
+        out = eigvals(*args)
+        out[1] = np.nan
+        return out
+    monkeypatch.setattr(tomo, "_relative_eigvals", nan_in_row_1)
+    with pytest.raises(NumericalError, match="duality gap nan"):
+        tomo._certified(ops, stack, np.stack([rec.matrix, rec.matrix]))
+
+
+def test_empty_count_stack_has_no_singlet_fractions():
+    ops = np.array([s.joint_projector() for s in tomo.standard_settings()])
+    assert tomo._certified(ops, np.zeros((0, 36)),
+                           np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4, 4)
+    fractions = tomo.singlet_fractions(ops, np.zeros((0, 36)))
+    assert fractions.shape == (0,) and fractions.dtype == float
