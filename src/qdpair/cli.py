@@ -188,8 +188,7 @@ def _objects(resolved: dict) -> types.SimpleNamespace:
             **{name: sw[key] for key, name in _QD.items()})
         spdc = swap.SwapScenario.spdc_reference(
             **{name: sw[key] for key, name in _SPDC.items()})
-        if min(sw["mux_sizes"]) < 2:
-            raise ConfigError("multiplexed sources need mux_n >= 2")
+        mux_sizes = swap.check_mux_sizes(sw["mux_sizes"])
         loss_grid = swap.loss_grid(**{key: sw[key] for key in _LOSS_GRID})
     g2_steps = _at_least("source.g2_grid_steps", src["g2_grid_steps"], 1)
     delay_steps = _at_least("wavepacket.delay_grid_steps", wp["delay_grid_steps"], 1)
@@ -199,7 +198,7 @@ def _objects(resolved: dict) -> types.SimpleNamespace:
         qd=qd, spdc=spdc,
         g2_grid=np.linspace(0.0, src["g2_grid_max"], g2_steps),
         delays=np.linspace(0.0, wp["delay_grid_max_ps"], delay_steps),
-        loss_grid=loss_grid, mux_sizes=tuple(sw["mux_sizes"]))
+        loss_grid=loss_grid, mux_sizes=mux_sizes)
 
 
 def resolve_config(user: dict) -> dict:

@@ -23,7 +23,9 @@ One engine, ``expand``, runs every linear network (Scheel,
 quant-ph/0406127): each a_m^dag of a term is replaced by its image, row
 m of a mode-transfer matrix, and the product expanded on the vacuum.  It
 also runs the sixteen-mode entanglement-swapping layout (eight modes and
-their loss environments), so the mode count is a constructor argument.
+their loss environments), so the mode count is a constructor argument,
+and with a plan it expands many products in one pass (every
+core-structure pair of a swap).
 Loss maps each mode onto itself and an empty environment mode.
 """
 
@@ -130,29 +132,69 @@ def tensor(left: FockState, right: FockState) -> FockState:
     return FockState(out, nmax=left.nmax, nmodes=left.nmodes)
 
 
-def expand(factors, nmodes: int, base: int):
+def expand(factors, nmodes: int, base: int, plan=None):
     """Keys (digits in ``base``), int8 occupations (widen them before
     arithmetic) and amplitudes of the product of ``factors`` on the vacuum
     of ``nmodes`` modes: a 1-D factor is sum_k f_k a_k^dag, a 2-D one sum_kl
     f_kl a_k^dag a_l^dag.  ``base`` must exceed every occupation reached;
-    past int8 occupations or int64 keys it raises ContractError."""
-    if base > 128 or base ** nmodes >= 2 ** 63:
+    past int8 occupations or int64 keys (row digit included) it raises
+    ContractError.
+
+    ``plan``, an (R, J) integer array, expands R products in one pass: row
+    r is the product of ``factors[plan[r, j]]`` over j, an entry of -1
+    standing for no factor.  Each key then carries its row as the digit
+    above the modes (row = key // base ** nmodes), and each row's terms come
+    out in the order and with the amplitudes, to the bit, of expanding that
+    row alone."""
+    plan = np.arange(len(factors))[None] if plan is None else np.asarray(plan)
+    top = base ** nmodes
+    if base > 128 or len(plan) * top >= 2 ** 63:
         raise ContractError(f"keys in base {base} overflow on {nmodes} modes")
     powers = base ** np.arange(nmodes, dtype=np.int64)
-    keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
-    for form in factors:
-        step = powers if form.ndim == 1 else powers[:, None] + powers
-        keys, inv = np.unique((keys[:, None] + step[form != 0]).ravel(),
-                              return_inverse=True)
-        prod = (coeffs[:, None] * form[form != 0]).ravel()
-        coeffs = np.bincount(inv, prod.real) + 1j * np.bincount(inv, prod.imag)
+    # Each factor as key steps and values.  The last one stands for no
+    # factor (-1): a step of 0 by 1, exact on every amplitude, none of
+    # which is -0.0 (each is 1 or a sum).
+    steps = [(powers if form.ndim == 1 else powers[:, None] + powers)[form != 0]
+             for form in factors] + [np.zeros(1, dtype=np.int64)]
+    values = [form[form != 0] for form in factors] + [np.ones(1)]
+    keys = np.arange(len(plan), dtype=np.int64) * top
+    coeffs = np.ones(len(plan), dtype=complex)
+    for column in plan.T % len(steps):
+        # The terms of the rows taking each factor at this step; only the
+        # masks stay alive through the merge.
+        use = column[keys // top]
+        blocks = [(f, use == f) for f in sorted(set(column.tolist()))]
+        del use
+        keys, coeffs = _multiply(keys, coeffs, blocks, steps, values)
     occ = np.empty((len(keys), nmodes), dtype=np.int8)
     root_fact = np.sqrt([math.factorial(n) for n in range(base)])
     rest = keys
     for m in range(nmodes):
-        rest, occ[:, m] = np.divmod(rest, base)
+        high = rest // base      # numpy divides by a scalar fast; divmod does not
+        occ[:, m] = rest - high * base
+        rest = high
         coeffs = coeffs * root_fact[occ[:, m]]
     return keys, occ, coeffs
+
+
+def _multiply(keys, coeffs, blocks, steps, values):
+    """Keys and amplitudes after one step of ``expand``: each (factor,
+    terms) block's candidates, term by term, one per nonzero entry of its
+    factor, merged on their keys."""
+    sizes = [np.count_nonzero(terms) * len(steps[f]) for f, terms in blocks]
+    bounds = np.cumsum([0] + sizes)
+    cand = np.empty(bounds[-1], dtype=np.int64)
+    for (f, terms), start, end in zip(blocks, bounds, bounds[1:]):
+        if end > start:
+            np.add(keys[terms][:, None], steps[f],
+                   out=cand[start:end].reshape(-1, len(steps[f])))
+    keys, inv = np.unique(cand, return_inverse=True)
+    prod = np.empty(len(cand), dtype=complex)
+    for (f, terms), start, end in zip(blocks, bounds, bounds[1:]):
+        if end > start:
+            np.multiply(coeffs[terms][:, None], values[f],
+                        out=prod[start:end].reshape(-1, len(values[f])))
+    return keys, np.bincount(inv, prod.real) + 1j * np.bincount(inv, prod.imag)
 
 
 def _image(state: FockState, transfer) -> dict:

@@ -310,21 +310,26 @@ _NETWORK[:, 4:8] = _INV_SQRT2 * _NETWORK[:, 4:8] @ np.kron(
     [[1.0, 1j], [1j, 1.0]], np.eye(2))
 
 
-def _forms(cores, image) -> list:
-    """Factors for ``fock.expand``: each core operator, scaled by 1/sqrt(2),
-    with each system mode replaced by its row of ``image``.  A quantum-dot
-    photon splits on the source beamsplitter; an SPDC pair is the singlet
-    o_h i_v - o_v i_h."""
+_OPS = (("s", 0), ("s", 1), ("pair",))   # the core operators of one side
+
+
+def _forms(image) -> list:
+    """Factors for ``fock.expand``: each core operator of each side (side
+    major, in ``_OPS`` order), scaled by 1/sqrt(2), with each system mode
+    replaced by its row of ``image``.  A quantum-dot photon splits on the
+    source beamsplitter; an SPDC pair is the singlet o_h i_v - o_v i_h."""
     out = []
-    for side, core in enumerate(cores):
+    for side in (0, 1):
         o_h, o_v, i_h, i_v = image[np.add([0, 1, 4, 5], 2 * side)]
-        forms = {("s", 0): o_h + 1j * i_h, ("s", 1): 1j * o_v + i_v,
-                 ("pair",): np.outer(o_h, i_v) - np.outer(o_v, i_h)}
-        out += [_INV_SQRT2 * forms[op] for op in core]
+        out += [_INV_SQRT2 * form for form in (
+            o_h + 1j * i_h, 1j * o_v + i_v,
+            np.outer(o_h, i_v) - np.outer(o_v, i_h))]
     return out
 
 
 class _Kernel(NamedTuple):
+    """One core-structure pair's kernel; indices count within the pair."""
+
     amp: np.ndarray         # (T,) amplitude of each term
     occ: np.ndarray         # (T, 16) its occupations (int8)
     expo: np.ndarray        # (T, 8) kept, then lost photons of oL, oR, iL, iR
@@ -338,79 +343,141 @@ class _Kernel(NamedTuple):
     counts: np.ndarray      # (S, 2) its photons on detectors 1 and 2
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel(core_l, core_r, extent: int) -> _Kernel:
-    """Terms of the interfering-species state after loss at eta = 1/2 on
-    every mode, then the midpoint beamsplitter, that some pattern does not
-    veto, and their groups as arrays; a sector is a (pattern, detector 1
-    count, detector 2 count).  Expanded once, each core operator replaced
-    by its image under the whole network.  Certified: normalised by the
-    core-state norm, the expanded norm must be 1, and every outer
-    occupation must lie below ``extent``, else NumericalError.  Cached by
-    structure and extent."""
+_kernel_cache: dict = {}   # (core_l, core_r, extent) -> _Kernel
+
+
+def _kernels(pairs, extent: int) -> list:
+    """Kernels of the (core_l, core_r) ``pairs``, cached by structure and
+    extent; those not cached yet are built in one ``_build`` pass."""
+    todo = [pair for pair in dict.fromkeys(pairs)
+            if pair + (extent,) not in _kernel_cache]
+    if todo:
+        for pair, kernel in zip(todo, _build(todo, extent)):
+            _kernel_cache[pair + (extent,)] = kernel
+    return [_kernel_cache[pair + (extent,)] for pair in pairs]
+
+
+def _build(pairs, extent: int) -> list:
+    """Kernels of ``pairs``: the terms of each pair's interfering-species
+    state after loss at eta = 1/2 on every mode, then the midpoint
+    beamsplitter, that some pattern does not veto, and their groups as
+    arrays; a sector is a (pattern, detector 1 count, detector 2 count).
+    One ``fock.expand`` pass expands every pair, each core operator
+    replaced by its image under the whole network, and every core state
+    besides for its norm; the pair index rides in the keys and sector
+    codes, so each step below runs once over all pairs.  Certified: each
+    pair's expanded norm, divided by its core-state norm, must be 1, and
+    every outer occupation must lie below ``extent``, else NumericalError."""
+    n = len(pairs)
     # Each operator puts at most one photon in any mode: keys are exact.
-    base = len(core_l) + len(core_r) + 1
-    cores = (core_l, core_r)
-    core = expand(_forms(cores, np.eye(_NSYS, _NMODES)), _NMODES, base)[2]
-    keys, occ, amp = expand(_forms(cores, _NETWORK), _NMODES, base)
-    amp = amp / math.sqrt(np.vdot(core, core).real)
-    if abs(np.vdot(amp, amp).real - 1.0) > 1e-12:
+    base = max(len(core_l) + len(core_r) for core_l, core_r in pairs) + 1
+    plan = np.full((n, base - 1), -1)
+    for row, (core_l, core_r) in enumerate(pairs):
+        ops = [_OPS.index(op) for op in core_l] + [3 + _OPS.index(op) for op in core_r]
+        plan[row, :len(ops)] = ops
+    # Rows 0..n-1: each pair through the network; rows n..2n-1: its core.
+    forms = _forms(_NETWORK) + _forms(np.eye(_NSYS, _NMODES))
+    keys, occ, amp = expand(forms, _NMODES, base, np.vstack([plan, plan + 6 * (plan >= 0)]))
+    # Every row has terms; reduceat sums each row's pairwise, as accurately
+    # as one row's own sum.
+    starts = np.searchsorted(keys // base ** _NMODES, np.arange(2 * n))
+    norms = np.add.reduceat(amp.real ** 2 + amp.imag ** 2, starts)
+    cut = starts[n]
+    keys, occ, amp = keys[:cut], occ[:cut], amp[:cut]
+    pair = keys // base ** _NMODES
+    amp = amp / np.sqrt(norms[n:])[pair]
+    if np.any(abs(np.add.reduceat(amp.real ** 2 + amp.imag ** 2, starts[:n]) - 1.0)
+              > 1e-12):
         raise NumericalError("swap kernel does not conserve the norm")
     m1, m2 = np.array([pattern[:2] for pattern in _PATTERNS]).T
     hits = occ[:, _CLICK_MODES].sum(axis=1) == occ[:, m1].T + occ[:, m2].T
     keep = hits.any(axis=0)   # the terms some pattern does not veto
-    keys, occ, amp, hits = keys[keep], occ[keep], amp[keep], hits[:, keep]
+    keys, occ, amp, pair, hits = keys[keep], occ[keep], amp[keep], pair[keep], hits[:, keep]
     if occ[:, :4].max(initial=0) >= extent:
         raise NumericalError("an outer occupation falls past the routing extent")
-    pairs = occ.reshape(-1, 8, 2).sum(axis=2)  # oL oR, mid, lost oL oR iL iR
-    photons = [sum(1 + (op[0] == "pair") for op in c) for c in (core_l, core_r)]
-    kept_in = photons - pairs[:, [0, 1]] - pairs[:, [4, 5]] - pairs[:, [6, 7]]
-    expo = np.column_stack([pairs[:, :2], kept_in, pairs[:, 4:]]).astype(np.int8)
-    idx = np.where(pairs[:, 0] * pairs[:, 1] == 1, 2 * occ[:, 1] + occ[:, 3], -1)
-    p_idx, hit_term = np.nonzero(hits)
-    sector = (p_idx * base + occ[hit_term, m1[p_idx]]) * base \
+    photons = np.array([[sum(1 + (op[0] == "pair") for op in core) for core in cores]
+                        for cores in pairs])
+    arms = occ[:, ::2] + occ[:, 1::2]   # oL oR, mid, lost oL oR iL iR
+    kept_in = photons[pair] - arms[:, [0, 1]] - arms[:, [4, 5]] - arms[:, [6, 7]]
+    expo = np.column_stack([arms[:, :2], kept_in, arms[:, 4:]]).astype(np.int8)
+    idx = np.where((arms[:, 0] == 1) & (arms[:, 1] == 1), 2 * occ[:, 1] + occ[:, 3], -1)
+    # Term-major hits keep each pair's hits together.
+    hit_term, p_idx = np.nonzero(hits.T)
+    sector = ((pair[hit_term] * 4 + p_idx) * base + occ[hit_term, m1[p_idx]]) * base \
         + occ[hit_term, m2[p_idx]]
     codes, hit_sector = np.unique(sector, return_inverse=True)
     outer = np.ravel_multi_index(occ[hit_term, :4].T, (extent,) * 4)
     q = idx[hit_term] >= 0
     b8 = base ** 8
-    env, vec_group = np.unique(sector[q] * b8 + keys[hit_term[q]] // b8,
+    env, vec_group = np.unique(sector[q] * b8 + keys[hit_term[q]] // b8 % b8,
                                return_inverse=True)
-    return _Kernel(amp, occ, expo, idx, hit_term,
-                   hit_sector * extent ** 4 + outer, hit_term[q],
-                   4 * vec_group + idx[hit_term[q]],
-                   np.searchsorted(codes, env // b8), codes // base ** 2,
-                   np.column_stack([codes // base % base, codes % base]))
+    vec_term = hit_term[q]
+    vec_sector = np.searchsorted(codes, env // b8)
+    # Split by pair, each index counted from its pair's first entry.
+    bounds = [np.searchsorted(owner, np.arange(n + 1)) for owner in (
+        pair, pair[hit_term], pair[vec_term], codes // (4 * base ** 2),
+        env // (4 * base ** 2 * b8))]
+    kernels = []
+    for p in range(n):
+        (t0, t1), (h0, h1), (v0, v1), (s0, s1), (g0, g1) = (b[p:p + 2] for b in bounds)
+        codes_p = codes[s0:s1]
+        kernels.append(_Kernel(
+            amp[t0:t1], occ[t0:t1], expo[t0:t1], idx[t0:t1],
+            hit_term[h0:h1] - t0, (hit_sector[h0:h1] - s0) * extent ** 4 + outer[h0:h1],
+            vec_term[v0:v1] - t0, 4 * (vec_group[v0:v1] - g0) + idx[vec_term[v0:v1]],
+            vec_sector[g0:g1] - s0, codes_p // base ** 2 % 4,
+            np.column_stack([codes_p // base % base, codes_p % base])))
+    return kernels
 
 
 class _Sectors(NamedTuple):
     counts: np.ndarray  # (S, 2) photons on detectors 1 (H) and 2 (V)
     coh: np.ndarray     # (S, 4, 4) one-photon-per-arm block, sign corrected
     dist: np.ndarray    # (S, E^4) outer occupation distribution
+    pair: np.ndarray    # (S,) core-structure pair of each sector
 
 
-def _sector_blocks(core_l, core_r, eta_out_l, eta_in_l, eta_out_r, eta_in_r):
-    """Arrays over the kernel's sectors: detector counts, the coherent
-    one-photon-per-arm block with its feed-forward sign, and the dense
-    outer occupation distribution (E^4, C order over oLH oLV oRH oRV) for
-    combination with classical photons.  Each kernel term is rescaled from
-    eta = 1/2 by (2 eta)^(kept/2) (2 (1 - eta))^(lost/2) per arm; terms
-    with different environment occupations add incoherently."""
+def _sector_blocks(pairs, eta_out_l, eta_in_l, eta_out_r, eta_in_r):
+    """Arrays over the sectors of every (core_l, core_r) in ``pairs``, one
+    stack in pair order: detector counts, the coherent one-photon-per-arm
+    block with its feed-forward sign, the dense outer occupation
+    distribution (E^4, C order over oLH oLV oRH oRV) for combination with
+    classical photons, and the pair.  The pairs' kernels are joined into
+    one, so each step runs once for all of them.  Each kernel term is
+    rescaled from eta = 1/2 by (2 eta)^(kept/2) (2 (1 - eta))^(lost/2) per
+    arm; terms with different environment occupations add incoherently."""
     extent = _extent()
-    k = _kernel(core_l, core_r, extent)
+    kernels = _kernels(pairs, extent)
+
+    def joined(field, offsets=None):
+        parts = [getattr(k, field) for k in kernels]
+        out = np.concatenate(parts)
+        if offsets is None:
+            return out
+        return out + np.repeat(offsets, [len(part) for part in parts])
+
+    def starts(field):
+        return np.cumsum([0] + [len(getattr(k, field)) for k in kernels[:-1]])
+
+    terms, sectors, groups = starts("amp"), starts("pattern"), starts("vec_sector")
     eta = np.array([eta_out_l, eta_out_r, eta_in_l, eta_in_r])
     roots = np.sqrt(np.concatenate([2.0 * eta, 2.0 * (1.0 - eta)]))
-    amp = k.amp * np.prod(roots ** k.expo, axis=1)
-    prob = (amp.real ** 2 + amp.imag ** 2)[k.hit_term]
-    n_sectors = len(k.pattern)
-    dist = np.bincount(k.hit_slot, prob, n_sectors * extent ** 4)
-    a, n = amp[k.vec_term], 4 * len(k.vec_sector)
-    v = (np.bincount(k.vec_slot, a.real, n)
-         + 1j * np.bincount(k.vec_slot, a.imag, n)).reshape(-1, 4)
-    coh = np.zeros((n_sectors, 4, 4), dtype=complex)
-    np.add.at(coh, k.vec_sector, v[:, :, None] * v[:, None, :].conj())
-    return _Sectors(k.counts, coh * _SIGNS[k.pattern],
-                    dist.reshape(n_sectors, -1))
+    amp = joined("amp") * np.prod(roots ** joined("expo"), axis=1)
+    prob = (amp.real ** 2 + amp.imag ** 2)[joined("hit_term", terms)]
+    pattern = joined("pattern")
+    n_sectors = len(pattern)
+    dist = np.bincount(joined("hit_slot", extent ** 4 * sectors), prob,
+                       n_sectors * extent ** 4)
+    a = amp[joined("vec_term", terms)]
+    vec_slot, vec_sector = joined("vec_slot", 4 * groups), joined("vec_sector", sectors)
+    n = 4 * len(vec_sector)
+    v = (np.bincount(vec_slot, a.real, n) + 1j * np.bincount(vec_slot, a.imag, n)).reshape(-1, 4)
+    outer = (v[:, :, None] * v[:, None, :].conj()).reshape(-1)
+    slot = (16 * vec_sector[:, None] + np.arange(16)).reshape(-1)
+    coh = (np.bincount(slot, outer.real, 16 * n_sectors)
+           + 1j * np.bincount(slot, outer.imag, 16 * n_sectors)).reshape(-1, 4, 4)
+    return _Sectors(joined("counts"), coh * _SIGNS[pattern], dist.reshape(n_sectors, -1),
+                    np.repeat(np.arange(len(kernels)), [len(k.pattern) for k in kernels]))
 
 
 def _side_tables(scenario: SwapScenario) -> dict:
@@ -443,25 +510,27 @@ def _side_tables(scenario: SwapScenario) -> dict:
 
 
 def _join(left, right):
-    """Routing table of both sources' classical photons: (E,) * 6 weights
-    over (detector 1, detector 2, oLH, oLV, oRH, oRV).  Detector counts
-    convolve, each source keeps its own outer modes (an outer product) and
-    weights multiply.  A count past the extent raises NumericalError, as
-    the kernel certifies its norm."""
-    e = left.shape[0]
-    out = np.zeros((2 * e - 1, 2 * e - 1) + (e,) * 4)
-    for d1, d2 in np.argwhere(left.any(axis=(2, 3))):
-        out[d1:d1 + e, d2:d2 + e] += (left[None, None, d1, d2, :, :, None, None]
-                                      * right[:, :, None, None])
-    if out[e:].any() or out[:, e:].any():
+    """Routing tables of both sources' classical photons for every pair of
+    their cores: (L, R) + (E,) * 6 weights over (detector 1, detector 2,
+    oLH, oLV, oRH, oRV) from the (L,) and (R,) stacks of each source's
+    tables.  Detector counts convolve, each source keeps its own outer
+    modes (an outer product) and weights multiply.  A count past the extent
+    raises NumericalError, as the kernel certifies its norm."""
+    e = left.shape[1]
+    out = np.zeros((len(left), len(right), 2 * e - 1, 2 * e - 1) + (e,) * 4)
+    for d1, d2 in np.argwhere(left.any(axis=(0, 3, 4))):
+        out[:, :, d1:d1 + e, d2:d2 + e] += (
+            left[:, None, d1, d2, None, None, :, :, None, None]
+            * right[None, :, :, :, None, None])
+    if out[:, :, e:].any() or out[:, :, :, e:].any():
         raise NumericalError("a detector count falls past the routing extent")
-    return out[:e, :e]
+    return out[:, :, :e, :e]
 
 
 @functools.lru_cache(maxsize=None)
 def _readout(extent: int, pnr: bool) -> np.ndarray:
-    """Read-out weights of the outer arms, (E^4, E^4, 4) over (interfering,
-    classical photons' outer occupation, two-qubit index).  Number-resolving
+    """Read-out weights of the outer arms, (E^4, E^4, 4) over (classical
+    photons' outer occupation, interfering, two-qubit index).  Number-resolving
     nodes veto anything but one photon per arm; threshold nodes accept more,
     read as a random polarisation.  The clean entries (no classical photon,
     one interfering photon per arm) are zero: the coherent block has them."""
@@ -474,30 +543,45 @@ def _readout(extent: int, pnr: bool) -> np.ndarray:
     tot = occ[:, :, None] + occ[:, None, :]
     table = (arm[tot[0], tot[1], :, None]
              * arm[tot[2], tot[3], None, :]).reshape(occ.shape[1], -1, 4)
-    table[(occ[0] + occ[1] == 1) & (occ[2] + occ[3] == 1), 0] = 0.0
+    table[0, (occ[0] + occ[1] == 1) & (occ[2] + occ[3] == 1)] = 0.0
     table.flags.writeable = False
     return table
 
 
-def _pattern_state(sectors: _Sectors, routes, pnr: bool):
-    """Corrected heralded two-qubit operator (unnormalised) of one
-    core-structure pair, from its sector blocks and the joined routing table
-    of its classical photons, weights included.  Plain einsum contractions:
-    these operands are too small for BLAS to pay."""
-    extent = routes.shape[0]
-    routes = routes.reshape(extent, extent, -1)
-    present = routes.any(axis=(0, 1))
-    present[0] = True   # the clean column carries the coherent blocks
-    cols = np.flatnonzero(present)
+def _pattern_state(sectors: _Sectors, routes, pnr: bool, by_pair=False):
+    """Corrected heralded two-qubit operator (unnormalised), summed over the
+    sectors' core-structure pairs, or their (P, 4, 4) stack with
+    ``by_pair``.  ``routes`` is the (P,) + (E,) * 6 stack of each pair's
+    joined routing table of classical photons, weights included; each
+    sector reads its own pair's.  One set of contractions for all pairs."""
+    n_pairs, extent = routes.shape[:2]
+    routes = routes.reshape(n_pairs, extent, extent, -1)
+    # Only the outer occupations some pair's classical photons reach, and
+    # some sector's interfering ones; the clean column carries the
+    # coherent blocks.
+    routed = routes.any(axis=(0, 1, 2))
+    routed[0] = True
+    routed, held = np.flatnonzero(routed), np.flatnonzero(sectors.dist.any(axis=0))
+    routes = np.take(routes, routed, axis=3)
     # Number-resolving detectors need exactly one photon each, threshold
-    # ones at least one: accept[s, d1, d2] for the routed counts d1, d2.
-    total = sectors.counts[:, :, None] + np.arange(extent)
-    ok = total == 1 if pnr else total >= 1
-    accept = ok[:, 0, :, None] & ok[:, 1, None, :]
-    w = np.einsum("sab,abo->so", accept.astype(float), routes[:, :, cols])
-    joint = np.einsum("so,sq->oq", w, sectors.dist)
-    diag = np.einsum("oq,qol->l", joint, _readout(extent, pnr)[:, cols])
-    return np.einsum("s,sij->ij", w[:, 0], sectors.coh) + np.diag(diag)
+    # ones at least one: ok[c, d] for c photons in the sector and d routed.
+    total = np.add.outer(np.arange(sectors.counts.max(initial=0) + 1),
+                         np.arange(extent))
+    ok = (total == 1 if pnr else total >= 1).astype(float)
+    # accepted[p, c1, c2, column]: pair p's routed weight that a sector with
+    # c1 and c2 photons keeps, detector 1's counts summed out, then 2's.
+    one = (ok @ routes.reshape(n_pairs, extent, -1)).reshape(-1, extent, len(routed))
+    accepted = (ok @ one).reshape(n_pairs, len(ok), len(ok), -1)
+    w = accepted[sectors.pair, sectors.counts[:, 0], sectors.counts[:, 1]]
+    # Each sector's weights in the block of the operator it adds to.
+    n_ops = n_pairs if by_pair else 1
+    spread = np.zeros((len(w), n_ops, len(routed)))
+    spread[np.arange(len(w)), sectors.pair % n_ops] = w
+    joint = spread.reshape(len(w), -1).T @ sectors.dist[:, held]
+    diag = joint.reshape(n_ops, -1) @ _readout(extent, pnr)[np.ix_(routed, held)].reshape(-1, 4)
+    ops = np.einsum("sg,sij->gij", spread[:, :, 0], sectors.coh) \
+        + diag[:, :, None] * np.eye(4)
+    return ops if by_pair else ops[0]
 
 
 def heralded_state(left: SwapScenario, right: SwapScenario):
@@ -505,22 +589,24 @@ def heralded_state(left: SwapScenario, right: SwapScenario):
 
     The operator pools all four patterns after feed-forward correction;
     its trace is the probability per attempt that a herald fires with
-    exactly one photon in each outer arm.
+    exactly one photon in each outer arm.  Every core-structure pair of
+    the two sources goes through one stacked ``_sector_blocks`` and one
+    ``_pattern_state``.
     """
     if left.rep_rate_hz != right.rep_rate_hz:
         raise ContractError("both sources must share the attempt rate")
     if left.pnr != right.pnr:
         raise ContractError("the midpoint station has one detector type; "
                             "pnr flags must match")
-    rho = np.zeros((4, 4), dtype=complex)
     tables_l = _side_tables(left)
     tables_r = tables_l if right == left else _side_tables(right)
-    for core_l, routes_l in tables_l.items():
-        for core_r, routes_r in tables_r.items():
-            sectors = _sector_blocks(core_l, core_r,
-                                     left.eta_collect, left.eta_inner,
-                                     right.eta_collect, right.eta_inner)
-            rho += _pattern_state(sectors, _join(routes_l, routes_r), left.pnr)
+    pairs = [(core_l, core_r) for core_l in tables_l for core_r in tables_r]
+    routes = _join(np.array(list(tables_l.values())),
+                   np.array(list(tables_r.values())))
+    sectors = _sector_blocks(pairs, left.eta_collect, left.eta_inner,
+                             right.eta_collect, right.eta_inner)
+    rho = _pattern_state(sectors, routes.reshape((len(pairs),) + routes.shape[2:]),
+                         left.pnr)
     return rho, float(np.trace(rho).real)
 
 
@@ -585,17 +671,16 @@ def optimise_pump(scenario: SwapScenario) -> float:
 
 def _pair_configs(scenario: SwapScenario) -> dict:
     """Herald operator of each (left, right) pair number before the number
-    weights, at the scenario's efficiencies and ``pnr``."""
-    etas = (scenario.eta_collect, scenario.eta_inner) * 2
-    cores = [(("pair",),) * n for n in range(_MAX_PAIRS + 1)]
-    unrouted = np.zeros((_extent(),) * 6)   # SPDC has no classical photons
-    unrouted[(0,) * 6] = 1.0
-    configs = {}
-    for n_l, core_l in enumerate(cores):
-        for n_r, core_r in enumerate(cores):
-            sectors = _sector_blocks(core_l, core_r, *etas)
-            configs[(n_l, n_r)] = _pattern_state(sectors, unrouted, scenario.pnr)
-    return configs
+    weights, at the scenario's efficiencies and ``pnr``: one stacked
+    ``_sector_blocks`` and ``_pattern_state`` over the pair numbers."""
+    numbers = [(n_l, n_r) for n_l in range(_MAX_PAIRS + 1)
+               for n_r in range(_MAX_PAIRS + 1)]
+    pairs = [((("pair",),) * n_l, (("pair",),) * n_r) for n_l, n_r in numbers]
+    unrouted = np.zeros((len(pairs),) + (_extent(),) * 6)   # SPDC has no
+    unrouted[(slice(None),) + (0,) * 6] = 1.0               # classical photons
+    sectors = _sector_blocks(pairs, *(scenario.eta_collect, scenario.eta_inner) * 2)
+    return dict(zip(numbers, _pattern_state(sectors, unrouted, scenario.pnr,
+                                            by_pair=True)))
 
 
 def _pump_search(scenario: SwapScenario, configs: dict = None):
@@ -643,6 +728,15 @@ def _pump_search(scenario: SwapScenario, configs: dict = None):
 # ---------------------------------------------------------------------------
 # Loss sweep.
 
+def check_mux_sizes(mux_sizes) -> tuple:
+    """The multiplexed columns' ``mux_n`` values as ints; each must be at
+    least 2 (a one-unit source is the plain column), else ConfigError."""
+    mux_sizes = tuple(int(n) for n in mux_sizes)
+    if any(n < 2 for n in mux_sizes):
+        raise ConfigError("multiplexed sources need mux_n >= 2")
+    return mux_sizes
+
+
 def sweep_loss(left: SwapScenario, right: SwapScenario,
                loss_grid_db=DEFAULT_LOSS_GRID_DB, mux_sizes=(10, 30, 100)):
     """Swap-rate comparison across symmetric channel loss.
@@ -662,9 +756,7 @@ def sweep_loss(left: SwapScenario, right: SwapScenario,
     loss_grid_db = [float(x) for x in loss_grid_db]
     if not loss_grid_db:
         raise ContractError("loss grid must be nonempty")
-    mux_sizes = tuple(int(n) for n in mux_sizes)
-    if any(n < 2 for n in mux_sizes):
-        raise ConfigError("mux sizes must be at least 2")
+    mux_sizes = check_mux_sizes(mux_sizes)
 
     columns = ["loss_db", "rate_qd", "rate_spdc"] + \
               [f"rate_spdc_mux{n}" for n in mux_sizes]

@@ -686,13 +686,14 @@ def reference_from_pulse_histogram(laser_stream: TimeTagStream) -> int:
 
 
 def write_stream(stream: TimeTagStream, path) -> None:
-    """Binary format: 32-byte header then little-endian (u16, i64) records."""
+    """Binary format: 32-byte header then little-endian (u16, i64) records,
+    written from the array itself rather than from a copy of its bytes."""
     t0 = _T_ZERO_UNSET if stream.t_zero_ps is None else int(stream.t_zero_ps)
     header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, 0,
                           int(round(stream.rep_rate_hz * 1000.0)), t0)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(stream.records.tobytes())
+        stream.records.tofile(fh)
 
 
 def read_stream(path) -> TimeTagStream:

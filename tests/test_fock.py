@@ -134,6 +134,33 @@ def test_two_mode_mix_matches_pass_by_pass_mixer():
                     assert abs(got.terms[occ] - amp) <= 1e-14
 
 
+def test_stacked_expansion_matches_each_row_alone():
+    # rows of unequal length, sharing factors at different steps, and with
+    # gaps: each row's block equals its own expansion, term order and
+    # amplitudes to the bit
+    rng = np.random.default_rng(50)
+    nmodes, base = 6, 6
+    factors = []
+    for ndim in (1, 2, 1, 2, 1):
+        form = rng.normal(size=(nmodes,) * ndim) + 1j * rng.normal(size=(nmodes,) * ndim)
+        factors.append(form * (rng.uniform(size=form.shape) < 0.5))
+    plan = np.array([[0, 1, 2, -1, -1], [3, 3, -1, -1, -1], [-1, -1, -1, -1, -1],
+                     [4, 0, 2, 1, -1], [2, -1, 4, -1, 0]])
+    keys, occ, coeffs = fock.expand(factors, nmodes, base, plan)
+    top = base ** nmodes
+    assert np.all(np.diff(keys) > 0)
+    for r, row in enumerate(plan):
+        own = fock.expand([factors[f] for f in row if f >= 0], nmodes, base)
+        mine = keys // top == r
+        assert np.array_equal(keys[mine] % top, own[0])
+        assert np.array_equal(occ[mine], own[1])
+        assert np.array_equal(coeffs[mine], own[2])
+    # the row digit counts against the int64 key bound
+    fock.expand([], 16, 9, np.zeros((4000, 0), dtype=int))
+    with pytest.raises(ContractError):
+        fock.expand([], 16, 9, np.zeros((5000, 0), dtype=int))
+
+
 def test_expansion_keys_are_bounded():
     # keys are digits in base (largest total photon number + 1): sixteen
     # dilated modes hold 15 photons only past int64, and 128 photons do

@@ -158,9 +158,9 @@ SPDC_CORES = ((), (PAIR,), (PAIR, PAIR))
 @pytest.fixture
 def fresh_kernels():
     # kernels built under a patched setting must not outlive the test
-    swap._kernel.cache_clear()
+    swap._kernel_cache.clear()
     yield
-    swap._kernel.cache_clear()
+    swap._kernel_cache.clear()
 
 
 def kernel_terms(k, extent):
@@ -199,7 +199,7 @@ def kernel_terms(k, extent):
 def assert_kernel_matches_oracle(core_l, core_r):
     ref = mixing_kernel(core_l, core_r)
     extent = swap._extent()
-    got = kernel_terms(swap._kernel(core_l, core_r, extent), extent)
+    got = kernel_terms(swap._kernels([(core_l, core_r)], extent)[0], extent)
     assert len(got) == len(ref)
     for amp, arms, occ4, idx, env, hits in ref:
         g_amp, g_arms, g_idx = got[(occ4, env, hits)]
@@ -207,10 +207,11 @@ def assert_kernel_matches_oracle(core_l, core_r):
         assert (g_arms, g_idx) == (arms, idx)
 
 
-def test_kernel_matches_mixing_oracle():
-    # every core structure at the default cutoff: the 24 pairs fig5 swaps
-    # and every quantum dot against SPDC, either way round
+def test_kernel_matches_mixing_oracle(fresh_kernels):
+    # every core structure at the default cutoff, built in one pass: the 24
+    # pairs fig5 swaps and every quantum dot against SPDC, either way round
     cores = QD_CORES + SPDC_CORES[1:]
+    swap._kernels([(l, r) for l in cores for r in cores], swap._extent())
     for core_l in cores:
         for core_r in cores:
             assert_kernel_matches_oracle(core_l, core_r)
@@ -227,6 +228,52 @@ def test_kernel_matches_mixing_oracle_at_cutoff_3(monkeypatch, fresh_kernels):
     assert_kernel_matches_oracle(three, three)
 
 
+def counted_expand(monkeypatch):
+    calls, expand = [], swap.expand
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return expand(*args, **kwargs)
+    monkeypatch.setattr(swap, "expand", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cutoff", (2, 3))
+def test_kernels_build_in_one_expansion(monkeypatch, fresh_kernels, cutoff):
+    # one fock.expand pass per cold call, however many core-structure pairs
+    # it covers (16 quantum-dot pairs; 9 or 16 SPDC pair numbers), and none
+    # once they are cached
+    monkeypatch.setattr(swap, "_MAX_PAIRS", cutoff)
+    calls = counted_expand(monkeypatch)
+    swap.heralded_state(QD, QD)
+    assert len(calls) == 1
+    assert len(swap._kernel_cache) == 16
+    swap._kernel_cache.clear()
+    configs = swap._pair_configs(SPDC)
+    assert len(calls) == 2
+    assert len(configs) == len(swap._kernel_cache) == (cutoff + 1) ** 2
+    swap.heralded_state(QD, QD)     # the 15 pairs not cached, in one pass
+    assert len(calls) == 3
+    swap.heralded_state(QD, QD)
+    swap._pair_configs(SPDC)
+    assert len(calls) == 3
+
+
+def test_kernels_do_not_depend_on_their_stack(fresh_kernels):
+    # each pair's arrays are the same, bit for bit, whether it is built
+    # with every other structure, with a few, or alone
+    cores = QD_CORES + SPDC_CORES[1:]
+    pairs = [(l, r) for l in cores for r in cores]
+    extent = swap._extent()
+    whole = dict(zip(pairs, swap._kernels(pairs, extent)))
+    for subset in (pairs[::-5], pairs[-1:], pairs[:1]):
+        swap._kernel_cache.clear()
+        for pair, kernel in zip(subset, swap._kernels(subset, extent)):
+            for got, want in zip(kernel, whole[pair]):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
 def test_kernel_certifies_its_norm(monkeypatch, fresh_kernels):
     # loss that drops the environment modes is not unitary: the expanded
     # state then falls short of the core-state norm and the kernel says so
@@ -234,7 +281,7 @@ def test_kernel_certifies_its_norm(monkeypatch, fresh_kernels):
     lossy[:, 8:] = 0.0
     monkeypatch.setattr(swap, "_NETWORK", lossy)
     with pytest.raises(NumericalError):
-        swap._kernel((PAIR,), (PAIR,), swap._extent())
+        swap._kernels([((PAIR,), (PAIR,))], swap._extent())
 
 
 @pytest.mark.parametrize("pnr", (True, False))
@@ -478,3 +525,8 @@ def test_scenario_validation():
         swap.sweep_loss(QD, QD)
     with pytest.raises(ConfigError):
         swap.sweep_loss(SPDC, SPDC)
+    # the command line checks mux sizes with the same text
+    for bad in ((10, 1), (0,)):
+        with pytest.raises(ConfigError,
+                           match="multiplexed sources need mux_n >= 2"):
+            swap.sweep_loss(QD, SPDC, loss_grid_db=(0.0,), mux_sizes=bad)

@@ -437,6 +437,23 @@ def test_stream_file_roundtrip(tmp_path):
     assert back.t_zero_ps == st.t_zero_ps
 
 
+# SHA-256 of the stream file written for the seed-7 pairs stream (20000
+# pulses) whole, and for every third record under a negative reference.
+STREAM_FILE_DIGESTS = (
+    "1e8611f6dd8ab05df90dfcfaa2276eeee72c1ae23a10442c114ba40c9cfab642",
+    "da7459c46017ef3132dd6ec7635bbbeae74dfefccb6c136e74818039b0bbd632",
+)
+
+
+def test_stream_file_bytes_are_pinned(tmp_path):
+    st = tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=7))
+    strided = tt.TimeTagStream(st.records[::3], st.rep_rate_hz, t_zero_ps=-1234)
+    for stream, digest in zip((st, strided), STREAM_FILE_DIGESTS):
+        path = tmp_path / "stream.ttg"
+        tt.write_stream(stream, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_stream_file_without_records(tmp_path):
     empty = tt.TimeTagStream(np.empty(0, dtype=tt.RECORD_DTYPE), 80e6,
                              t_zero_ps=1234)
