@@ -328,7 +328,7 @@ def _forms(image) -> list:
 
 
 class _Kernel(NamedTuple):
-    """One core-structure pair's kernel; indices count within the pair."""
+    """The stacked kernel of a pair list; indices count over the whole stack."""
 
     amp: np.ndarray         # (T,) amplitude of each term
     occ: np.ndarray         # (T, 16) its occupations (int8)
@@ -341,33 +341,33 @@ class _Kernel(NamedTuple):
     vec_sector: np.ndarray  # sector of each (sector, environment)
     pattern: np.ndarray     # (S,) pattern of each sector
     counts: np.ndarray      # (S, 2) its photons on detectors 1 and 2
+    pair: np.ndarray        # (S,) its core-structure pair
 
 
-_kernel_cache: dict = {}   # (core_l, core_r, extent) -> _Kernel
+_kernel_cache: dict = {}   # (pairs, extent) -> _Kernel
 
 
-def _kernels(pairs, extent: int) -> list:
-    """Kernels of the (core_l, core_r) ``pairs``, cached by structure and
-    extent; those not cached yet are built in one ``_build`` pass."""
-    todo = [pair for pair in dict.fromkeys(pairs)
-            if pair + (extent,) not in _kernel_cache]
-    if todo:
-        for pair, kernel in zip(todo, _build(todo, extent)):
-            _kernel_cache[pair + (extent,)] = kernel
-    return [_kernel_cache[pair + (extent,)] for pair in pairs]
+def _kernel(pairs, extent: int) -> _Kernel:
+    """The stacked kernel of the (core_l, core_r) ``pairs``, cached by that
+    structure and extent."""
+    key = (tuple(pairs), extent)
+    if key not in _kernel_cache:
+        _kernel_cache[key] = _build(pairs, extent)
+    return _kernel_cache[key]
 
 
-def _build(pairs, extent: int) -> list:
-    """Kernels of ``pairs``: the terms of each pair's interfering-species
-    state after loss at eta = 1/2 on every mode, then the midpoint
-    beamsplitter, that some pattern does not veto, and their groups as
-    arrays; a sector is a (pattern, detector 1 count, detector 2 count).
-    One ``fock.expand`` pass expands every pair, each core operator
-    replaced by its image under the whole network, and every core state
-    besides for its norm; the pair index rides in the keys and sector
-    codes, so each step below runs once over all pairs.  Certified: each
-    pair's expanded norm, divided by its core-state norm, must be 1, and
-    every outer occupation must lie below ``extent``, else NumericalError."""
+def _build(pairs, extent: int) -> _Kernel:
+    """One stacked kernel per call's pair list, cached by that structure in
+    ``_kernel``: the terms of each pair's interfering-species state after
+    loss at eta = 1/2 on every mode, then the midpoint beamsplitter, that
+    some pattern does not veto, and their groups as arrays; a sector is a
+    (pair, pattern, detector 1 count, detector 2 count).  One
+    ``fock.expand`` pass expands every pair, each core operator replaced
+    by its image under the whole network, and every core state besides
+    for its norm; the pair index rides in the keys and sector codes, so
+    each step below runs once over all pairs.  Certified: each pair's
+    expanded norm, divided by its core-state norm, must be 1, and every
+    outer occupation must lie below ``extent``, else NumericalError."""
     n = len(pairs)
     # Each operator puts at most one photon in any mode: keys are exact.
     base = max(len(core_l) + len(core_r) for core_l, core_r in pairs) + 1
@@ -413,21 +413,12 @@ def _build(pairs, extent: int) -> list:
                                return_inverse=True)
     vec_term = hit_term[q]
     vec_sector = np.searchsorted(codes, env // b8)
-    # Split by pair, each index counted from its pair's first entry.
-    bounds = [np.searchsorted(owner, np.arange(n + 1)) for owner in (
-        pair, pair[hit_term], pair[vec_term], codes // (4 * base ** 2),
-        env // (4 * base ** 2 * b8))]
-    kernels = []
-    for p in range(n):
-        (t0, t1), (h0, h1), (v0, v1), (s0, s1), (g0, g1) = (b[p:p + 2] for b in bounds)
-        codes_p = codes[s0:s1]
-        kernels.append(_Kernel(
-            amp[t0:t1], occ[t0:t1], expo[t0:t1], idx[t0:t1],
-            hit_term[h0:h1] - t0, (hit_sector[h0:h1] - s0) * extent ** 4 + outer[h0:h1],
-            vec_term[v0:v1] - t0, 4 * (vec_group[v0:v1] - g0) + idx[vec_term[v0:v1]],
-            vec_sector[g0:g1] - s0, codes_p // base ** 2 % 4,
-            np.column_stack([codes_p // base % base, codes_p % base])))
-    return kernels
+    return _Kernel(amp, occ, expo, idx, hit_term,
+                   hit_sector * extent ** 4 + outer, vec_term,
+                   4 * vec_group + idx[vec_term], vec_sector,
+                   codes // base ** 2 % 4,
+                   np.column_stack([codes // base % base, codes % base]),
+                   codes // (4 * base ** 2))
 
 
 class _Sectors(NamedTuple):
@@ -442,42 +433,26 @@ def _sector_blocks(pairs, eta_out_l, eta_in_l, eta_out_r, eta_in_r):
     stack in pair order: detector counts, the coherent one-photon-per-arm
     block with its feed-forward sign, the dense outer occupation
     distribution (E^4, C order over oLH oLV oRH oRV) for combination with
-    classical photons, and the pair.  The pairs' kernels are joined into
-    one, so each step runs once for all of them.  Each kernel term is
-    rescaled from eta = 1/2 by (2 eta)^(kept/2) (2 (1 - eta))^(lost/2) per
-    arm; terms with different environment occupations add incoherently."""
+    classical photons, and the pair.  The pairs' stacked kernel serves
+    them all, so each step runs once.  Each kernel term is rescaled from
+    eta = 1/2 by (2 eta)^(kept/2) (2 (1 - eta))^(lost/2) per arm; terms
+    with different environment occupations add incoherently."""
     extent = _extent()
-    kernels = _kernels(pairs, extent)
-
-    def joined(field, offsets=None):
-        parts = [getattr(k, field) for k in kernels]
-        out = np.concatenate(parts)
-        if offsets is None:
-            return out
-        return out + np.repeat(offsets, [len(part) for part in parts])
-
-    def starts(field):
-        return np.cumsum([0] + [len(getattr(k, field)) for k in kernels[:-1]])
-
-    terms, sectors, groups = starts("amp"), starts("pattern"), starts("vec_sector")
+    k = _kernel(pairs, extent)
     eta = np.array([eta_out_l, eta_out_r, eta_in_l, eta_in_r])
     roots = np.sqrt(np.concatenate([2.0 * eta, 2.0 * (1.0 - eta)]))
-    amp = joined("amp") * np.prod(roots ** joined("expo"), axis=1)
-    prob = (amp.real ** 2 + amp.imag ** 2)[joined("hit_term", terms)]
-    pattern = joined("pattern")
-    n_sectors = len(pattern)
-    dist = np.bincount(joined("hit_slot", extent ** 4 * sectors), prob,
-                       n_sectors * extent ** 4)
-    a = amp[joined("vec_term", terms)]
-    vec_slot, vec_sector = joined("vec_slot", 4 * groups), joined("vec_sector", sectors)
-    n = 4 * len(vec_sector)
-    v = (np.bincount(vec_slot, a.real, n) + 1j * np.bincount(vec_slot, a.imag, n)).reshape(-1, 4)
+    amp = k.amp * np.prod(roots ** k.expo, axis=1)
+    prob = (amp.real ** 2 + amp.imag ** 2)[k.hit_term]
+    n_sectors = len(k.pattern)
+    dist = np.bincount(k.hit_slot, prob, n_sectors * extent ** 4)
+    a = amp[k.vec_term]
+    n = 4 * len(k.vec_sector)
+    v = (np.bincount(k.vec_slot, a.real, n) + 1j * np.bincount(k.vec_slot, a.imag, n)).reshape(-1, 4)
     outer = (v[:, :, None] * v[:, None, :].conj()).reshape(-1)
-    slot = (16 * vec_sector[:, None] + np.arange(16)).reshape(-1)
+    slot = (16 * k.vec_sector[:, None] + np.arange(16)).reshape(-1)
     coh = (np.bincount(slot, outer.real, 16 * n_sectors)
            + 1j * np.bincount(slot, outer.imag, 16 * n_sectors)).reshape(-1, 4, 4)
-    return _Sectors(joined("counts"), coh * _SIGNS[pattern], dist.reshape(n_sectors, -1),
-                    np.repeat(np.arange(len(kernels)), [len(k.pattern) for k in kernels]))
+    return _Sectors(k.counts, coh * _SIGNS[k.pattern], dist.reshape(n_sectors, -1), k.pair)
 
 
 def _side_tables(scenario: SwapScenario) -> dict:
@@ -591,7 +566,8 @@ def heralded_state(left: SwapScenario, right: SwapScenario):
     its trace is the probability per attempt that a herald fires with
     exactly one photon in each outer arm.  Every core-structure pair of
     the two sources goes through one stacked ``_sector_blocks`` and one
-    ``_pattern_state``.
+    ``_pattern_state``, on one stacked kernel per call's pair list, cached
+    by that structure.
     """
     if left.rep_rate_hz != right.rep_rate_hz:
         raise ContractError("both sources must share the attempt rate")
@@ -672,7 +648,8 @@ def optimise_pump(scenario: SwapScenario) -> float:
 def _pair_configs(scenario: SwapScenario) -> dict:
     """Herald operator of each (left, right) pair number before the number
     weights, at the scenario's efficiencies and ``pnr``: one stacked
-    ``_sector_blocks`` and ``_pattern_state`` over the pair numbers."""
+    ``_sector_blocks`` and ``_pattern_state`` over the pair numbers, on one
+    stacked kernel per call's pair list, cached by that structure."""
     numbers = [(n_l, n_r) for n_l in range(_MAX_PAIRS + 1)
                for n_r in range(_MAX_PAIRS + 1)]
     pairs = [((("pair",),) * n_l, (("pair",),) * n_r) for n_l, n_r in numbers]

@@ -80,6 +80,22 @@ def _checked_channels(rec: np.ndarray) -> set:
     return seen
 
 
+def _as_records(rec: np.ndarray) -> np.ndarray:
+    """Records of another dtype copied to RECORD_DTYPE: a 1-d array with
+    integer ``channel`` and ``t`` fields and channels in 0..65535, else
+    ContractError."""
+    fields = rec.dtype.fields or {}
+    if rec.ndim != 1 or not all(
+            name in fields and np.issubdtype(fields[name][0], np.integer)
+            for name in ("channel", "t")):
+        raise ContractError("records need integer 'channel' and 't' fields")
+    if len(rec) and (rec["channel"].min() < 0 or rec["channel"].max() > 65535):
+        raise ContractError("record channels must lie in 0..65535")
+    out = np.empty(len(rec), dtype=RECORD_DTYPE)
+    out["channel"], out["t"] = rec["channel"], rec["t"]
+    return out
+
+
 @dataclass(frozen=True)
 class TimeTagStream:
     """Ordered detection records plus their repetition clock."""
@@ -92,9 +108,7 @@ class TimeTagStream:
     def __post_init__(self):
         rec = np.asarray(self.records)
         if rec.dtype != RECORD_DTYPE:
-            out = np.empty(len(rec), dtype=RECORD_DTYPE)
-            out["channel"], out["t"] = rec["channel"], rec["t"]
-            rec = out
+            rec = _as_records(rec)
         if self.rep_rate_hz <= 0.0:
             raise ContractError("rep_rate_hz must be positive")
         used = _checked_channels(rec)

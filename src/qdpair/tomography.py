@@ -104,6 +104,11 @@ class MeasurementSetting:
     label1: str = "custom"
     label2: str = "custom"
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.hwp1_deg, self.qwp1_deg,
+                                       self.hwp2_deg, self.qwp2_deg))):
+            raise ContractError("waveplate angles must be finite")
+
     @classmethod
     def from_names(cls, name1: str, name2: str) -> "MeasurementSetting":
         for n in (name1, name2):
@@ -151,8 +156,8 @@ class CountRecord:
     def __post_init__(self):
         if self.counts < 0:
             raise ContractError(f"counts must be non-negative, got {self.counts}")
-        if self.integration_time <= 0.0:
-            raise ContractError("integration_time must be positive")
+        if not 0.0 < self.integration_time < math.inf:
+            raise ContractError("integration_time must be positive and finite")
 
 
 def standard_settings() -> list:

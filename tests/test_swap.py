@@ -199,7 +199,7 @@ def kernel_terms(k, extent):
 def assert_kernel_matches_oracle(core_l, core_r):
     ref = mixing_kernel(core_l, core_r)
     extent = swap._extent()
-    got = kernel_terms(swap._kernels([(core_l, core_r)], extent)[0], extent)
+    got = kernel_terms(swap._kernel([(core_l, core_r)], extent), extent)
     assert len(got) == len(ref)
     for amp, arms, occ4, idx, env, hits in ref:
         g_amp, g_arms, g_idx = got[(occ4, env, hits)]
@@ -208,10 +208,9 @@ def assert_kernel_matches_oracle(core_l, core_r):
 
 
 def test_kernel_matches_mixing_oracle(fresh_kernels):
-    # every core structure at the default cutoff, built in one pass: the 24
-    # pairs fig5 swaps and every quantum dot against SPDC, either way round
+    # every core structure at the default cutoff: the 24 pairs fig5 swaps
+    # and every quantum dot against SPDC, either way round
     cores = QD_CORES + SPDC_CORES[1:]
-    swap._kernels([(l, r) for l in cores for r in cores], swap._extent())
     for core_l in cores:
         for core_r in cores:
             assert_kernel_matches_oracle(core_l, core_r)
@@ -240,19 +239,19 @@ def counted_expand(monkeypatch):
 
 @pytest.mark.parametrize("cutoff", (2, 3))
 def test_kernels_build_in_one_expansion(monkeypatch, fresh_kernels, cutoff):
-    # one fock.expand pass per cold call, however many core-structure pairs
-    # it covers (16 quantum-dot pairs; 9 or 16 SPDC pair numbers), and none
-    # once they are cached
+    # one fock.expand pass and one cached stack per cold call, however many
+    # core-structure pairs it covers (16 quantum-dot pairs; 9 or 16 SPDC
+    # pair numbers), and none once it is cached
     monkeypatch.setattr(swap, "_MAX_PAIRS", cutoff)
     calls = counted_expand(monkeypatch)
     swap.heralded_state(QD, QD)
-    assert len(calls) == 1
-    assert len(swap._kernel_cache) == 16
+    assert len(calls) == len(swap._kernel_cache) == 1
     swap._kernel_cache.clear()
     configs = swap._pair_configs(SPDC)
     assert len(calls) == 2
-    assert len(configs) == len(swap._kernel_cache) == (cutoff + 1) ** 2
-    swap.heralded_state(QD, QD)     # the 15 pairs not cached, in one pass
+    assert len(configs) == (cutoff + 1) ** 2
+    assert len(swap._kernel_cache) == 1
+    swap.heralded_state(QD, QD)
     assert len(calls) == 3
     swap.heralded_state(QD, QD)
     swap._pair_configs(SPDC)
@@ -260,18 +259,33 @@ def test_kernels_build_in_one_expansion(monkeypatch, fresh_kernels, cutoff):
 
 
 def test_kernels_do_not_depend_on_their_stack(fresh_kernels):
-    # each pair's arrays are the same, bit for bit, whether it is built
-    # with every other structure, with a few, or alone
+    # each pair's sector arrays are the same, bit for bit, whether its
+    # stack holds every other structure, a few, or that pair alone
     cores = QD_CORES + SPDC_CORES[1:]
     pairs = [(l, r) for l in cores for r in cores]
-    extent = swap._extent()
-    whole = dict(zip(pairs, swap._kernels(pairs, extent)))
-    for subset in (pairs[::-5], pairs[-1:], pairs[:1]):
-        swap._kernel_cache.clear()
-        for pair, kernel in zip(subset, swap._kernels(subset, extent)):
-            for got, want in zip(kernel, whole[pair]):
+    etas = (0.7, 0.3, 0.6, 0.2)
+
+    def rows(sectors, index):
+        mine = sectors.pair == index
+        assert mine.any()
+        return sectors.counts[mine], sectors.coh[mine], sectors.dist[mine]
+
+    whole = swap._sector_blocks(pairs, *etas)
+    for subset in [pairs[::-5]] + [[pair] for pair in pairs]:
+        sectors = swap._sector_blocks(subset, *etas)
+        for index, pair in enumerate(subset):
+            for got, want in zip(rows(sectors, index), rows(whole, pairs.index(pair))):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+
+
+def test_loss_sweep_caches_one_stack_per_source_kind(fresh_kernels):
+    # the quantum-dot and SPDC pair lists are one cached stack each; the
+    # keys carry structure, not losses, so another grid adds none
+    swap.sweep_loss(QD, SPDC)
+    assert len(swap._kernel_cache) == 2
+    swap.sweep_loss(QD, SPDC, loss_grid_db=(1.0, 7.5), mux_sizes=(3,))
+    assert len(swap._kernel_cache) == 2
 
 
 def test_kernel_certifies_its_norm(monkeypatch, fresh_kernels):
@@ -281,7 +295,7 @@ def test_kernel_certifies_its_norm(monkeypatch, fresh_kernels):
     lossy[:, 8:] = 0.0
     monkeypatch.setattr(swap, "_NETWORK", lossy)
     with pytest.raises(NumericalError):
-        swap._kernels([((PAIR,), (PAIR,))], swap._extent())
+        swap._kernel([((PAIR,), (PAIR,))], swap._extent())
 
 
 @pytest.mark.parametrize("pnr", (True, False))

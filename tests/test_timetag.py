@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import re
 import time
 import tracemalloc
 import weakref
@@ -404,6 +405,28 @@ def test_assemble_orders_by_time_then_channel():
     order = np.lexsort((ch, ts))
     assert np.array_equal(st.records["t"], ts[order])
     assert np.array_equal(st.records["channel"], ch[order])
+
+
+def test_foreign_record_dtypes_checked():
+    # other integer dtypes are copied to RECORD_DTYPE; anything else, or a
+    # channel RECORD_DTYPE cannot hold, is refused rather than cut
+    wide = np.array([(1, 4), (70000, 9)], dtype=[("channel", "<i4"), ("t", "<i4")])
+    st = tt.TimeTagStream(wide[:1], 80e6, channels=(0, 1))
+    assert st.records.dtype == tt.RECORD_DTYPE
+    assert st.records.tolist() == [(1, 4)]
+    fields = "integer 'channel' and 't' fields"
+    refused = (
+        (np.array([[0, 1], [1, 2]]), fields),                        # plain ndarray
+        (np.array([(0,), (1,)], dtype=[("channel", "<u2")]), fields),
+        (np.array([(0, 0.4), (1, 1.7)], dtype=[("channel", "<u2"), ("t", "<f8")]),
+         fields),
+        (np.array([(1.9, 0)], dtype=[("channel", "<f8"), ("t", "<i8")]), fields),
+        (wide, "0..65535"),
+        (np.array([(-1, 0)], dtype=[("channel", "<i2"), ("t", "<i8")]), "0..65535"),
+    )
+    for records, message in refused:
+        with pytest.raises(ContractError, match=re.escape(message)):
+            tt.TimeTagStream(records, 80e6, channels=(0, 1))
 
 
 def test_undeclared_channels_rejected(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 from qdpair import tomography as tomo
 from qdpair import twoqubit as tq
 from qdpair import wavepacket
-from qdpair.errors import ContractError, NumericalError, ReconstructionError
+from qdpair.errors import ConfigError, ContractError, NumericalError, ReconstructionError
 from helpers import (frank_wolfe_gap, mle_multistart, random_density_matrix,
                      scalar_barrier_newton, uhlmann_fidelity)
 
@@ -115,6 +115,22 @@ def test_csv_roundtrip(tmp_path):
         assert a.counts == b.counts
         assert a.setting == b.setting
         assert abs(a.integration_time - b.integration_time) <= 1e-12
+
+
+@pytest.mark.parametrize("column, value, message", (
+    (7, "nan", "integration_time"), (7, "inf", "integration_time"),
+    (2, "nan", "waveplate angles"), (5, "-inf", "waveplate angles")))
+def test_csv_rejects_non_finite_values(tmp_path, column, value, message):
+    path = tmp_path / "counts.csv"
+    tomo.records_to_csv(tomo.simulate_counts(tq.werner(0.8), tomo.standard_settings(),
+                                             1000, seed=9), path)
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")
+    row[column] = value
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"line 4: {message}"):
+        tomo.records_from_csv(path)
 
 
 def test_bootstrap_deterministic_and_calibrated():
