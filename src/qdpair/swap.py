@@ -69,7 +69,7 @@ import numpy as np
 from . import photostat
 from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
 from .fock import expand
-from .twoqubit import TwoQubitDensity, singlet_fraction
+from .twoqubit import _MAGIC, TwoQubitDensity, singlet_fraction
 
 # Mode layout of the swap enumeration (one copy per photon species):
 #   0: oLH  1: oLV  2: oRH  3: oRV   outer arms (kept at the nodes)
@@ -633,6 +633,9 @@ def pair_rate(scenario: SwapScenario) -> float:
 # ---------------------------------------------------------------------------
 # Pump optimisation.
 
+_PSI_MINUS = 3   # |Psi-> is the last magic-basis column of twoqubit._MAGIC
+
+
 def optimise_pump(scenario: SwapScenario) -> float:
     """Largest single-pair probability whose symmetric swap keeps the
     heralded fidelity at or above ``fidelity_floor``.
@@ -640,7 +643,10 @@ def optimise_pump(scenario: SwapScenario) -> float:
     The fidelity is checked to be nonincreasing in the pair probability
     over the bracket, then the boundary is found by bisection to 1e-4
     relative tolerance.  The upper end of the bracket is the largest
-    pair probability the chosen statistics can produce.
+    pair probability the chosen statistics can produce.  Each step decides
+    on the Psi- overlap from pair-number scalars computed once per search,
+    certified to equal the singlet fraction (see ``_pump_search``); one
+    density matrix is built at the returned pump.
     """
     return _pump_search(scenario)[0]
 
@@ -662,7 +668,22 @@ def _pair_configs(scenario: SwapScenario) -> dict:
 
 def _pump_search(scenario: SwapScenario, configs: dict = None):
     """``optimise_pump``, also returning the herald probability there;
-    ``configs`` are the scenario's ``_pair_configs`` if already built."""
+    ``configs`` are the scenario's ``_pair_configs`` if already built.
+
+    The grid and the bisection decide on the Psi- overlap
+    r(p) = w^T N w / w^T T w.  Here w holds the pair-number weights at p,
+    and N and T the <Psi-|C|Psi-> and tr C of each ``configs`` operator C,
+    computed once per call.
+
+    Certificate, once per call: in the magic basis B, each operator's Psi-
+    row must vanish off the diagonal to 1e-12 of its trace, else
+    NumericalError.  Psi- is then an eigenvector of Re(B^dag rho B) at
+    every pump, the other eigenvalues sum to 1 - r, and so r > 1/2 is the
+    singlet fraction.  The full singlet fraction is taken where r <= 1/2
+    or r lies within 1e-12 of the floor, for the unattainable-floor text,
+    and once at the returned pump for its herald probability.  There it
+    must equal r to 1e-12 when r > 1/2, else NumericalError.
+    """
     if scenario.source_kind == "qd_postselected":
         raise ContractError("pump optimisation applies to SPDC sources")
     if scenario.fidelity_floor is None:
@@ -670,36 +691,66 @@ def _pump_search(scenario: SwapScenario, configs: dict = None):
     floor = scenario.fidelity_floor
     if configs is None:
         configs = _pair_configs(scenario)
+    blocks = np.array(list(configs.values()))
+    magic = (_MAGIC.conj().T @ blocks @ _MAGIC).real
+    traces = np.trace(blocks, axis1=1, axis2=2).real
+    if np.any(abs(np.delete(magic[:, _PSI_MINUS], _PSI_MINUS, axis=1))
+              > 1e-12 * traces[:, None]):
+        raise NumericalError("a pair-number operator couples Psi- to another "
+                             "magic-basis state; its overlap cannot decide the pump")
+    left, right = np.array(list(configs)).T
+    forms = np.zeros((2, _MAX_PAIRS + 1, _MAX_PAIRS + 1))   # N and T
+    forms[:, left, right] = magic[:, _PSI_MINUS, _PSI_MINUS], traces
+
+    def numbers(p1):
+        return _spdc_numbers(p1, scenario.spdc_statistics, scenario.mux_n)
 
     def evaluate(p1):
-        probs = _spdc_numbers(p1, scenario.spdc_statistics, scenario.mux_n)
+        probs = numbers(p1)
         return _heralded(sum(probs[n_l] * probs[n_r] * block
                              for (n_l, n_r), block in configs.items()))
 
+    def overlap(p1):
+        w = np.array(numbers(p1))
+        psi, herald = forms @ w @ w
+        return float(psi / herald) if herald > 1e-300 else 0.0
+
+    def fidelity(p1):
+        # r, where it decides like the singlet fraction; else the latter,
+        # which raises ModelDomainError when nothing heralds.
+        r = overlap(p1)
+        if r <= 0.5 or abs(r - floor) < 1e-12:
+            return evaluate(p1)[0]
+        return r
+
     lo = 1e-6
     hi = _P1_CEILING[scenario.spdc_statistics] * (1.0 - 1e-9)
-    f_lo, herald_lo = evaluate(lo)
+    f_lo = fidelity(lo)
     if f_lo < floor:
         raise ModelDomainError(
             f"fidelity floor {floor} unattainable: even at vanishing pump "
-            f"the swap fidelity is {f_lo:.6g}")
-    f_hi, herald_hi = evaluate(hi)
+            f"the swap fidelity is {evaluate(lo)[0]:.6g}")
     grid = np.geomspace(lo, hi, 9)
-    values = [f_lo] + [evaluate(p)[0] for p in grid[1:-1]] + [f_hi]
+    values = [f_lo] + [fidelity(p) for p in grid[1:-1]] + [fidelity(hi)]
     for a, b in zip(values, values[1:]):
         if b > a + 1e-6:
             raise NumericalError("swap fidelity is not monotone in the "
                                  "pair probability over the bracket")
-    if f_hi >= floor:
-        return hi, herald_hi
-    while (hi - lo) / hi > 1e-4:
-        mid = 0.5 * (lo + hi)
-        f_mid, herald_mid = evaluate(mid)
-        if f_mid >= floor:
-            lo, herald_lo = mid, herald_mid
-        else:
-            hi = mid
-    return lo, herald_lo
+    if values[-1] >= floor:
+        lo = hi
+    else:
+        while (hi - lo) / hi > 1e-4:
+            mid = 0.5 * (lo + hi)
+            if fidelity(mid) >= floor:
+                lo = mid
+            else:
+                hi = mid
+    fid, herald = evaluate(lo)
+    r = overlap(lo)
+    if r > 0.5 and abs(fid - r) > 1e-12:
+        raise NumericalError(f"singlet fraction {fid!r} departs from the "
+                             f"certified Psi- overlap {r!r}")
+    return lo, herald
 
 
 # ---------------------------------------------------------------------------

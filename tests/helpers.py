@@ -9,7 +9,7 @@ from scipy.linalg import eigh, sqrtm
 from scipy.optimize import minimize
 
 from qdpair import swap, timetag, tomography, twoqubit
-from qdpair.errors import ContractError
+from qdpair.errors import ConfigError, ContractError, ModelDomainError, NumericalError
 from qdpair.fock import FockState
 
 
@@ -568,6 +568,49 @@ def joint_profile_heralded_state(left, right):
                       for pat in swap._PATTERNS]
             rho += w * _pattern_state(blocks, combos, left.pnr)
     return rho, float(np.trace(rho).real)
+
+
+def eigh_pump_search(scenario, configs=None):
+    """Reference ``swap._pump_search``: every monotonicity-grid point and
+    bisection step decided on the full singlet fraction, one
+    ``TwoQubitDensity`` and one ``eigh`` each."""
+    if scenario.source_kind == "qd_postselected":
+        raise ContractError("pump optimisation applies to SPDC sources")
+    if scenario.fidelity_floor is None:
+        raise ConfigError("optimise_pump needs fidelity_floor")
+    floor = scenario.fidelity_floor
+    if configs is None:
+        configs = swap._pair_configs(scenario)
+
+    def evaluate(p1):
+        probs = swap._spdc_numbers(p1, scenario.spdc_statistics, scenario.mux_n)
+        return swap._heralded(sum(probs[n_l] * probs[n_r] * block
+                                  for (n_l, n_r), block in configs.items()))
+
+    lo = 1e-6
+    hi = swap._P1_CEILING[scenario.spdc_statistics] * (1.0 - 1e-9)
+    f_lo, herald_lo = evaluate(lo)
+    if f_lo < floor:
+        raise ModelDomainError(
+            f"fidelity floor {floor} unattainable: even at vanishing pump "
+            f"the swap fidelity is {f_lo:.6g}")
+    f_hi, herald_hi = evaluate(hi)
+    grid = np.geomspace(lo, hi, 9)
+    values = [f_lo] + [evaluate(p)[0] for p in grid[1:-1]] + [f_hi]
+    for a, b in zip(values, values[1:]):
+        if b > a + 1e-6:
+            raise NumericalError("swap fidelity is not monotone in the "
+                                 "pair probability over the bracket")
+    if f_hi >= floor:
+        return hi, herald_hi
+    while (hi - lo) / hi > 1e-4:
+        mid = 0.5 * (lo + hi)
+        f_mid, herald_mid = evaluate(mid)
+        if f_mid >= floor:
+            lo, herald_lo = mid, herald_mid
+        else:
+            hi = mid
+    return lo, herald_lo
 
 
 def sorting_pair_counts(stream):

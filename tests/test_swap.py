@@ -1,6 +1,7 @@
 """Tests for the two-source entanglement-swapping model."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from qdpair import photostat, swap
 from qdpair import twoqubit as tq
 from qdpair.errors import ConfigError, ModelDomainError, NumericalError
-from helpers import (joint_profile_heralded_state, mixing_kernel,
-                     pooled_heralded_state)
+from helpers import (eigh_pump_search, joint_profile_heralded_state,
+                     mixing_kernel, pooled_heralded_state)
 
 QD = swap.SwapScenario.qd_headline()
 SPDC = swap.SwapScenario.spdc_reference()
@@ -356,6 +357,37 @@ def test_loss_sweep_matches_pinned_table(pnr):
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+# The default fig5 table (sweep_loss at its defaults: 0 to 30 dB in 2.5 dB
+# steps, the plain SPDC column and mux 10, 30 and 100), recorded while the
+# pump search still decided every step on the full singlet fraction.
+PINNED_FIG5_DEFAULT = (
+    (0.0, 1927811.6876347365, 206441.4615045941, 4918539.524442374, 9272332.496246446, 9738198.426164456),
+    (2.5, 614046.3571888133, 17018.275339103257, 703425.791376849, 2400201.423864314, 3418447.69352581),
+    (5.0, 194965.40911775202, 3300.7002919998604, 154982.4507743199, 632319.5082101327, 1092531.5303819876),
+    (7.5, 61793.52081202297, 828.9508129718275, 40932.23302018084, 180021.5132265046, 344305.90516757517),
+    (10.0, 19565.742160003938, 232.7660197830131, 11771.884552693484, 53691.298526224484, 108397.34687377836),
+    (12.5, 6191.6626579725435, 69.05101182767538, 3535.6071459681534, 16433.531473691066, 34168.321108049866),
+    (15.0, 1958.7638466483, 21.085538979252046, 1086.6300982446598, 5102.4896125372, 10783.052532754706),
+    (17.5, 619.5556899197586, 6.539815714596159, 338.2334909248066, 1597.1410822958048, 3405.8069154010977),
+    (20.0, 195.9456398159951, 2.045747895987743, 106.0163721056389, 502.1668371278602, 1076.259642210422),
+    (22.5, 61.96788495903974, 0.6429585308693102, 33.35793883396094, 158.28269048562, 340.20561554606667),
+    (25.0, 19.59675415127678, 0.20263618928333782, 10.51934424678926, 49.96257568426386, 107.55808290957509),
+    (27.5, 6.1971779739294135, 0.06395165912838037, 3.3212477538988368, 15.783255437202206, 34.00842365612746),
+    (30.0, 1.9597446756691368, 0.02020324141801663, 1.0493929381431333, 4.988386341650274, 10.753690440265675),
+)
+
+
+def test_default_loss_sweep_matches_pinned_table():
+    table = swap.sweep_loss(QD, SPDC)
+    assert table["columns"] == ["loss_db", "rate_qd", "rate_spdc", "rate_spdc_mux10",
+                                "rate_spdc_mux30", "rate_spdc_mux100"]
+    assert len(table["rows"]) == len(PINNED_FIG5_DEFAULT)
+    for row, pinned in zip(table["rows"], PINNED_FIG5_DEFAULT):
+        assert len(row) == len(pinned)
+        for got, want in zip(row, pinned):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_photon_number_cutoff_converges(monkeypatch, fresh_kernels):
     # at the default fig5 pumps, the fidelity shift from a fourth pair per
     # source is at most a tenth of the shift from a third
@@ -431,12 +463,70 @@ def test_pump_optimisation_bands():
         assert 0.01 <= p_thr <= 0.05
         # the optimum respects the fidelity floor
         check = dataclasses.replace(base, spdc_p1=p_pnr, fidelity_floor=None)
-        assert swap.swap_once(check, check).fidelity >= 0.97 - 1e-3
+        assert swap.swap_once(check, check).fidelity >= 0.97 - 1e-12
 
 
 def test_unattainable_fidelity_floor():
-    with pytest.raises(ModelDomainError):
-        swap.optimise_pump(dataclasses.replace(SPDC, fidelity_floor=1.0))
+    # the text quotes the full singlet fraction at the bottom of the bracket
+    for pnr in (True, False):
+        s = dataclasses.replace(SPDC, pnr=pnr, fidelity_floor=1.0)
+        with pytest.raises(ModelDomainError, match="unattainable") as err:
+            swap.optimise_pump(s)
+        at_lo = dataclasses.replace(s, spdc_p1=1e-6, fidelity_floor=None)
+        quoted = str(err.value).rsplit(" ", 1)[1]
+        assert quoted == f"{swap.swap_once(at_lo, at_lo).fidelity:.6g}"
+
+
+@pytest.mark.parametrize("pnr", (True, False))
+@pytest.mark.parametrize("statistics", ("thermal", "poissonian"))
+def test_pump_search_matches_eigh_oracle(pnr, statistics):
+    # deciding on the Psi- overlap picks the same pump and herald bits as
+    # deciding every step on the full singlet fraction; threshold nodes at
+    # 30 dB take the r <= 1/2 route near the top of the bracket
+    for floor, mux_n, loss in itertools.product((0.9, 0.97, 0.99), (1, 3, 10, 100),
+                                                (0.0, 10.0, 30.0)):
+        s = dataclasses.replace(SPDC, pnr=pnr, spdc_statistics=statistics,
+                                fidelity_floor=floor, mux_n=mux_n, channel_loss_db=loss)
+        assert swap._pump_search(s) == eigh_pump_search(s)
+
+
+def test_pump_search_takes_the_singlet_fraction_where_r_cannot_decide(monkeypatch):
+    calls = [0]
+    heralded = swap._heralded
+
+    def counted(rho):
+        calls[0] += 1
+        return heralded(rho)
+
+    monkeypatch.setattr(swap, "_heralded", counted)
+    # r <= 1/2 at the top of the bracket
+    swap._pump_search(dataclasses.replace(SPDC, pnr=False, channel_loss_db=30.0))
+    assert calls[0] > 1
+    # the floor exactly at an interior grid pump's fidelity
+    grid = np.geomspace(1e-6, swap._P1_CEILING["thermal"] * (1.0 - 1e-9), 9)
+    at = dataclasses.replace(SPDC, spdc_p1=float(grid[4]), fidelity_floor=None)
+    s = dataclasses.replace(SPDC, fidelity_floor=swap.swap_once(at, at).fidelity)
+    calls[0] = 0
+    got = swap._pump_search(s)
+    assert calls[0] > 1
+    assert got == eigh_pump_search(s)
+    # elsewhere, only the returned pump's herald takes it
+    calls[0] = 0
+    swap._pump_search(SPDC)
+    assert calls[0] == 1
+
+
+def test_pump_search_certifies_the_psi_minus_overlap():
+    # a 30 degree polarisation rotation on arm c mixes Psi- with Phi+; the
+    # singlet fraction does not change, but r no longer equals it
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    u = np.kron([[c, -s], [s, c]], np.eye(2))
+    configs = {key: u @ block @ u.conj().T
+               for key, block in swap._pair_configs(SPDC).items()}
+    assert eigh_pump_search(SPDC, configs) == pytest.approx(swap._pump_search(SPDC),
+                                                           rel=1e-12)
+    with pytest.raises(NumericalError, match="couples Psi-"):
+        swap._pump_search(SPDC, configs)
 
 
 def test_pair_rate_formulas():
