@@ -62,6 +62,11 @@ def qd_distribution_from_g2(g2: float) -> PhotonNumberDistribution:
     return dist
 
 
+# Largest single-pair probability each pair-number statistics can produce:
+# the maximum of (1 - lam) lam and of nu e^{-nu}.
+SPDC_P1_CEILING = {"thermal": 0.25, "poissonian": math.exp(-1.0)}
+
+
 def spdc_pair_distribution(pair_prob: float, statistics: str = "thermal",
                            max_pairs: int = 4) -> PhotonNumberDistribution:
     """Pair-number distribution of a parametric source with P_1 = pair_prob.
@@ -70,30 +75,28 @@ def spdc_pair_distribution(pair_prob: float, statistics: str = "thermal",
     lam = (1 - sqrt(1 - 4 p)) / 2 (single-mode statistics);
     ``poissonian`` inverts nu e^{-nu} = p for the small root
     nu = -W0(-p), with W0 the principal Lambert W branch (strongly
-    multimode statistics).  The result is truncated at
-    ``max_pairs`` pairs and renormalised.
+    multimode statistics).  P_1 must lie in (0, SPDC_P1_CEILING].  The
+    result is truncated at ``max_pairs`` pairs and renormalised.
     """
     if max_pairs < 1:
         raise ContractError("max_pairs must be at least 1")
+    if statistics not in SPDC_P1_CEILING:
+        raise ContractError(f"unknown statistics {statistics!r}")
+    ceiling = SPDC_P1_CEILING[statistics]
+    if not 0.0 < pair_prob <= ceiling:
+        raise ModelDomainError(
+            f"{statistics} statistics require 0 < P1 <= {ceiling:.6g}, got {pair_prob}")
     if statistics == "thermal":
-        if not 0.0 < pair_prob <= 0.25:
-            raise ModelDomainError(
-                f"thermal statistics require 0 < P1 <= 0.25, got {pair_prob}")
         lam = (1.0 - math.sqrt(1.0 - 4.0 * pair_prob)) / 2.0
         raw = [(1.0 - lam) * lam ** n for n in range(max_pairs + 1)]
-    elif statistics == "poissonian":
-        if not 0.0 < pair_prob <= math.exp(-1.0):
-            raise ModelDomainError(
-                f"poissonian statistics require 0 < P1 <= 1/e, got {pair_prob}")
+    else:
         from scipy.special import lambertw
 
         # math.exp(-1) rounds just past the branch point -1/e of W0, where
         # lambertw returns nan; the root there is nu = 1.
-        nu = 1.0 if pair_prob == math.exp(-1.0) else -lambertw(-pair_prob).real
+        nu = 1.0 if pair_prob == ceiling else -lambertw(-pair_prob).real
         raw = [math.exp(-nu) * nu ** n / math.factorial(n)
                for n in range(max_pairs + 1)]
-    else:
-        raise ContractError(f"unknown statistics {statistics!r}")
     total = sum(raw)
     return PhotonNumberDistribution(tuple(x / total for x in raw))
 

@@ -69,7 +69,7 @@ import numpy as np
 from . import photostat
 from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
 from .fock import expand
-from .twoqubit import _MAGIC, TwoQubitDensity, singlet_fraction
+from .twoqubit import PSI_MINUS, TwoQubitDensity, magic_form, singlet_fraction
 
 # Mode layout of the swap enumeration (one copy per photon species):
 #   0: oLH  1: oLV  2: oRH  3: oRV   outer arms (kept at the nodes)
@@ -106,8 +106,6 @@ def _extent() -> int:
     return max(_MAX_PAIRS, 2) + 1
 
 SOURCE_KINDS = ("qd_postselected", "spdc")
-
-_P1_CEILING = {"thermal": 0.25, "poissonian": math.exp(-1.0)}
 
 
 def loss_grid(loss_db_max: float = 30.0, loss_db_step: float = 2.5) -> tuple:
@@ -170,7 +168,7 @@ class SwapScenario:
             raise ConfigError("qd_I outside [0, 1]")
         if self.spdc_p1 is not None and not 0.0 < self.spdc_p1 < 0.5:
             raise ConfigError("spdc_p1 outside (0, 0.5)")
-        if self.spdc_statistics not in _P1_CEILING:
+        if self.spdc_statistics not in photostat.SPDC_P1_CEILING:
             raise ConfigError(f"unknown spdc_statistics {self.spdc_statistics!r}")
         if int(self.mux_n) != self.mux_n or self.mux_n < 1:
             raise ConfigError("mux_n must be a positive integer")
@@ -633,9 +631,6 @@ def pair_rate(scenario: SwapScenario) -> float:
 # ---------------------------------------------------------------------------
 # Pump optimisation.
 
-_PSI_MINUS = 3   # |Psi-> is the last magic-basis column of twoqubit._MAGIC
-
-
 def optimise_pump(scenario: SwapScenario) -> float:
     """Largest single-pair probability whose symmetric swap keeps the
     heralded fidelity at or above ``fidelity_floor``.
@@ -692,15 +687,15 @@ def _pump_search(scenario: SwapScenario, configs: dict = None):
     if configs is None:
         configs = _pair_configs(scenario)
     blocks = np.array(list(configs.values()))
-    magic = (_MAGIC.conj().T @ blocks @ _MAGIC).real
+    magic = magic_form(blocks)
     traces = np.trace(blocks, axis1=1, axis2=2).real
-    if np.any(abs(np.delete(magic[:, _PSI_MINUS], _PSI_MINUS, axis=1))
+    if np.any(abs(np.delete(magic[:, PSI_MINUS], PSI_MINUS, axis=1))
               > 1e-12 * traces[:, None]):
         raise NumericalError("a pair-number operator couples Psi- to another "
                              "magic-basis state; its overlap cannot decide the pump")
     left, right = np.array(list(configs)).T
     forms = np.zeros((2, _MAX_PAIRS + 1, _MAX_PAIRS + 1))   # N and T
-    forms[:, left, right] = magic[:, _PSI_MINUS, _PSI_MINUS], traces
+    forms[:, left, right] = magic[:, PSI_MINUS, PSI_MINUS], traces
 
     def numbers(p1):
         return _spdc_numbers(p1, scenario.spdc_statistics, scenario.mux_n)
@@ -724,7 +719,7 @@ def _pump_search(scenario: SwapScenario, configs: dict = None):
         return r
 
     lo = 1e-6
-    hi = _P1_CEILING[scenario.spdc_statistics] * (1.0 - 1e-9)
+    hi = photostat.SPDC_P1_CEILING[scenario.spdc_statistics] * (1.0 - 1e-9)
     f_lo = fidelity(lo)
     if f_lo < floor:
         raise ModelDomainError(

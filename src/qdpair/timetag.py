@@ -726,9 +726,12 @@ def read_stream(path) -> TimeTagStream:
                 f"stream body of {body} bytes is not a whole number of records")
         rec = np.fromfile(fh, dtype=RECORD_DTYPE,
                           count=body // RECORD_DTYPE.itemsize)
-    return TimeTagStream(rec, rep_mhz / 1000.0,
-                         None if t0 == _T_ZERO_UNSET else t0,
-                         _CHANNELS_FROM_RECORDS)
+    try:
+        return TimeTagStream(rec, rep_mhz / 1000.0,
+                             None if t0 == _T_ZERO_UNSET else t0,
+                             _CHANNELS_FROM_RECORDS)
+    except ContractError as exc:   # a defect of the file, not of the caller
+        raise ConfigError(f"stream file {path}: {exc}") from exc
 
 
 def _fold(stream: TimeTagStream):

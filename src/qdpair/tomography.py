@@ -385,8 +385,10 @@ def _solve(ops, design, counts) -> np.ndarray:
 
 
 def _state(sigma) -> TwoQubitDensity:
-    """The density matrix of an unnormalised ML state."""
-    return TwoQubitDensity.from_matrix(sigma / _trace(sigma), renormalize=True)
+    """The density matrix of an unnormalised ML state, or the stack of
+    those of a stack."""
+    return TwoQubitDensity.from_matrix(sigma / _trace(sigma)[..., None, None],
+                                       renormalize=True)
 
 
 def _log_factorials(counts) -> float:
@@ -430,12 +432,13 @@ def singlet_fractions(ops, counts) -> np.ndarray:
 
     ``ops`` are the (S, 4, 4) measurement operators: each setting's joint
     projector times its integration time.  The rows are reconstructed in
-    one lockstep solve and certified as one stack; each value is bit for
-    bit that of ``mle_reconstruct`` on its row alone, and every row passes
-    the same checks.
+    one lockstep solve and certified as one stack, then validated and
+    scored as one stack of states; each value is bit for bit that of
+    ``mle_reconstruct`` on its row alone, and every row passes the same
+    checks.
     """
     sigma = _solve(ops, _checked_design(ops), counts)
-    return np.array([singlet_fraction(_state(s)).value for s in sigma])
+    return singlet_fraction(_state(sigma)).value
 
 
 def bootstrap_singlet_fraction(records, resamples: int, seed: int):

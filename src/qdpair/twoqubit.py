@@ -6,6 +6,12 @@ arm d.  The module supplies the small family of states the source model
 needs (Bell states, the interference-limited post-selected state, and
 the two background states) plus the singlet fraction, i.e. the overlap
 with the closest maximally entangled state.
+
+A state is a 4x4 density matrix or a (B, 4, 4) stack of them, a 4x4
+being the stack of one: validation and the singlet fraction each take a
+whole stack in one stacked ``eigvalsh`` or ``eigh``, which calls the
+LAPACK routine row by row, so every row gets the bits it gets alone.
+The magic basis and its Psi- column are defined here only.
 """
 
 from __future__ import annotations
@@ -21,38 +27,59 @@ BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
-# Small negative eigenvalues from round-off are tolerated and clipped on request.
+# Round-off may leave eigenvalues this far below zero; nothing is clipped.
 PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
-    """A validated 4x4 density matrix in the (HH, HV, VH, VV) basis."""
+    """A validated 4x4 density matrix in the (HH, HV, VH, VV) basis, or a
+    (B, 4, 4) stack of them.
+
+    Each row must be Hermitian, of unit trace and positive semidefinite
+    to the module tolerances.  A failing stack raises the ContractError
+    of its first failing row, naming that row's first failing check.
+    ``purity``, ``to_json`` and ``overlap_with`` take a single 4x4.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
+        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
             raise ContractError(f"density matrix must be 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ContractError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL:
-            raise ContractError(f"density matrix trace {np.trace(m).real!r} != 1")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -PSD_TOL:
-            raise ContractError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
+        rows = m.reshape(-1, 4, 4)
+        traces = np.trace(rows, axis1=1, axis2=2).real
+        non_hermitian = np.abs(rows - rows.conj().swapaxes(1, 2)).max(axis=(1, 2)) \
+            > HERMITICITY_TOL
+        off_trace = abs(traces - 1.0) > TRACE_TOL
+        # eigvalsh only on the rows that pass those checks: a non-finite
+        # trace fails there, not inside LAPACK
+        lowest = np.full(len(rows), np.inf)
+        ok = ~(non_hermitian | off_trace)
+        lowest[ok] = np.linalg.eigvalsh(rows[ok]).min(axis=1)
+        fails = np.array([non_hermitian, off_trace, lowest < -PSD_TOL])
+        bad = np.flatnonzero(fails.any(axis=0))
+        if len(bad):
+            k = bad[0]
+            raise ContractError((
+                "density matrix is not Hermitian",
+                f"density matrix trace {traces[k]!r} != 1",
+                f"density matrix has negative eigenvalue {lowest[k]:.3e}",
+            )[np.flatnonzero(fails[:, k])[0]])
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_matrix(cls, m, renormalize: bool = False) -> "TwoQubitDensity":
+        """Validated state of the Hermitian part of a 4x4 or each matrix of
+        a stack, each scaled to unit trace with ``renormalize``."""
         m = np.asarray(m, dtype=complex)
-        m = 0.5 * (m + m.conj().T)
+        m = 0.5 * (m + m.conj().swapaxes(-1, -2))
         if renormalize:
-            tr = np.trace(m).real
-            if tr <= 0:
+            tr = np.trace(m, axis1=-2, axis2=-1).real
+            if np.any(tr <= 0):
                 raise ContractError("cannot renormalize matrix with non-positive trace")
-            m = m / tr
+            m = m / tr[..., None, None]
         return cls(m)
 
     @classmethod
@@ -145,6 +172,9 @@ def overlap_with(rho: TwoQubitDensity, target: TwoQubitDensity) -> float:
 
 
 class SingletFraction(NamedTuple):
+    """Singlet fraction and its maximising rotation: a float and a 2x2 for
+    a 4x4 state, a (B,) array and a (B, 2, 2) stack for a stack."""
+
     value: float
     rotation: np.ndarray
 
@@ -158,20 +188,36 @@ _MAGIC = np.array([
     [0.0, 0.0, 1.0j, -1.0],
     [1.0, -1.0j, 0.0, 0.0],
 ]) / np.sqrt(2.0)
+PSI_MINUS = 3   # the magic-basis column of |psi->
+
+
+def magic_form(m) -> np.ndarray:
+    """Re(B^dag m B) of a 4x4 operator, or of each one of a stack, for the
+    magic basis B (its columns |phi+>, i|phi->, i|psi+>, |psi->; |psi->
+    is column ``PSI_MINUS``).  For a state rho, v^T Re(B^dag rho B) v is
+    its overlap with the maximally entangled state B v, v real."""
+    return (_MAGIC.conj().T @ m @ _MAGIC).real
 
 
 def singlet_fraction(rho: TwoQubitDensity) -> SingletFraction:
-    """Largest overlap with any maximally entangled state.
+    """Largest overlap with any maximally entangled state, of a state or of
+    each state of a stack.
 
     Every maximally entangled state is B v for the magic basis B and a
     real unit vector v, so the overlap v^T Re(B^dag rho B) v is maximised
     by the top eigenvector of that real symmetric matrix (Grondalski,
     Etlinger & James, Phys. Lett. A 300, 573 (2002)).  The maximiser is
-    returned as the unitary U with B v = (U x I)|phi+>.
+    returned as the unitary U with B v = (U x I)|phi+>.  One stacked
+    ``eigh`` serves the whole stack; a value outside [0, 1] by more than
+    1e-9 raises ContractError, naming the first such row's.
     """
-    vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real)
-    val = float(vals[-1])
-    if not -1e-9 <= val <= 1.0 + 1e-9:
-        raise ContractError(f"singlet fraction {val} outside [0, 1]")
-    rotation = np.sqrt(2.0) * (_MAGIC @ vecs[:, -1]).reshape(2, 2)
-    return SingletFraction(min(max(val, 0.0), 1.0), rotation)
+    vals, vecs = np.linalg.eigh(magic_form(rho.matrix.reshape(-1, 4, 4)))
+    top = vals[:, -1]
+    outside = np.flatnonzero(~((-1e-9 <= top) & (top <= 1.0 + 1e-9)))
+    if len(outside):
+        raise ContractError(f"singlet fraction {float(top[outside[0]])} outside [0, 1]")
+    value = np.clip(top, 0.0, 1.0)
+    rotation = np.sqrt(2.0) * (_MAGIC @ vecs[:, :, -1:]).reshape(-1, 2, 2)
+    if rho.matrix.ndim == 2:
+        return SingletFraction(float(value[0]), rotation[0])
+    return SingletFraction(value, rotation)

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.linalg import eigh, sqrtm
 from scipy.optimize import minimize
 
-from qdpair import swap, timetag, tomography, twoqubit
+from qdpair import photostat, swap, timetag, tomography, twoqubit
 from qdpair.errors import ConfigError, ContractError, ModelDomainError, NumericalError
 from qdpair.fock import FockState
 
@@ -69,6 +69,23 @@ def random_density_matrix(rng, dim=4):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def matrix_singlet_fraction(rho):
+    """Reference ``twoqubit.singlet_fraction`` of one 4x4 state: the
+    unstacked expressions, as (value, rotation)."""
+    vals, vecs = np.linalg.eigh(
+        (twoqubit._MAGIC.conj().T @ rho @ twoqubit._MAGIC).real)
+    rotation = np.sqrt(2.0) * (twoqubit._MAGIC @ vecs[:, -1]).reshape(2, 2)
+    return min(max(float(vals[-1]), 0.0), 1.0), rotation
+
+
+def rowwise_singlet_fractions(ops, counts):
+    """Reference ``tomography.singlet_fractions``: the same certified solve,
+    then the state of each row built and scored on its own."""
+    sigma = tomography._solve(ops, tomography._checked_design(ops), counts)
+    return np.array([twoqubit.singlet_fraction(tomography._state(s)).value
+                     for s in sigma])
 
 
 def mle_multistart(ops, counts):
@@ -588,7 +605,7 @@ def eigh_pump_search(scenario, configs=None):
                                   for (n_l, n_r), block in configs.items()))
 
     lo = 1e-6
-    hi = swap._P1_CEILING[scenario.spdc_statistics] * (1.0 - 1e-9)
+    hi = photostat.SPDC_P1_CEILING[scenario.spdc_statistics] * (1.0 - 1e-9)
     f_lo, herald_lo = evaluate(lo)
     if f_lo < floor:
         raise ModelDomainError(

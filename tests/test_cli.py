@@ -198,6 +198,50 @@ def test_tomography_reconstruction_payload(tmp_path):
         rec["singlet_fraction"]
 
 
+# The default entangle command with tomography and a 50-resample bootstrap,
+# recorded while singlet_fractions still scored its rows one at a time.
+PINNED_RECONSTRUCTION = {
+    "density_matrix": [
+        [[0.006708553869931426, 0.0], [0.0010950961937207038, 0.00129198343119095],
+         [0.0003427534217766508, -6.17915107102973e-05],
+         [0.00011993218196416058, 0.0009104928496760467]],
+        [[0.0010950961937207038, -0.00129198343119095], [0.4928554514682392, 0.0],
+         [-0.47699570078602843, -0.0007158972958382244],
+         [-0.0013597860414005867, 0.00015818604999262532]],
+        [[0.0003427534217766508, 6.17915107102973e-05],
+         [-0.47699570078602843, 0.0007158972958382244], [0.4933673834363996, 0.0],
+         [-0.0004244566133027097, -0.001154113527584821]],
+        [[0.00011993218196416058, -0.0009104928496760467],
+         [-0.0013597860414005867, -0.00015818604999262532],
+         [-0.0004244566133027097, 0.001154113527584821], [0.007068611225429833, 0.0]]],
+    "log_likelihood": -217.64899912662804,
+    "singlet_fraction": 0.9701095120372307,
+    "singlet_fraction_sigma": 0.0004389348004274091,
+}
+
+
+def test_entangle_reconstruction_is_pinned(tmp_path):
+    cfg = write_config(tmp_path, {"tomography": {"enabled": True, "bootstrap": 50}})
+    assert run_cli("entangle", "--config", cfg, "--out", str(tmp_path),
+                   "--format", "json") == 0
+    rec = json.loads((tmp_path / "entangle.json").read_text())["reconstruction"]
+    assert {key: rec[key] for key in PINNED_RECONSTRUCTION} == PINNED_RECONSTRUCTION
+
+
+# timetag sweep at 50 000 pulses per setting, recorded at the same point.
+PINNED_SWEEP_FRACTIONS = (0.9610637835005276, 0.9622949487599826, 0.9718606071227436,
+                          0.9800444052148409, 0.9813802049038514)
+
+
+def test_timetag_sweep_fractions_are_pinned(tmp_path):
+    cfg = write_config(tmp_path, {"timetag": {"pulses": 50000}})
+    assert run_cli("timetag", "sweep", "--config", cfg, "--out", str(tmp_path)) == 0
+    lines = (tmp_path / "timetag_sweep.csv").read_text().splitlines()
+    assert lines[0].split(",")[1] == "singlet_fraction"
+    assert tuple(float(line.split(",")[1]) for line in lines[1:]) \
+        == PINNED_SWEEP_FRACTIONS
+
+
 def test_exit_codes(tmp_path, monkeypatch, capsys):
     bad_key = write_config(tmp_path, {"sourc": {"g2": 0.1}}, "bad1.json")
     assert run_cli("entangle", "--config", bad_key,

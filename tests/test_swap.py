@@ -503,7 +503,7 @@ def test_pump_search_takes_the_singlet_fraction_where_r_cannot_decide(monkeypatc
     swap._pump_search(dataclasses.replace(SPDC, pnr=False, channel_loss_db=30.0))
     assert calls[0] > 1
     # the floor exactly at an interior grid pump's fidelity
-    grid = np.geomspace(1e-6, swap._P1_CEILING["thermal"] * (1.0 - 1e-9), 9)
+    grid = np.geomspace(1e-6, photostat.SPDC_P1_CEILING["thermal"] * (1.0 - 1e-9), 9)
     at = dataclasses.replace(SPDC, spdc_p1=float(grid[4]), fidelity_floor=None)
     s = dataclasses.replace(SPDC, fidelity_floor=swap.swap_once(at, at).fidelity)
     calls[0] = 0

@@ -513,6 +513,21 @@ def test_stream_file_error_handling(tmp_path):
         tt.read_stream(short)
 
 
+@pytest.mark.parametrize("defect, message", (
+    ("zero rep rate", "rep_rate_hz must be positive"),
+    ("decreasing times", "timestamps must be nondecreasing")))
+def test_stream_file_defects_are_config_errors(tmp_path, defect, message):
+    # a header rep rate of 0, or records that run backwards in time
+    st = tt.synthesize_stream(tt.StreamParams(pulses=1000, seed=2))
+    rep_mhz = 0 if defect == "zero rep rate" else int(round(st.rep_rate_hz * 1000.0))
+    records = st.records[::-1] if defect == "decreasing times" else st.records
+    path = tmp_path / "defect.ttg"
+    path.write_bytes(tt._HEADER.pack(tt.STREAM_MAGIC, tt.STREAM_VERSION, 0, rep_mhz,
+                                     st.t_zero_ps) + records.tobytes())
+    with pytest.raises(ConfigError, match=f"^stream file {re.escape(str(path))}: {message}$"):
+        tt.read_stream(path)
+
+
 def test_histogram_needs_enough_side_peaks():
     st = tt.synthesize_stream(tt.StreamParams(pulses=5000, seed=2))
     hist = tt.coincidence_histogram(st, 0, 1, bin_ps=50,

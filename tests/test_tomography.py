@@ -11,7 +11,8 @@ from qdpair import twoqubit as tq
 from qdpair import wavepacket
 from qdpair.errors import ConfigError, ContractError, NumericalError, ReconstructionError
 from helpers import (frank_wolfe_gap, mle_multistart, random_density_matrix,
-                     scalar_barrier_newton, uhlmann_fidelity)
+                     rowwise_singlet_fractions, scalar_barrier_newton,
+                     uhlmann_fidelity)
 
 # A log of zero or a division by zero inside the solver fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -282,6 +283,22 @@ def test_batched_solve_follows_each_scalar_path():
             ref_sigma, ref_steps = scalar_barrier_newton(d, row)
             assert np.array_equal(sigma_row, ref_sigma)
             assert steps_row == ref_steps
+
+
+def test_singlet_fractions_match_a_per_row_loop():
+    # one stack of states scored at once gives each row's own bits
+    cases = oracle_cases()
+    standard = [records for name, records in cases if name != "unequal times"]
+    unequal = [records for name, records in cases if name == "unequal times"]
+    ops, observed = tomo._measurement_ops(standard[0])
+    draws = np.random.default_rng(9).poisson(observed, size=(50, len(ops))).astype(float)
+    stacks = [(ops, np.array([tomo._measurement_ops(r)[1] for r in standard])),
+              (ops, draws), tomo._measurement_ops(unequal[0])]
+    for stack_ops, counts in stacks:
+        counts = counts.reshape(-1, len(stack_ops))
+        fractions = tomo.singlet_fractions(stack_ops, counts)
+        assert fractions.shape == (len(counts),)
+        assert np.array_equal(fractions, rowwise_singlet_fractions(stack_ops, counts))
 
 
 def test_batched_solve_keeps_the_cap_and_search_rules(monkeypatch):

@@ -1,11 +1,14 @@
 """Tests for two-qubit density matrices and the singlet fraction."""
 
+import re
+
 import numpy as np
 import pytest
 
 from qdpair import twoqubit as tq
 from qdpair.errors import ContractError
-from helpers import max_singlet_overlap_grid, random_density_matrix
+from helpers import (matrix_singlet_fraction, max_singlet_overlap_grid,
+                     random_density_matrix)
 
 
 def haar_unitary(rng, dim=2):
@@ -145,3 +148,55 @@ def test_density_validation():
         tq.bell_state("sigma")
     with pytest.raises(ContractError):
         tq.rho_q(-0.1)
+
+
+NOT_HERMITIAN = np.diag([1.0, 0.0, 0.0, 0.0]) + np.diag([0.5, 0.0, 0.0], 1)
+OFF_TRACE = np.eye(4) * 0.3
+NEGATIVE = np.diag([1.1, -0.1, 0.0, 0.0])
+
+
+def message(matrix):
+    """The ContractError text of one bad 4x4."""
+    with pytest.raises(ContractError) as err:
+        tq.TwoQubitDensity(matrix)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("bad", (NOT_HERMITIAN, OFF_TRACE, NEGATIVE),
+                         ids=("hermitian", "trace", "eigenvalue"))
+def test_stack_validation_finds_a_bad_row_past_the_first(bad):
+    good = [tq.werner(p).matrix for p in (0.2, 0.9, 1.0)]
+    text = message(bad)
+    assert text.startswith(("density matrix is not Hermitian", "density matrix trace",
+                            "density matrix has negative eigenvalue"))
+    with pytest.raises(ContractError, match=f"^{re.escape(text)}$"):
+        tq.TwoQubitDensity(np.array(good[:2] + [bad] + good[2:]))
+
+
+def test_stack_validation_reports_the_first_bad_rows_first_check():
+    good = tq.werner(0.5).matrix
+    # trace 1.1 and an eigenvalue of -0.1: the trace check comes first
+    both = np.diag([1.2, -0.1, 0.0, 0.0])
+    assert "trace" in message(both)
+    for stack, first in (([good, both, NOT_HERMITIAN, NEGATIVE], both),
+                         ([good, NEGATIVE, OFF_TRACE, NOT_HERMITIAN], NEGATIVE),
+                         ([NOT_HERMITIAN, both], NOT_HERMITIAN)):
+        with pytest.raises(ContractError, match=f"^{re.escape(message(first))}$"):
+            tq.TwoQubitDensity(np.array(stack))
+
+
+def test_singlet_fraction_of_a_stack_matches_each_state():
+    # random states, and states whose optimum is degenerate
+    rng = np.random.default_rng(23)
+    rows = [random_density_matrix(rng) for _ in range(40)]
+    rows += [tq.werner(p).matrix for p in (0.0, 0.3, 1.0)]
+    rows += [tq.rho_b_half().matrix, tq.rho_b_zero().matrix, tq.rho_q(0.968).matrix]
+    stack = tq.singlet_fraction(tq.TwoQubitDensity(np.array(rows)))
+    assert stack.value.shape == (len(rows),) and stack.rotation.shape == (len(rows), 2, 2)
+    for row, value, rotation in zip(rows, stack.value, stack.rotation):
+        one = tq.singlet_fraction(tq.TwoQubitDensity(row))
+        assert isinstance(one.value, float) and one.rotation.shape == (2, 2)
+        ref_value, ref_rotation = matrix_singlet_fraction(np.asarray(row, dtype=complex))
+        assert value == one.value == ref_value
+        assert np.array_equal(rotation, one.rotation)
+        assert np.array_equal(rotation, ref_rotation)
