@@ -429,9 +429,14 @@ class Histogram:
 # Starts of channel a binned per pass, which bounds the pair arrays.
 _HISTOGRAM_BLOCK = 1 << 14
 
-# The candidate table of _add_pairs: its cells are 1/16 of the histogram
-# width, and it may hold at most 16 cells per record of a pass.
-_CELLS_PER_WIDTH = 16
+# Records whose channels and times coincidence_histogram copies out of
+# the packed records at a time: numpy compresses an aligned, contiguous
+# copy several times faster than the records' unaligned times, and a
+# copy this size (80 KiB) stays in cache.
+_COPY_BLOCK = 1 << 13
+
+# The cell table of _add_pairs may hold at most this many cells per
+# record of a pass.
 _CELLS_PER_RECORD = 16
 
 
@@ -442,46 +447,89 @@ def _add_pairs(counts: np.ndarray, ta: np.ndarray, tb: np.ndarray,
     bin_ps; ta and tb sorted.
 
     Each pass takes ``_HISTOGRAM_BLOCK`` a-times, x = t_a + first_ps, and
-    the b-times in [min x, max x + width).  One bincount of those b-times
-    per cell and its running sum give the first b index of every cell, so
-    an a-time's candidates are the b-times in the cells from x's to
-    (x + width - 1)'s, found without a search.  Their bins are taken
-    against x - cell: a candidate outside the window falls into one of the
-    cell / bin_ps pad bins at either end, which are cut off.
+    the b-times in [min x, max x + width).  A table of the first b index
+    of every cell gives each a-time's candidates, the b-times in the cells
+    from x's to (x + width - 1)'s, as a range lo, lo + m of b, found
+    without a search.  A cell is about the pass's span over its record
+    count, so the table holds about one cell per record, but never less
+    than width / 16 nor more than width / 2, rounded down to whole bins
+    and at least one bin.  A pass whose table would hold more than
+    ``_CELLS_PER_RECORD`` cells per record (a sparse stream, or a gap)
+    takes each a-time's exact range by binary search instead.
 
-    A cell is width / 16, rounded down to a whole number of bins and at
-    least one bin, so the candidates are at most the pairs of a histogram
-    two cells wider.  The table holds at most ``_CELLS_PER_RECORD`` cells
-    per record of the pass; a pass sparser than that against the window
-    (a sparse stream, or a gap) takes each a-time's exact range by binary
-    search instead.
+    The candidates are then enumerated lag by lag, without expanding
+    per-pair indices.  With the a-times ordered by descending m, those
+    with a j-th candidate are a prefix, so lag j is one slice of
+    ``take`` and ``subtract`` into one buffer.  Once fewer a-times remain
+    than lags, each of the rest adds its remaining range as one slice
+    instead: the lag j is chosen to minimise j + (a-times with m > j),
+    which bounds a pass's slices by the square root of twice its
+    candidates however unevenly they fall.  Bins are taken against
+    x - cell, so one floor-divide and one bincount per pass place them; a
+    candidate outside the window falls into one of the cell / bin_ps pad
+    bins at either end, which are cut off.
     """
     nbins = len(counts)
     width = nbins * bin_ps
-    cell = max(width // _CELLS_PER_WIDTH // bin_ps, 1) * bin_ps
-    pad = cell // bin_ps
     for i in range(0, len(ta), _HISTOGRAM_BLOCK):
         x = ta[i:i + _HISTOGRAM_BLOCK] + first_ps
         x0, x1 = int(x[0]), int(x[-1])
         b = tb[np.searchsorted(tb, x0):np.searchsorted(tb, x1 + width)]
         if not len(b):
             continue
-        ncells = (x1 + width - 1 - x0) // cell + 1
+        span = x1 + width - x0
+        cell = min(max(span // (len(x) + len(b)), width // 16), width // 2)
+        cell = max(cell // bin_ps, 1) * bin_ps
+        pad = cell // bin_ps
+        ncells = (span - 1) // cell + 1
         if ncells <= _CELLS_PER_RECORD * (len(x) + len(b)):
             # start[k]: index of the first b-time in cell k or later.
-            start = np.bincount((b - (x0 - cell)) // cell,
-                                minlength=ncells + 1).cumsum()
+            start = np.bincount((b - (x0 - cell)) // cell, minlength=ncells + 1)
+            start = start.cumsum(out=start)
             rel = x - x0
             lo = start[rel // cell]
-            hi = start[(rel + (width - 1)) // cell + 1]
+            m = start[(rel + (width - 1)) // cell + 1] - lo
         else:
             lo = np.searchsorted(b, x)
-            hi = np.searchsorted(b, x + width)
-        m = hi - lo
-        flat = np.repeat(lo - (np.cumsum(m) - m), m) + np.arange(m.sum())
-        diffs = b[flat] - np.repeat(x - cell, m)
+            m = np.searchsorted(b, x + width) - lo
+        more = len(m) - np.bincount(m).cumsum()     # more[j]: a-times with m > j
+        top = len(more) - 1                         # the largest m
+        # keyed on 8 or 16 bits where m allows, numpy's stable argsort is
+        # a radix sort
+        order = np.argsort((-m).astype(np.min_scalar_type(-top)), kind="stable")
+        lags = int(np.argmin(more + np.arange(top + 1)))
+        rest = int(more[lags])
+        diffs = np.empty(int(more.sum()), dtype=np.int64)
+        lo, x, tail = lo[order], x[order], m[order[:rest]]
+        x -= cell
+        k = 0
+        for j, n in enumerate(more[:lags].tolist()):
+            lag = diffs[k:k + n]
+            # b[j:][lo] is b[lo + j], the j-th candidates, all in range
+            np.take(b[j:], lo[:n], out=lag, mode="clip")
+            np.subtract(lag, x[:n], out=lag)
+            k += n
+        for first, stop, xr in zip((lo[:rest] + lags).tolist(),
+                                   (lo[:rest] + tail).tolist(), x[:rest].tolist()):
+            np.subtract(b[first:stop], xr, out=diffs[k:k + stop - first])
+            k += stop - first
         diffs //= bin_ps
         counts += np.bincount(diffs, minlength=nbins + 2 * pad)[pad:pad + nbins]
+
+
+def _extended(ta: np.ndarray, tb: np.ndarray, block: np.ndarray,
+              ch_a: int, ch_b: int):
+    """ta and tb followed by the times of channels ch_a and ch_b in a
+    block of records, picked from aligned copies of ``_COPY_BLOCK``
+    records at a time.  The pieces are dropped on return, before the
+    passes over them run."""
+    parts_a, parts_b = [ta], [tb]
+    for s in range(0, len(block), _COPY_BLOCK):
+        part = block[s:s + _COPY_BLOCK]
+        ch, t = part["channel"].copy(), part["t"].copy()
+        parts_a.append(np.compress(ch == ch_a, t))
+        parts_b.append(np.compress(ch == ch_b, t))
+    return np.concatenate(parts_a), np.concatenate(parts_b)
 
 
 def histogram_bins(bin_ps: int, span_ps: int) -> int:
@@ -498,16 +546,18 @@ def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
                           bin_ps: int, span_ps: int) -> Histogram:
     """Histogram of timestamp differences t_b - t_a over +/- span_ps.
 
-    The records are walked in blocks of ``_RECORD_BLOCK``.  Between blocks
-    only two tails are carried: the channel-a times whose window can
-    still reach records not yet seen, and the channel-b times those (or
-    later) a-times can reach.  Memory is therefore bounded by one block
-    of records, the records within one histogram width (2 span_ps) before
-    the last record seen, and one pass of ``_add_pairs`` over
-    ``_HISTOGRAM_BLOCK`` a-times: a cell table of at most a fixed multiple
-    of the pass's records, and candidate pairs at most those of a
-    histogram two cells (at most 2 span_ps / 8) wider.  None of it grows
-    with the length of the stream.
+    The records are walked in blocks of ``_RECORD_BLOCK``, each block's
+    channel-a and channel-b times picked from aligned copies of
+    ``_COPY_BLOCK`` records at a time.  Between blocks only two tails are
+    carried: the channel-a times whose window can still reach records not
+    yet seen, and the channel-b times those (or later) a-times can reach.
+    Memory is therefore bounded by one block of records, the records
+    within one histogram width (2 span_ps) before the last record seen,
+    and one pass of ``_add_pairs`` over ``_HISTOGRAM_BLOCK`` a-times: a
+    cell table of at most a fixed multiple of the pass's records,
+    per-a-time ranges and their order, and one buffer of candidate pairs,
+    at most those of a histogram two cells (at most 2 span_ps) wider.
+    None of it grows with the length of the stream.
     """
     nbins = histogram_bins(bin_ps, span_ps)
     starts = (np.arange(nbins) - nbins // 2) * bin_ps
@@ -518,12 +568,10 @@ def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
     rec = stream.records
     for start in range(0, len(rec), _RECORD_BLOCK):
         block = rec[start:start + _RECORD_BLOCK]
-        ch, t = block["channel"], block["t"]
-        waiting = np.concatenate((waiting, np.compress(ch == ch_a, t)))
-        tb = np.concatenate((tb, np.compress(ch == ch_b, t)))
+        waiting, tb = _extended(waiting, tb, block, ch_a, ch_b)
         # Later records are no earlier than the last one seen, so an
         # a-time whose window ends by then has every pair in hand.
-        last = int(t[-1])
+        last = int(block["t"][-1])
         done = np.searchsorted(waiting, last - first - nbins * bin_ps,
                                side="right")
         _add_pairs(counts, waiting[:done], tb, first, bin_ps)
@@ -711,19 +759,23 @@ def write_stream(stream: TimeTagStream, path) -> None:
 
 
 def read_stream(path) -> TimeTagStream:
+    """The stream written by write_stream; every defect of the file is a
+    ConfigError that names it."""
+    def defect(what) -> ConfigError:
+        return ConfigError(f"stream file {path}: {what}")
+
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise ConfigError("stream file too short for header")
+            raise defect("too short for header")
         magic, version, _, rep_mhz, t0 = _HEADER.unpack(header)
         if magic != STREAM_MAGIC:
-            raise ConfigError(f"bad stream magic {magic!r}")
+            raise defect(f"bad stream magic {magic!r}")
         if version != STREAM_VERSION:
-            raise ConfigError(f"unsupported stream version {version}")
+            raise defect(f"unsupported stream version {version}")
         body = os.fstat(fh.fileno()).st_size - _HEADER.size
         if body % RECORD_DTYPE.itemsize != 0:
-            raise ConfigError(
-                f"stream body of {body} bytes is not a whole number of records")
+            raise defect(f"body of {body} bytes is not a whole number of records")
         rec = np.fromfile(fh, dtype=RECORD_DTYPE,
                           count=body // RECORD_DTYPE.itemsize)
     try:
@@ -731,7 +783,7 @@ def read_stream(path) -> TimeTagStream:
                              None if t0 == _T_ZERO_UNSET else t0,
                              _CHANNELS_FROM_RECORDS)
     except ContractError as exc:   # a defect of the file, not of the caller
-        raise ConfigError(f"stream file {path}: {exc}") from exc
+        raise defect(exc) from exc
 
 
 def _fold(stream: TimeTagStream):

@@ -30,15 +30,18 @@ TRACE_TOL = 1e-10
 # Round-off may leave eigenvalues this far below zero; nothing is clipped.
 PSD_TOL = 1e-9
 
+_NON_FINITE = "density matrix has non-finite entries"
+
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
     """A validated 4x4 density matrix in the (HH, HV, VH, VV) basis, or a
     (B, 4, 4) stack of them.
 
-    Each row must be Hermitian, of unit trace and positive semidefinite
-    to the module tolerances.  A failing stack raises the ContractError
-    of its first failing row, naming that row's first failing check.
+    Each row must have finite entries and be Hermitian, of unit trace and
+    positive semidefinite to the module tolerances.  A failing stack
+    raises the ContractError of its first failing row, naming that row's
+    first failing check.
     ``purity``, ``to_json`` and ``overlap_with`` take a single 4x4.
     """
 
@@ -49,20 +52,26 @@ class TwoQubitDensity:
         if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
             raise ContractError(f"density matrix must be 4x4, got {m.shape}")
         rows = m.reshape(-1, 4, 4)
+        # Non-finite rows fail first, and are zeroed for the checks below:
+        # NaN passes every comparison, and inf - inf warns.
+        non_finite = ~np.isfinite(rows).all(axis=(1, 2))
+        if non_finite.any():
+            rows = np.where(non_finite[:, None, None], 0.0, rows)
         traces = np.trace(rows, axis1=1, axis2=2).real
         non_hermitian = np.abs(rows - rows.conj().swapaxes(1, 2)).max(axis=(1, 2)) \
             > HERMITICITY_TOL
         off_trace = abs(traces - 1.0) > TRACE_TOL
-        # eigvalsh only on the rows that pass those checks: a non-finite
-        # trace fails there, not inside LAPACK
+        # eigvalsh only on the rows that pass those checks, so that no
+        # defect reaches LAPACK
         lowest = np.full(len(rows), np.inf)
-        ok = ~(non_hermitian | off_trace)
+        ok = ~(non_finite | non_hermitian | off_trace)
         lowest[ok] = np.linalg.eigvalsh(rows[ok]).min(axis=1)
-        fails = np.array([non_hermitian, off_trace, lowest < -PSD_TOL])
+        fails = np.array([non_finite, non_hermitian, off_trace, lowest < -PSD_TOL])
         bad = np.flatnonzero(fails.any(axis=0))
         if len(bad):
             k = bad[0]
             raise ContractError((
+                _NON_FINITE,
                 "density matrix is not Hermitian",
                 f"density matrix trace {traces[k]!r} != 1",
                 f"density matrix has negative eigenvalue {lowest[k]:.3e}",
@@ -74,6 +83,8 @@ class TwoQubitDensity:
         """Validated state of the Hermitian part of a 4x4 or each matrix of
         a stack, each scaled to unit trace with ``renormalize``."""
         m = np.asarray(m, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ContractError(_NON_FINITE)
         m = 0.5 * (m + m.conj().swapaxes(-1, -2))
         if renormalize:
             tr = np.trace(m, axis1=-2, axis2=-1).real

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import copying_filter_sweep, sorting_pair_counts
+from helpers import all_pairs_histogram, copying_filter_sweep, sorting_pair_counts
 from qdpair import timetag as tt, tomography
 from qdpair.errors import ConfigError, ContractError, ModelDomainError
 
@@ -495,22 +495,18 @@ def test_stream_file_error_handling(tmp_path):
     path = tmp_path / "stream.ttg"
     tt.write_stream(st, path)
     raw = path.read_bytes()
-    bad = tmp_path / "bad.ttg"
-    bad.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ConfigError):
-        tt.read_stream(bad)
-    vers = tmp_path / "vers.ttg"
-    vers.write_bytes(raw[:4] + b"\x63" + raw[5:])
-    with pytest.raises(ConfigError):
-        tt.read_stream(vers)
-    trunc = tmp_path / "trunc.ttg"
-    trunc.write_bytes(raw[: len(raw) - 3])
-    with pytest.raises(ConfigError):
-        tt.read_stream(trunc)
-    short = tmp_path / "short.ttg"
-    short.write_bytes(raw[:6])
-    with pytest.raises(ConfigError):
-        tt.read_stream(short)
+    # each header defect names the file, as the two record defects below do
+    for name, data, message in (
+            ("bad.ttg", b"XXXX" + raw[4:], "bad stream magic b'XXXX'"),
+            ("vers.ttg", raw[:4] + b"\x63" + raw[5:], "unsupported stream version 99"),
+            ("trunc.ttg", raw[: len(raw) - 3],
+             f"body of {len(raw) - 35} bytes is not a whole number of records"),
+            ("short.ttg", raw[:6], "too short for header")):
+        defect = tmp_path / name
+        defect.write_bytes(data)
+        with pytest.raises(ConfigError,
+                           match=f"^stream file {re.escape(str(defect))}: {re.escape(message)}$"):
+            tt.read_stream(defect)
 
 
 @pytest.mark.parametrize("defect, message", (
@@ -534,23 +530,6 @@ def test_histogram_needs_enough_side_peaks():
                                     span_ps=2 * int(st.period_ps))
     with pytest.raises(ContractError):
         tt.g2_from_histogram(hist, st.period_ps)
-
-
-def all_pairs_histogram(stream, ch_a, ch_b, bin_ps, span_ps):
-    """Reference: every (a, b) pair in the span at once, then np.histogram."""
-    ta = stream.channel_times(ch_a)
-    tb = stream.channel_times(ch_b)
-    nbins = 2 * (span_ps // bin_ps)
-    starts = (np.arange(nbins) - nbins // 2) * bin_ps
-    if len(ta) == 0 or len(tb) == 0:
-        return starts, np.zeros(nbins, dtype=np.int64)
-    lo = np.searchsorted(tb, ta + starts[0], side="left")
-    hi = np.searchsorted(tb, ta + starts[0] + nbins * bin_ps, side="left")
-    m = hi - lo
-    flat = np.repeat(lo, m) + (np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m))
-    diffs = tb[flat] - np.repeat(ta, m)
-    counts, _ = np.histogram(diffs, bins=np.append(starts, starts[-1] + bin_ps))
-    return starts, counts.astype(np.int64)
 
 
 def test_coincidence_histogram_matches_all_pairs_reference():
@@ -700,6 +679,64 @@ def test_coincidence_histogram_candidate_paths_are_exact(monkeypatch, block):
                 assert np.array_equal(hist.bin_start_ps, starts)
                 assert np.array_equal(hist.counts, ref)
                 assert hist.empty == (ref.sum() == 0)
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default-block", "block-3"])
+def test_coincidence_histogram_is_exact_on_uneven_passes(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(tt, "_HISTOGRAM_BLOCK", block)
+    rng = np.random.default_rng(37)
+    bin_ps, span_ps = 20, 1000
+    width = 2 * span_ps
+
+    def stream(ta, tb):
+        t = np.concatenate([ta, tb])
+        order = np.argsort(t, kind="stable")
+        records = np.empty(len(t), dtype=tt.RECORD_DTYPE)
+        records["t"] = t[order]
+        records["channel"] = np.repeat([0, 1], [len(ta), len(tb)])[order]
+        return tt.TimeTagStream(records, 80e6, channels=(0, 1))
+
+    sparse = (np.arange(-200, 200) * 3 + 1) * width
+    spaced = np.arange(20000) * 10 * width
+    cases = [
+        # a burst: one a-time with more than 2**15 candidates, among
+        # a-times with at most a few
+        stream(np.append(sparse + 7, 0),
+               np.concatenate([sparse, rng.integers(-span_ps, span_ps, 2 ** 15 + 1000)])),
+        # whole passes whose a-times have no candidate, the b-times lying
+        # between their windows, after a pass that has candidates
+        stream(np.concatenate([np.arange(-300, 0) * 50, spaced]),
+               np.concatenate([np.arange(-300, 0) * 50 + 5, spaced + 5 * width])),
+        # a pass whose a-times straddle a gap far wider than the window
+        stream(np.concatenate([np.arange(1000) * 97, 10 ** 13 + np.arange(1000) * 89]),
+               np.concatenate([np.arange(1000) * 101, 10 ** 13 + np.arange(1000) * 83])),
+    ]
+    assert 2 ** 15 < all_pairs_histogram(cases[0], 0, 1, bin_ps, span_ps)[1].sum()
+    for st in cases:
+        for ch_a, ch_b in ((0, 1), (1, 0), (0, 0)):
+            hist = tt.coincidence_histogram(st, ch_a, ch_b, bin_ps, span_ps)
+            starts, ref = all_pairs_histogram(st, ch_a, ch_b, bin_ps, span_ps)
+            assert np.array_equal(hist.bin_start_ps, starts)
+            assert np.array_equal(hist.counts, ref)
+
+
+@pytest.mark.parametrize("copy_block", [3, 10], ids=["partial-slices", "one-slice"])
+def test_coincidence_histogram_copies_each_block_in_slices(monkeypatch, copy_block):
+    # seven-record blocks read three records at a time (the last slice
+    # short), or whole
+    monkeypatch.setattr(tt, "_RECORD_BLOCK", 7)
+    monkeypatch.setattr(tt, "_COPY_BLOCK", copy_block)
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 80))
+        records = np.empty(n, dtype=tt.RECORD_DTYPE)
+        records["t"] = np.sort(rng.integers(-300, 600, n))
+        records["channel"] = rng.integers(0, 3, n)
+        st = tt.TimeTagStream(records, 80e6, channels=(0, 1, 2))
+        for ch_a, ch_b in ((0, 1), (1, 0), (0, 0)):
+            hist = tt.coincidence_histogram(st, ch_a, ch_b, 10, 60)
+            assert np.array_equal(hist.counts, all_pairs_histogram(st, ch_a, ch_b, 10, 60)[1])
 
 
 def test_period_histogram_sums_blocks_exactly(monkeypatch):

@@ -185,6 +185,24 @@ def test_stack_validation_reports_the_first_bad_rows_first_check():
             tq.TwoQubitDensity(np.array(stack))
 
 
+@pytest.mark.parametrize("entry", (np.nan, np.inf, complex(0.0, np.nan)),
+                         ids=("nan", "inf", "imaginary-nan"))
+@pytest.mark.parametrize("where", ((1, 1), (0, 1)), ids=("diagonal", "off-diagonal"))
+def test_non_finite_entries_are_contract_errors(entry, where):
+    # NaN fails no comparison, so it used to reach LAPACK (LinAlgError) or
+    # the renormalising divide (RuntimeWarning, an error under Tier-1)
+    m = np.eye(4, dtype=complex) / 4
+    m[where] = entry
+    stack = np.array([tq.werner(0.5).matrix, m])
+    for call in (lambda: tq.TwoQubitDensity(m),
+                 lambda: tq.TwoQubitDensity(stack),
+                 lambda: tq.TwoQubitDensity.from_matrix(m),
+                 lambda: tq.TwoQubitDensity.from_matrix(m, renormalize=True),
+                 lambda: tq.TwoQubitDensity.from_matrix(stack, renormalize=True)):
+        with pytest.raises(ContractError, match="^density matrix has non-finite entries$"):
+            call()
+
+
 def test_singlet_fraction_of_a_stack_matches_each_state():
     # random states, and states whose optimum is degenerate
     rng = np.random.default_rng(23)
