@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_ranges
 from .twoqubit import TwoQubitDensity
 
 DEFAULT_NMAX = 4
@@ -229,8 +229,7 @@ def two_mode_mix(state: FockState, mode_i: int, mode_j: int,
     Photon number is conserved term by term, so the map is unitary on
     the truncated space.
     """
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ContractError(f"transmissivity {transmissivity} outside [0, 1]")
+    check_ranges(ContractError, {"transmissivity": "[0, 1]"}, transmissivity=transmissivity)
     if mode_i == mode_j:
         raise ContractError("mode pair must be distinct")
     return _mix(state, [(mode_i, mode_j, transmissivity)])

@@ -11,10 +11,11 @@ emitter) and backward (from detected coincidences).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, ContractError, ModelDomainError
+from .errors import ConfigError, ContractError, ModelDomainError, check_ranges
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,7 @@ def qd_distribution_from_g2(g2: float) -> PhotonNumberDistribution:
     exactly 1, so recomputing g2 from the distribution returns the
     input; that self-consistency is checked here.  Valid for g2 < 0.5.
     """
-    if not 0.0 <= g2 < 0.5:
-        raise ModelDomainError(f"g2={g2} outside [0, 0.5) where the mapping holds")
+    check_ranges(ModelDomainError, {"g2": "[0, 0.5)"}, g2=g2)
     dist = PhotonNumberDistribution((g2 / 2.0, 1.0 - g2, g2 / 2.0))
     if abs(dist.g2 - g2) > 1e-9:
         raise ContractError("g2 round trip failed")  # pragma: no cover
@@ -128,8 +128,7 @@ def detection_outcomes(dist: PhotonNumberDistribution, eta: float) -> DetectionO
 
     which sum to one exactly.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ContractError(f"eta={eta} outside [0, 1]")
+    check_ranges(ContractError, {"eta": "[0, 1]"}, eta=eta)
     if len(dist.probs) > 3 and any(p > 0 for p in dist.probs[3:]):
         raise ContractError("detection_outcomes requires support on at most 2 photons")
     p = list(dist.probs) + [0.0, 0.0]
@@ -149,11 +148,10 @@ class Efficiency:
     value: float
     sigma: float = 0.0
 
+    INTERVALS = {"value": "(0, 1]", "sigma": "[0, inf)"}
+
     def __post_init__(self):
-        if not 0.0 < self.value <= 1.0:
-            raise ContractError(f"efficiency value {self.value} outside (0, 1]")
-        if self.sigma < 0.0:
-            raise ContractError("efficiency sigma must be non-negative")
+        check_ranges(ContractError, self.INTERVALS, **vars(self))
 
 
 @dataclass(frozen=True)
@@ -177,9 +175,10 @@ class EfficiencyChain:
     detector: tuple               # per analysis arm
 
     def __post_init__(self):
-        for name in ("switch", "tomography", "fiber", "detector"):
+        for name, many in _ROLES.items():
             val = getattr(self, name)
-            if not isinstance(val, tuple) or not all(isinstance(e, Efficiency) for e in val):
+            if many and not (isinstance(val, tuple)
+                             and all(isinstance(e, Efficiency) for e in val)):
                 raise ContractError(f"{name} must be a tuple of Efficiency values")
         if len(self.tomography) != 2 or len(self.fiber) != 2 or len(self.detector) != 2:
             raise ContractError("per-arm roles need exactly two entries")
@@ -220,25 +219,15 @@ class EfficiencyChain:
     def to_dict(self) -> dict:
         def enc(e):
             return [e.value, e.sigma]
-        return {
-            "source": enc(self.source),
-            "switch": [enc(e) for e in self.switch],
-            "long_arm": enc(self.long_arm),
-            "short_arm": enc(self.short_arm),
-            "output_coupler": enc(self.output_coupler),
-            "tomography": [enc(e) for e in self.tomography],
-            "fiber": [enc(e) for e in self.fiber],
-            "detector": [enc(e) for e in self.detector],
-        }
+        return {name: [enc(e) for e in getattr(self, name)] if many
+                else enc(getattr(self, name)) for name, many in _ROLES.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EfficiencyChain":
-        required = {"source", "switch", "long_arm", "short_arm",
-                    "output_coupler", "tomography", "fiber", "detector"}
-        unknown = set(data) - required
+        unknown = set(data) - set(_ROLES)
         if unknown:
             raise ConfigError(f"unknown efficiency roles {sorted(unknown)}")
-        missing = required - set(data)
+        missing = set(_ROLES) - set(data)
         if missing:
             raise ConfigError(f"missing efficiency roles {sorted(missing)}")
 
@@ -248,18 +237,14 @@ class EfficiencyChain:
             return Efficiency(float(v[0]), float(v[1]))
 
         try:
-            return cls(
-                source=dec(data["source"]),
-                switch=tuple(dec(v) for v in data["switch"]),
-                long_arm=dec(data["long_arm"]),
-                short_arm=dec(data["short_arm"]),
-                output_coupler=dec(data["output_coupler"]),
-                tomography=tuple(dec(v) for v in data["tomography"]),
-                fiber=tuple(dec(v) for v in data["fiber"]),
-                detector=tuple(dec(v) for v in data["detector"]),
-            )
+            return cls(**{name: tuple(dec(v) for v in data[name]) if many
+                          else dec(data[name]) for name, many in _ROLES.items()})
         except ContractError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+# Each role of an EfficiencyChain, in field order: is it a tuple of Efficiency values.
+_ROLES = {f.name: f.type in ("tuple", tuple) for f in dataclasses.fields(EfficiencyChain)}
 
 
 def forward_rate(chain: EfficiencyChain, rep_rate_hz: float):
@@ -274,8 +259,7 @@ def forward_rate(chain: EfficiencyChain, rep_rate_hz: float):
     The uncertainty is first-order propagation of the per-component
     1-sigma values through the product.
     """
-    if rep_rate_hz <= 0.0:
-        raise ContractError("rep_rate_hz must be positive")
+    check_ranges(ContractError, {"rep_rate_hz": "(0, inf)"}, rep_rate_hz=rep_rate_hz)
     rate = (rep_rate_hz / 4.0
             * chain.source.value ** 2
             * chain.switch_product ** 2
@@ -296,6 +280,6 @@ def back_propagate_rate(measured_pair_rate_hz: float, chain: EfficiencyChain) ->
     Divides the measured coincidence rate by the product of both
     analysis arms' post-coupler transmissions.
     """
-    if measured_pair_rate_hz < 0.0:
-        raise ContractError("measured rate must be non-negative")
+    check_ranges(ContractError, {"measured_pair_rate_hz": "[0, inf)"},
+                 measured_pair_rate_hz=measured_pair_rate_hz)
     return measured_pair_rate_hz / (chain.arm_efficiency(0) * chain.arm_efficiency(1))

@@ -67,7 +67,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import photostat
-from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
+from .errors import (ConfigError, ContractError, ModelDomainError, NumericalError,
+                     check_ranges)
 from .fock import expand
 from .twoqubit import PSI_MINUS, TwoQubitDensity, magic_form, singlet_fraction
 
@@ -110,8 +111,8 @@ SOURCE_KINDS = ("qd_postselected", "spdc")
 
 def loss_grid(loss_db_max: float = 30.0, loss_db_step: float = 2.5) -> tuple:
     """Per-arm channel losses 0, loss_db_step, ... up to loss_db_max (dB)."""
-    if loss_db_step <= 0.0 or loss_db_max < 0.0:
-        raise ConfigError("loss grid must have positive step and non-negative maximum")
+    check_ranges(ConfigError, {"loss_db_max": "[0, inf)", "loss_db_step": "(0, inf)"},
+                 loss_db_max=loss_db_max, loss_db_step=loss_db_step)
     return tuple(float(x) for x in
                  np.arange(0.0, loss_db_max + 0.5 * loss_db_step, loss_db_step))
 
@@ -149,29 +150,19 @@ class SwapScenario:
     spdc_statistics: str = "thermal"
     mux_n: int = 1
 
+    INTERVALS = {
+        "rep_rate_hz": "(0, inf)", "eta_s": "[0, 1]", "eta_det": "[0, 1]",
+        "switch_eta": "[0, 1]", "insertion_eta": "[0, 1]",
+        "channel_loss_db": "[0, inf)", "fidelity_floor": "[0, 1] or None",
+        "qd_g2": "[0, 0.5)", "qd_I": "[0, 1]", "spdc_p1": "(0, 0.5) or None",
+        "mux_n": "int (0, inf)"}
+
     def __post_init__(self):
         if self.source_kind not in SOURCE_KINDS:
             raise ConfigError(f"unknown source_kind {self.source_kind!r}")
-        if self.rep_rate_hz <= 0.0:
-            raise ConfigError("rep_rate_hz must be positive")
-        for name in ("eta_s", "eta_det", "switch_eta", "insertion_eta"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ConfigError(f"{name}={val} outside [0, 1]")
-        if self.channel_loss_db < 0.0:
-            raise ConfigError("channel_loss_db must be non-negative")
-        if self.fidelity_floor is not None and not 0.0 <= self.fidelity_floor <= 1.0:
-            raise ConfigError("fidelity_floor outside [0, 1]")
-        if not 0.0 <= self.qd_g2 < 0.5:
-            raise ConfigError("qd_g2 outside [0, 0.5)")
-        if not 0.0 <= self.qd_I <= 1.0:
-            raise ConfigError("qd_I outside [0, 1]")
-        if self.spdc_p1 is not None and not 0.0 < self.spdc_p1 < 0.5:
-            raise ConfigError("spdc_p1 outside (0, 0.5)")
+        check_ranges(ConfigError, self.INTERVALS, **vars(self))
         if self.spdc_statistics not in photostat.SPDC_P1_CEILING:
             raise ConfigError(f"unknown spdc_statistics {self.spdc_statistics!r}")
-        if int(self.mux_n) != self.mux_n or self.mux_n < 1:
-            raise ConfigError("mux_n must be a positive integer")
         if self.source_kind == "qd_postselected" and self.mux_n != 1:
             raise ConfigError("quantum-dot sources take mux_n = 1")
 

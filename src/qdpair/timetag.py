@@ -40,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not at the first draw
 
-from . import tomography, twoqubit
-from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
+from . import photostat, tomography, twoqubit
+from .errors import (ConfigError, ContractError, ModelDomainError, NumericalError,
+                     check_ranges)
 
 RECORD_DTYPE = np.dtype([("channel", "<u2"), ("t", "<i8")])
 
@@ -105,12 +106,13 @@ class TimeTagStream:
     t_zero_ps: int = None
     channels: tuple = (0, 1, 2, 3)
 
+    INTERVALS = {"rep_rate_hz": "(0, inf)", "t_zero_ps": "int (-inf, inf) or None"}
+
     def __post_init__(self):
         rec = np.asarray(self.records)
         if rec.dtype != RECORD_DTYPE:
             rec = _as_records(rec)
-        if self.rep_rate_hz <= 0.0:
-            raise ContractError("rep_rate_hz must be positive")
+        check_ranges(ContractError, self.INTERVALS, **vars(self))
         used = _checked_channels(rec)
         if self.channels is _CHANNELS_FROM_RECORDS:
             object.__setattr__(self, "channels", tuple(sorted(used | {0})))
@@ -129,7 +131,7 @@ class TimeTagStream:
         return len(self.records)
 
     def channel_times(self, channel: int) -> np.ndarray:
-        return self.records["t"][self.records["channel"] == channel]
+        return _picked(self.records, (channel,))[0]
 
 
 @dataclass(frozen=True)
@@ -154,32 +156,23 @@ class StreamParams:
     analysis: tuple = ("H", "H")      # pairs mode: names or 4 waveplate angles
     center_ps: float = 0.0            # laser mode pulse centre
 
+    INTERVALS = {
+        "g2": "[0, 0.5)", "t1_ps": "(0, inf)", "pulse_width_ps": "(0, inf)",
+        "rep_rate_hz": "(0, inf)", "pulses": "int (0, inf)", "eta": "(0, 1]",
+        "jitter_fwhm_ps": "[0, inf)", "noise_rejection_prob": "[0, 1]",
+        "seed": "int [0, inf)", "mean_photons": "(0, inf)",
+        "indistinguishability": "[0, 1]", "offset_ps": "(-inf, inf)",
+        "noise_window_ps": "(0, inf) or None", "center_ps": "(-inf, inf)"}
+
     def __post_init__(self):
-        if not 0.0 <= self.g2 < 0.5:
-            raise ContractError(f"g2 {self.g2} outside [0, 0.5)")
-        if self.t1_ps <= 0 or self.pulse_width_ps <= 0 or self.rep_rate_hz <= 0:
-            raise ContractError("t1_ps, pulse_width_ps, rep_rate_hz must be positive")
-        if self.pulses <= 0:
-            raise ContractError("pulses must be positive")
-        if not 0.0 < self.eta <= 1.0:
-            raise ContractError(f"eta {self.eta} outside (0, 1]")
-        if self.jitter_fwhm_ps < 0.0:
-            raise ContractError("jitter_fwhm_ps must be non-negative")
-        if not 0.0 <= self.noise_rejection_prob <= 1.0:
-            raise ContractError("noise_rejection_prob outside [0, 1]")
+        check_ranges(ContractError, self.INTERVALS, **vars(self))
         if self.mode not in _CHANNELS_BY_MODE:
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.emission not in ("qd", "poissonian"):
             raise ContractError(f"unknown emission {self.emission!r}")
         if self.emission == "poissonian" and self.mode != "hbt":
             raise ContractError("poissonian emission needs the hbt mode")
-        if self.mean_photons <= 0.0:
-            raise ContractError("mean_photons must be positive")
-        if not 0.0 <= self.indistinguishability <= 1.0:
-            raise ContractError("indistinguishability outside [0, 1]")
         nw = self.pulse_width_ps if self.noise_window_ps is None else self.noise_window_ps
-        if nw <= 0.0:
-            raise ContractError("noise window must be positive")
         object.__setattr__(self, "noise_window_ps", float(nw))
         self.setting()  # the analysis must name a setting
 
@@ -237,9 +230,9 @@ def _emg_delays(rng, size: int, t1: float, width: float) -> np.ndarray:
 
 def _qd_photon_numbers(rng, n: int, g2: float):
     """Per-pulse photon number as masks (>= 1, == 2), from the uniform
-    draw and the cdf with which ``rng.choice(3, p=[g2/2, 1-g2, g2/2])``
-    samples it, so the masks and the generator state match that call."""
-    cdf = np.array([g2 / 2.0, 1.0 - g2, g2 / 2.0]).cumsum()
+    draw and the cdf with which ``rng.choice`` samples the emitter's
+    distribution, so the masks and the generator state match that call."""
+    cdf = np.array(photostat.qd_distribution_from_g2(g2).probs).cumsum()
     cdf /= cdf[-1]
     one, two = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     for b in _pulse_blocks(n):
@@ -517,25 +510,25 @@ def _add_pairs(counts: np.ndarray, ta: np.ndarray, tb: np.ndarray,
         counts += np.bincount(diffs, minlength=nbins + 2 * pad)[pad:pad + nbins]
 
 
-def _extended(ta: np.ndarray, tb: np.ndarray, block: np.ndarray,
-              ch_a: int, ch_b: int):
-    """ta and tb followed by the times of channels ch_a and ch_b in a
-    block of records, picked from aligned copies of ``_COPY_BLOCK``
-    records at a time.  The pieces are dropped on return, before the
-    passes over them run."""
-    parts_a, parts_b = [ta], [tb]
-    for s in range(0, len(block), _COPY_BLOCK):
-        part = block[s:s + _COPY_BLOCK]
+def _picked(rec: np.ndarray, channels, heads=None) -> list:
+    """For each of ``channels``, its head in ``heads`` (if given) followed
+    by the channel's times in ``rec``, picked from aligned copies of
+    ``_COPY_BLOCK`` records at a time: one concatenate per channel, the
+    pieces dropped on return."""
+    empty = np.empty(0, dtype=np.int64)
+    parts = [[head] for head in heads or [empty] * len(channels)]
+    for s in range(0, len(rec), _COPY_BLOCK):
+        part = rec[s:s + _COPY_BLOCK]
         ch, t = part["channel"].copy(), part["t"].copy()
-        parts_a.append(np.compress(ch == ch_a, t))
-        parts_b.append(np.compress(ch == ch_b, t))
-    return np.concatenate(parts_a), np.concatenate(parts_b)
+        for out, channel in zip(parts, channels):
+            out.append(np.compress(ch == channel, t))
+    return [np.concatenate(p) for p in parts]
 
 
 def histogram_bins(bin_ps: int, span_ps: int) -> int:
     """Number of bin_ps bins of a histogram over +/- span_ps, checked."""
-    if bin_ps <= 0 or span_ps <= 0:
-        raise ContractError("bin_ps and span_ps must be positive")
+    check_ranges(ContractError, {"bin_ps": "int (0, inf)", "span_ps": "int (0, inf)"},
+                 bin_ps=bin_ps, span_ps=span_ps)
     if span_ps < bin_ps:
         raise ContractError(
             f"span_ps {span_ps} is shorter than one bin of {bin_ps} ps")
@@ -568,7 +561,7 @@ def coincidence_histogram(stream: TimeTagStream, ch_a: int, ch_b: int,
     rec = stream.records
     for start in range(0, len(rec), _RECORD_BLOCK):
         block = rec[start:start + _RECORD_BLOCK]
-        waiting, tb = _extended(waiting, tb, block, ch_a, ch_b)
+        waiting, tb = _picked(block, (ch_a, ch_b), (waiting, tb))
         # Later records are no earlier than the last one seen, so an
         # a-time whose window ends by then has every pair in hand.
         last = int(block["t"][-1])
@@ -587,8 +580,7 @@ def period_histogram(stream: TimeTagStream, channel: int = None,
     """Histogram of arrival times folded modulo the repetition period,
     summed over blocks of ``_RECORD_BLOCK`` records so every temporary is
     bounded by one block whatever the stream length."""
-    if bin_ps <= 0:
-        raise ContractError("bin_ps must be positive")
+    check_ranges(ContractError, {"bin_ps": "int (0, inf)"}, bin_ps=bin_ps)
     period = stream.period_ps
     nbins = int(math.ceil(period / bin_ps))
     starts = np.arange(nbins, dtype=np.int64) * bin_ps
@@ -597,7 +589,7 @@ def period_histogram(stream: TimeTagStream, channel: int = None,
     rec = stream.records
     for start in range(0, len(rec), _RECORD_BLOCK):
         block = rec[start:start + _RECORD_BLOCK]
-        t = block["t"] if channel is None else block["t"][block["channel"] == channel]
+        t = block["t"] if channel is None else _picked(block, (channel,))[0]
         counts += np.histogram(np.mod(t.astype(np.float64), period), bins=edges)[0]
     return Histogram(starts, counts, bin_ps)
 
@@ -609,8 +601,7 @@ def g2_from_histogram(hist: Histogram, rep_period_ps: float):
     the peak; bins are attributed to peaks by bin centre.  Returns
     (g2, statistical error) with Poisson counting errors propagated.
     """
-    if rep_period_ps <= 0.0:
-        raise ContractError("rep_period_ps must be positive")
+    check_ranges(ContractError, {"rep_period_ps": "(0, inf)"}, rep_period_ps=rep_period_ps)
     centers = hist.centers
     span = min(-centers[0], centers[-1] + 0.5 * hist.bin_ps)
     n_side = int(math.floor((span - 0.5 * rep_period_ps) / rep_period_ps))
@@ -651,13 +642,11 @@ class HomAnalysis:
     g2: float
     normalisation_factor: float = 1.0
 
+    INTERVALS = {"v_raw": "[0, 1]", "epsilon": "[0, 1]", "bs_r": "[0, 1]",
+                 "bs_t": "[0, 1]", "g2": "[0, 1]", "normalisation_factor": "(0, inf)"}
+
     def __post_init__(self):
-        for name in ("v_raw", "epsilon", "bs_r", "bs_t", "g2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ContractError(f"{name} = {v} outside [0, 1]")
-        if self.normalisation_factor <= 0.0:
-            raise ContractError("normalisation_factor must be positive")
+        check_ranges(ContractError, self.INTERVALS, **vars(self))
         if abs(self.bs_r + self.bs_t - 1.0) > 0.02:
             raise ContractError(
                 f"bs_r + bs_t = {self.bs_r + self.bs_t} deviates from 1 by > 0.02")
@@ -708,7 +697,10 @@ class FilterWindow:
     t_on_ps: float
     t_off_ps: float
 
+    INTERVALS = {"t_on_ps": "(-inf, inf)", "t_off_ps": "(-inf, inf)"}
+
     def __post_init__(self):
+        check_ranges(ContractError, self.INTERVALS, **vars(self))
         if self.t_on_ps > self.t_off_ps:
             raise ContractError("t_on must not exceed t_off")
 

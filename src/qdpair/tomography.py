@@ -31,7 +31,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not at the first draw
 
 from .errors import (ConfigError, ContractError, NumericalError,
-                     ReconstructionError)
+                     ReconstructionError, check_ranges)
 from .twoqubit import TwoQubitDensity, singlet_fraction
 
 _SQ = 1.0 / math.sqrt(2.0)
@@ -153,11 +153,10 @@ class CountRecord:
     counts: int
     integration_time: float = 1.0
 
+    INTERVALS = {"counts": "int [0, inf)", "integration_time": "(0, inf)"}
+
     def __post_init__(self):
-        if self.counts < 0:
-            raise ContractError(f"counts must be non-negative, got {self.counts}")
-        if not 0.0 < self.integration_time < math.inf:
-            raise ContractError("integration_time must be positive and finite")
+        check_ranges(ContractError, self.INTERVALS, **vars(self))
 
 
 def standard_settings() -> list:
@@ -176,8 +175,8 @@ def simulate_counts(rho: TwoQubitDensity, settings, total_pairs: int,
     """Poisson-distributed synthetic counts, mean total_pairs * Tr[rho Pi_s]."""
     if not settings:
         raise ContractError("settings must be nonempty")
-    if total_pairs < MIN_PAIRS:
-        raise ContractError("total_pairs must be positive")
+    check_ranges(ContractError, {"total_pairs": f"int [{MIN_PAIRS}, inf)"},
+                 total_pairs=total_pairs)
     rng = np.random.default_rng(seed)
     out = []
     for s in settings:
@@ -450,8 +449,8 @@ def bootstrap_singlet_fraction(records, resamples: int, seed: int):
     for the whole stack.  Each value is bit for bit that of
     ``mle_reconstruct`` on its resample.
     """
-    if resamples < MIN_RESAMPLES:
-        raise ContractError(f"need at least {MIN_RESAMPLES} resamples, got {resamples}")
+    check_ranges(ContractError, {"resamples": f"int [{MIN_RESAMPLES}, inf)"},
+                 resamples=resamples)
     ops, observed = _measurement_ops(records)
     draws = np.random.default_rng(seed).poisson(
         observed, size=(resamples, len(observed))).astype(float)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_ranges
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
@@ -137,8 +137,7 @@ def rho_q(interference: float) -> TwoQubitDensity:
 
     which equals i |psi-><psi-| + (1 - i) rho_b_half.
     """
-    if not 0.0 <= interference <= 1.0:
-        raise ContractError(f"interference must lie in [0, 1], got {interference}")
+    check_ranges(ContractError, {"interference": "[0, 1]"}, interference=interference)
     m = np.zeros((4, 4), dtype=complex)
     m[1, 1] = m[2, 2] = 0.5
     m[1, 2] = m[2, 1] = -0.5 * interference
@@ -163,8 +162,7 @@ def rho_b_half() -> TwoQubitDensity:
 
 def werner(p: float) -> TwoQubitDensity:
     """Werner state: p |psi-><psi-| + (1 - p) I/4."""
-    if not 0.0 <= p <= 1.0:
-        raise ContractError(f"Werner weight must lie in [0, 1], got {p}")
+    check_ranges(ContractError, {"p": "[0, 1]"}, p=p)
     m = p * bell_state("psi_minus").matrix + (1.0 - p) * np.eye(4) / 4.0
     return TwoQubitDensity(m)
 

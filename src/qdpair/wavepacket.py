@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import photostat
-from .errors import ContractError, ModelDomainError, NumericalError
+from .errors import ContractError, ModelDomainError, NumericalError, check_ranges
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,10 @@ class WavepacketParams:
     pulse_width_ps: float = 5.0  # Gaussian excitation pulse width (1 sigma)
     i0: float = 1.0              # residual indistinguishability at zero offset
 
+    INTERVALS = {"t1_ps": "(0, inf)", "pulse_width_ps": "(0, inf)", "i0": "[0, 1]"}
+
     def __post_init__(self):
-        if self.t1_ps <= 0.0:
-            raise ContractError(f"t1_ps must be positive, got {self.t1_ps}")
-        if self.pulse_width_ps <= 0.0:
-            raise ContractError(f"pulse_width_ps must be positive, got {self.pulse_width_ps}")
-        if not 0.0 <= self.i0 <= 1.0:
-            raise ContractError(f"i0 must lie in [0, 1], got {self.i0}")
+        check_ranges(ContractError, self.INTERVALS, **vars(self))
 
     @property
     def k(self) -> float:
@@ -56,8 +53,7 @@ def profile_dimensionless(t, k: float):
     # repeats without a from-list lookup.
     import scipy.special as special
 
-    if k <= 0.0:
-        raise ContractError(f"K must be positive, got {k}")
+    check_ranges(ContractError, {"k": "(0, inf)"}, k=k)
     t = np.asarray(t, dtype=float)
     z = (1.0 / k - t) / math.sqrt(2.0)
     out = np.empty_like(t)
@@ -131,9 +127,8 @@ def fidelity_from_indistinguishability(indistinguishability: float) -> float:
 
 def calibrate_i0(fidelity_at_zero: float) -> float:
     """Invert F = (1 + I0)/2 for the zero-offset fidelity anchor."""
-    if not 0.5 <= fidelity_at_zero <= 1.0:
-        raise ModelDomainError(
-            f"zero-offset fidelity {fidelity_at_zero} outside [0.5, 1]")
+    check_ranges(ModelDomainError, {"fidelity_at_zero": "[0.5, 1]"},
+                 fidelity_at_zero=fidelity_at_zero)
     return 2.0 * fidelity_at_zero - 1.0
 
 
@@ -164,11 +159,8 @@ def fidelity_vs_g2(indistinguishability: float, g2: float, eta: float = 0.05) ->
         F = [P(rho_Q) (1+I)/2 + P(rho_Bhalf) / 2]
             / [P(rho_Q) + P(rho_Bhalf) + P(rho_B0)]
     """
-    if not 0.0 <= indistinguishability <= 1.0:
-        raise ContractError(
-            f"indistinguishability {indistinguishability} outside [0, 1]")
-    if not 0.0 < eta <= 1.0:
-        raise ContractError(f"eta {eta} outside (0, 1]")
+    check_ranges(ContractError, {"indistinguishability": "[0, 1]", "eta": "(0, 1]"},
+                 indistinguishability=indistinguishability, eta=eta)
     p_q, p_b_half, _ = postselected_weights(g2, eta)
     return p_q * (1.0 + indistinguishability) / 2.0 + p_b_half * 0.5
 

@@ -630,11 +630,16 @@ def eigh_pump_search(scenario, configs=None):
     return lo, herald_lo
 
 
+def picked_times(stream, channel):
+    """Reference channel pick: a boolean index on the packed records."""
+    return stream.records["t"][stream.records["channel"] == channel]
+
+
 def all_pairs_histogram(stream, ch_a, ch_b, bin_ps, span_ps):
     """Reference ``timetag.coincidence_histogram``: every (a, b) pair in
     the span at once, by binary search, then ``np.histogram``."""
-    ta = stream.channel_times(ch_a)
-    tb = stream.channel_times(ch_b)
+    ta = picked_times(stream, ch_a)
+    tb = picked_times(stream, ch_b)
     nbins = 2 * (span_ps // bin_ps)
     starts = (np.arange(nbins) - nbins // 2) * bin_ps
     if len(ta) == 0 or len(tb) == 0:

@@ -1,0 +1,128 @@
+"""One parameter check: every numeric field of every parameter record, and
+every numeric argument of the checked functions, refuses what is not a
+finite real number in its interval."""
+
+import dataclasses
+import math
+import re
+
+import numpy as np
+import pytest
+
+from qdpair import photostat, swap, timetag, tomography, wavepacket
+from qdpair.errors import ConfigError, ContractError, check_ranges
+
+# A valid instance of each record, with every optional number set, and the
+# error type the record raises.
+RECORDS = (
+    (timetag.StreamParams(noise_window_ps=4.0), ContractError),
+    (timetag.TimeTagStream(np.empty(0, dtype=timetag.RECORD_DTYPE), 80e6,
+                           t_zero_ps=0, channels=(0, 1)), ContractError),
+    (timetag.FilterWindow(-10.0, 10.0), ContractError),
+    (timetag.HomAnalysis(0.9, 0.01, 0.5, 0.5, 0.01), ContractError),
+    (swap.SwapScenario(source_kind="spdc", spdc_p1=0.05, fidelity_floor=0.97,
+                       mux_n=10), ConfigError),
+    (wavepacket.WavepacketParams(), ContractError),
+    (photostat.Efficiency(0.5, 0.01), ContractError),
+    (tomography.CountRecord(tomography.MeasurementSetting.from_names("H", "V"), 10),
+     ContractError),
+)
+
+NUMERIC = {"float": False, "Optional[float]": False, "int": True}
+
+
+def numeric_fields(record) -> dict:
+    """Each numeric field of a record, by its annotation: is it an integer."""
+    return {f.name: NUMERIC[f.type] for f in dataclasses.fields(record)
+            if f.type in NUMERIC}
+
+
+CASES = [pytest.param(record, error, name, bad,
+                      id=f"{type(record).__name__}.{name}={bad!r}")
+         for record, error in RECORDS
+         for name, integer in numeric_fields(record).items()
+         for bad in (math.nan, math.inf, -math.inf) + ((1.5,) if integer else ())]
+
+
+@pytest.mark.parametrize("record, error, name, bad", CASES)
+def test_every_numeric_field_refuses_non_finite_and_non_integral(record, error,
+                                                                 name, bad):
+    with pytest.raises(error, match=f"^{name} must be ") as exc:
+        dataclasses.replace(record, **{name: bad})
+    assert exc.type is error
+
+
+@pytest.mark.parametrize("record", [r for r, _ in RECORDS],
+                         ids=lambda r: type(r).__name__)
+def test_each_record_states_an_interval_for_every_numeric_field(record):
+    assert set(record.INTERVALS) == set(numeric_fields(record))
+    for name, integer in numeric_fields(record).items():
+        assert record.INTERVALS[name].startswith("int ") == integer
+
+
+def test_valid_records_and_optional_fields_construct():
+    for record, _ in RECORDS:
+        assert dataclasses.replace(record) == record
+    assert timetag.StreamParams(pulse_width_ps=3.0).noise_window_ps == 3.0
+    assert swap.SwapScenario(source_kind="spdc").spdc_p1 is None
+    assert timetag.TimeTagStream(np.empty(0, dtype=timetag.RECORD_DTYPE), 80e6,
+                                 t_zero_ps=np.int64(-7)).t_zero_ps == -7
+
+
+def _stream():
+    return timetag.synthesize_stream(timetag.StreamParams(pulses=2000, seed=3,
+                                                          mode="hbt"))
+
+
+@pytest.mark.parametrize("call, name", (
+    (lambda bad: photostat.forward_rate(photostat.EfficiencyChain.measured(), bad),
+     "rep_rate_hz"),
+    (lambda bad: photostat.back_propagate_rate(
+        bad, photostat.EfficiencyChain.measured()), "measured_pair_rate_hz"),
+    (lambda bad: timetag.histogram_bins(bad, 1000), "bin_ps"),
+    (lambda bad: timetag.histogram_bins(20, bad), "span_ps"),
+    (lambda bad: timetag.period_histogram(_stream(), 0, bad), "bin_ps"),
+    (lambda bad: timetag.g2_from_histogram(
+        timetag.coincidence_histogram(_stream(), 0, 1, 20, 200000), bad),
+     "rep_period_ps"),
+    (lambda bad: wavepacket.profile_dimensionless(0.0, bad), "k"),
+), ids=("forward_rate", "back_propagate_rate", "histogram_bins.bin_ps",
+        "histogram_bins.span_ps", "period_histogram", "g2_from_histogram",
+        "profile_dimensionless"))
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_checked_functions_refuse_non_finite_arguments(call, name, bad):
+    with pytest.raises(ContractError, match=f"^{name} must be "):
+        call(bad)
+
+
+@pytest.mark.parametrize("value, interval, message", (
+    (0.0, "(0, inf)", "x must be positive"),
+    (-1.0, "[0, inf)", "x must be non-negative"),
+    (0.5, "[0, 0.5)", "x must be in [0, 0.5)"),
+    (0.0, "(0, 1]", "x must be in (0, 1]"),
+    (math.nan, "(-inf, inf)", "x must be finite"),
+    (-math.inf, "[0, 1]", "x must be finite"),
+    (None, "[0, 1]", "x must be a number"),
+    (True, "[0, 1]", "x must be a number"),
+    ("0.5", "[0, 1]", "x must be a number"),
+    (2.0, "int (0, inf)", "x must be an integer"),
+    (np.int64(0), "int (0, inf)", "x must be positive"),
+    (-1, "int [0, inf)", "x must be non-negative"),
+    (False, "int (-inf, inf)", "x must be an integer"),
+    (1, "int [2, 5] or None", "x must be in [2, 5]"),
+    (1.5, "(0, 1) or None", "x must be in (0, 1)"),
+    ("x", "(0, 1) or None", "x must be a number"),
+))
+def test_check_ranges_names_the_requirement(value, interval, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        check_ranges(ContractError, {"x": interval}, x=value)
+
+
+def test_check_ranges_lets_valid_values_through_and_names_the_first_failure():
+    check_ranges(ConfigError, {"a": "[0, 1]", "b": "int (0, inf)", "c": "(0, 1) or None",
+                               "d": "(-inf, inf)"},
+                 a=1, b=np.int16(3), c=None, d=np.float32(-2.5))
+    with pytest.raises(ConfigError, match="^b must be"):
+        check_ranges(ConfigError, {"a": "[0, 1]", "b": "[0, 1]", "c": "[0, 1]"},
+                     a=0.5, b=2.0, c=math.nan)
+    check_ranges(ConfigError, {"seed": "int [0, inf)"}, seed=10 ** 400)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import all_pairs_histogram, copying_filter_sweep, sorting_pair_counts
+from helpers import (all_pairs_histogram, copying_filter_sweep, picked_times,
+                     sorting_pair_counts)
 from qdpair import timetag as tt, tomography
 from qdpair.errors import ConfigError, ContractError, ModelDomainError
 
@@ -740,7 +741,9 @@ def test_coincidence_histogram_copies_each_block_in_slices(monkeypatch, copy_blo
 
 
 def test_period_histogram_sums_blocks_exactly(monkeypatch):
+    # seven-record blocks, each picked three records at a time
     monkeypatch.setattr(tt, "_RECORD_BLOCK", 7)
+    monkeypatch.setattr(tt, "_COPY_BLOCK", 3)
     rng = np.random.default_rng(19)
     n = 200
     records = np.empty(n, dtype=tt.RECORD_DTYPE)
@@ -750,7 +753,7 @@ def test_period_histogram_sums_blocks_exactly(monkeypatch):
     for channel in (None, 0, 1, 2):
         for bin_ps in (1, 20, 5000):
             hist = tt.period_histogram(st, channel, bin_ps)
-            t = st.records["t"] if channel is None else st.channel_times(channel)
+            t = st.records["t"] if channel is None else picked_times(st, channel)
             nbins = int(np.ceil(st.period_ps / bin_ps))
             ref, _ = np.histogram(np.mod(t.astype(np.float64), st.period_ps),
                                   bins=np.arange(nbins + 1) * bin_ps)
@@ -758,6 +761,9 @@ def test_period_histogram_sums_blocks_exactly(monkeypatch):
             assert hist.counts.dtype == np.int64
             assert np.array_equal(hist.counts, ref)
             assert hist.empty == (len(t) == 0)
+        if channel is not None:
+            assert np.array_equal(st.channel_times(channel), t)
+            assert st.channel_times(channel).dtype == np.int64
 
 
 def test_period_histogram_memory_does_not_grow_with_stream():
