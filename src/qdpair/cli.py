@@ -6,7 +6,8 @@ built-in defaults (which follow the measured source: 60 ps lifetime,
 measured efficiency budget) and writes deterministic CSV/JSON files into
 the output directory.  Before any command runs, every key and every list
 element is type-checked against its default, and every section is
-range-checked by building its library objects.  Identical configuration
+range-checked by building its library objects, once per run; the command
+then works on those objects.  Identical configuration
 and seed give byte-identical outputs; every output embeds or sits next
 to the resolved configuration and its SHA-256 hash.
 
@@ -40,7 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from . import photostat, swap, timetag, tomography, twoqubit, wavepacket
-from .errors import ConfigError, ContractError, ModelDomainError, NumericalError
+from .errors import (ConfigError, ContractError, ModelDomainError, NumericalError,
+                     check_ranges)
 
 # CLI key -> library field, or keys named as their fields.  Each table
 # reads its keys' defaults from the library and passes the resolved
@@ -140,16 +142,19 @@ def _at(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _at_least(path: str, value: int, bound: int) -> int:
-    if value < bound:
-        raise ConfigError(f"{path} must be at least {bound}, got {value}")
-    return value
-
-
 def _objects(resolved: dict) -> types.SimpleNamespace:
     """Every section's library objects, whose construction range-checks it."""
     src, wp, tomo, tt, sw, rt = (resolved[key] for key in (
         "source", "wavepacket", "tomography", "timetag", "swap", "rates"))
+    counts = {   # key path: (value, interval); a bootstrap of 0 is off, so None
+        "source.excitations_per_period": (src["excitations_per_period"], "int [1, inf)"),
+        "source.g2_grid_steps": (src["g2_grid_steps"], "int [1, inf)"),
+        "wavepacket.delay_grid_steps": (wp["delay_grid_steps"], "int [1, inf)"),
+        "tomography.pairs": (tomo["pairs"], f"int [{tomography.MIN_PAIRS}, inf)"),
+        "tomography.bootstrap": (tomo["bootstrap"] or None,
+                                 f"int [{tomography.MIN_RESAMPLES}, inf) or None")}
+    check_ranges(ConfigError, {path: spec for path, (_, spec) in counts.items()},
+                 **{path: value for path, (value, _) in counts.items()})
     with _at("seed"):
         np.random.SeedSequence(resolved["seed"])
     with _at("rates"):
@@ -158,7 +163,6 @@ def _objects(resolved: dict) -> types.SimpleNamespace:
         measured = rt["measured_coincidence_rate_hz"]
         back = (None if measured is None
                 else photostat.back_propagate_rate(measured, chain))
-    _at_least("source.excitations_per_period", src["excitations_per_period"], 1)
     with _at("source"):
         weights = wavepacket.postselected_weights(src["g2"], src["eta"])
         rho = twoqubit.TwoQubitDensity.from_matrix(
@@ -171,9 +175,6 @@ def _objects(resolved: dict) -> types.SimpleNamespace:
         params = wavepacket.WavepacketParams(
             i0=wavepacket.calibrate_i0(wp["fidelity_at_zero"]),
             **{key: wp[key] for key in _WAVEPACKET})
-    _at_least("tomography.pairs", tomo["pairs"], tomography.MIN_PAIRS)
-    if tomo["bootstrap"]:   # 0 turns the bootstrap off
-        _at_least("tomography.bootstrap", tomo["bootstrap"], tomography.MIN_RESAMPLES)
     with _at("timetag"):
         stream = timetag.StreamParams(
             mode=tt["mode"], seed=resolved["seed"], pulses=tt["pulses"],
@@ -190,14 +191,12 @@ def _objects(resolved: dict) -> types.SimpleNamespace:
             **{name: sw[key] for key, name in _SPDC.items()})
         mux_sizes = swap.check_mux_sizes(sw["mux_sizes"])
         loss_grid = swap.loss_grid(**{key: sw[key] for key in _LOSS_GRID})
-    g2_steps = _at_least("source.g2_grid_steps", src["g2_grid_steps"], 1)
-    delay_steps = _at_least("wavepacket.delay_grid_steps", wp["delay_grid_steps"], 1)
     return types.SimpleNamespace(
         chain=chain, rate=rate, back_propagated=back, weights=weights, rho=rho,
         pair_rate=pair_rate, wavepacket=params, stream=stream, span_ps=span_ps,
         qd=qd, spdc=spdc,
-        g2_grid=np.linspace(0.0, src["g2_grid_max"], g2_steps),
-        delays=np.linspace(0.0, wp["delay_grid_max_ps"], delay_steps),
+        g2_grid=np.linspace(0.0, src["g2_grid_max"], src["g2_grid_steps"]),
+        delays=np.linspace(0.0, wp["delay_grid_max_ps"], wp["delay_grid_steps"]),
         loss_grid=loss_grid, mux_sizes=mux_sizes)
 
 
@@ -253,9 +252,8 @@ def _write_table(out_dir: Path, stem: str, columns, rows, fmt: str,
 # ---------------------------------------------------------------------------
 # Commands.
 
-def cmd_entangle(resolved: dict, out_dir: Path, fmt: str, digest: str):
+def cmd_entangle(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
     src = resolved["source"]
-    o = _objects(resolved)
     weights, rho, (rate, sigma) = o.weights, o.rho, o.pair_rate
     overlap = twoqubit.overlap_with(rho, twoqubit.bell_state("psi_minus"))
     k = src["excitations_per_period"]
@@ -290,9 +288,8 @@ def cmd_entangle(resolved: dict, out_dir: Path, fmt: str, digest: str):
     return [_write_json(out_dir / "entangle.json", payload, resolved, digest)]
 
 
-def cmd_fig3(resolved: dict, out_dir: Path, fmt: str, digest: str):
-    src = resolved["source"]
-    grid = _objects(resolved).g2_grid
+def cmd_fig3(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
+    src, grid = resolved["source"], o.g2_grid
     _, fid = wavepacket.g2_curve(grid, src["indistinguishability"], src["eta"])
     _, fid_unit = wavepacket.g2_curve(grid, 1.0, src["eta"])
     rows = [(g, f, fu) for g, f, fu in zip(grid, fid, fid_unit)]
@@ -301,8 +298,7 @@ def cmd_fig3(resolved: dict, out_dir: Path, fmt: str, digest: str):
                         rows, fmt, resolved, digest)
 
 
-def cmd_fig4b(resolved: dict, out_dir: Path, fmt: str, digest: str):
-    o = _objects(resolved)
+def cmd_fig4b(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
     taus, ind, fid = wavepacket.offset_curve(o.delays, o.wavepacket)
     rows = [(t, i, f) for t, i, f in zip(taus, ind, fid)]
     return _write_table(out_dir, "fig4b",
@@ -310,15 +306,13 @@ def cmd_fig4b(resolved: dict, out_dir: Path, fmt: str, digest: str):
                         rows, fmt, resolved, digest)
 
 
-def cmd_fig5(resolved: dict, out_dir: Path, fmt: str, digest: str):
-    o = _objects(resolved)
+def cmd_fig5(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
     table = swap.sweep_loss(o.qd, o.spdc, loss_grid_db=o.loss_grid, mux_sizes=o.mux_sizes)
     return _write_table(out_dir, "fig5", table["columns"], table["rows"],
                         fmt, resolved, digest)
 
 
-def cmd_rates(resolved: dict, out_dir: Path, fmt: str, digest: str):
-    o = _objects(resolved)
+def cmd_rates(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
     payload = {"forward_rate_hz": float(o.rate[0]),
                "forward_rate_sigma_hz": float(o.rate[1]),
                "attempt_rate_hz": float(resolved["rates"]["rep_rate_hz"] / 2.0),
@@ -328,11 +322,9 @@ def cmd_rates(resolved: dict, out_dir: Path, fmt: str, digest: str):
     return [_write_json(out_dir / "rates.json", payload, resolved, digest)]
 
 
-def cmd_timetag(resolved: dict, sub: str, out_dir: Path, fmt: str,
+def cmd_timetag(resolved: dict, o, sub: str, out_dir: Path, fmt: str,
                 digest: str):
-    tt = resolved["timetag"]
-    o = _objects(resolved)
-    params = o.stream
+    tt, params = resolved["timetag"], o.stream
     if sub == "synth":
         stream = timetag.synthesize_stream(params)
         path = out_dir / "stream.qtt"
@@ -422,20 +414,21 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        resolved = resolve_config(user)
-        if args.seed is not None:
-            resolved = resolve_config(dict(resolved, seed=args.seed))
+        if args.seed is not None and isinstance(user, dict):
+            user = dict(user, seed=args.seed)
+        resolved = _check("", user, _DEFAULTS)
+        objects = _objects(resolved)
         digest = config_digest(resolved)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "timetag":
-            files = cmd_timetag(resolved, args.subcommand, out_dir,
+            files = cmd_timetag(resolved, objects, args.subcommand, out_dir,
                                 args.format, digest)
         else:
             handler = {"entangle": cmd_entangle, "fig3": cmd_fig3,
                        "fig4b": cmd_fig4b, "fig5": cmd_fig5,
                        "rates": cmd_rates}[args.command]
-            files = handler(resolved, out_dir, args.format, digest)
+            files = handler(resolved, objects, out_dir, args.format, digest)
     except (ConfigError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

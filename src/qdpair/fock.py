@@ -72,8 +72,7 @@ class FockState:
     __slots__ = ("terms", "nmax", "nmodes")
 
     def __init__(self, terms: dict, nmax: int = DEFAULT_NMAX, nmodes: int = 4):
-        if nmax < 0:
-            raise ContractError("nmax must be non-negative")
+        check_ranges(ContractError, {"nmax": "int [0, inf)"}, nmax=nmax)
         clean = {}
         for occ, amp in terms.items():
             occ = tuple(int(n) for n in occ)

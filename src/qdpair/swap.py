@@ -743,12 +743,12 @@ def _pump_search(scenario: SwapScenario, configs: dict = None):
 # Loss sweep.
 
 def check_mux_sizes(mux_sizes) -> tuple:
-    """The multiplexed columns' ``mux_n`` values as ints; each must be at
-    least 2 (a one-unit source is the plain column), else ConfigError."""
-    mux_sizes = tuple(int(n) for n in mux_sizes)
-    if any(n < 2 for n in mux_sizes):
-        raise ConfigError("multiplexed sources need mux_n >= 2")
-    return mux_sizes
+    """The multiplexed columns' ``mux_n`` values as a tuple; each must be an
+    integer of at least 2 (a one-unit source is the plain column), else
+    ConfigError."""
+    named = {f"mux_sizes[{i}]": n for i, n in enumerate(mux_sizes)}
+    check_ranges(ConfigError, dict.fromkeys(named, "int [2, inf)"), **named)
+    return tuple(named.values())
 
 
 def sweep_loss(left: SwapScenario, right: SwapScenario,

@@ -626,8 +626,10 @@ def g2_from_histogram(hist: Histogram, rep_period_ps: float):
 def cross_pol_normalisation(area_copol_sidepeak: float,
                             area_crosspol_sidepeak: float) -> float:
     """Normalisation factor: cross-polarised over co-polarised side-peak area."""
-    if area_copol_sidepeak <= 0.0 or area_crosspol_sidepeak <= 0.0:
-        raise ContractError("side-peak areas must be positive")
+    check_ranges(ContractError, {"area_copol_sidepeak": "(0, inf)",
+                                 "area_crosspol_sidepeak": "(0, inf)"},
+                 area_copol_sidepeak=area_copol_sidepeak,
+                 area_crosspol_sidepeak=area_crosspol_sidepeak)
     return area_crosspol_sidepeak / area_copol_sidepeak
 
 

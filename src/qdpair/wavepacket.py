@@ -48,12 +48,17 @@ def profile_dimensionless(t, k: float):
     complementary error function on the leading (t < 1/K) side so the
     Gaussian turn-on tail underflows gracefully instead of overflowing.
     """
+    check_ranges(ContractError, {"k": "(0, inf)"}, k=k)
+    return _profile(t, k)
+
+
+def _profile(t, k: float):
+    """``profile_dimensionless`` without its check, for a K checked already."""
     # Imported here so that importing qdpair loads no scipy.  quad calls this
     # twice per integrand point, and this form, unlike `from ... import`,
     # repeats without a from-list lookup.
     import scipy.special as special
 
-    check_ranges(ContractError, {"k": "(0, inf)"}, k=k)
     t = np.asarray(t, dtype=float)
     z = (1.0 / k - t) / math.sqrt(2.0)
     out = np.empty_like(t)
@@ -91,6 +96,7 @@ def temporal_overlap(tau_ps: float, params: WavepacketParams,
     """
     from scipy.integrate import quad
 
+    check_ranges(ContractError, {"tau_ps": "(-inf, inf)"}, tau_ps=tau_ps)
     k = params.k
     delta = tau_ps / params.pulse_width_ps
     lo, hi = _support(k)
@@ -98,8 +104,7 @@ def temporal_overlap(tau_ps: float, params: WavepacketParams,
     b = hi + max(0.0, delta)
 
     def integrand(u):
-        return math.sqrt(profile_dimensionless(u, k)
-                         * profile_dimensionless(u - delta, k))
+        return math.sqrt(_profile(u, k) * _profile(u - delta, k))
 
     pts = [p for p in (0.0, delta) if a < p < b]
     val, err = quad(integrand, a, b, points=pts or None,
@@ -119,10 +124,9 @@ def indistinguishability_vs_offset(tau_ps: float, params: WavepacketParams,
 
 def fidelity_from_indistinguishability(indistinguishability: float) -> float:
     """Post-selected entangled-state fidelity F = (1 + I) / 2."""
-    if not 0.0 <= indistinguishability <= 1.0 + 1e-12:
-        raise ContractError(
-            f"indistinguishability {indistinguishability} outside [0, 1]")
-    return (1.0 + min(indistinguishability, 1.0)) / 2.0
+    check_ranges(ContractError, {"indistinguishability": "[0, 1]"},
+                 indistinguishability=indistinguishability)
+    return (1.0 + indistinguishability) / 2.0
 
 
 def calibrate_i0(fidelity_at_zero: float) -> float:

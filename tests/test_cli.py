@@ -271,13 +271,23 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
                    "--out", str(tmp_path / "x6")) == 2
     assert "shorter than one bin" in capsys.readouterr().err
 
-    def explode(resolved, out_dir, fmt, digest):
+    def explode(resolved, objects, out_dir, fmt, digest):
         raise NumericalError("did not converge")
 
     monkeypatch.setattr(cli, "cmd_rates", explode)
     assert run_cli("rates", "--out", str(tmp_path / "x4")) == 3
     with pytest.raises(SystemExit):
         run_cli("unknown-command")
+
+
+@pytest.mark.parametrize("extra", ([], ["--seed", "5"]), ids=("config", "seed-flag"))
+def test_library_objects_are_built_once_per_run(tmp_path, monkeypatch, extra):
+    built = []
+    objects = cli._objects
+    monkeypatch.setattr(cli, "_objects",
+                        lambda resolved: built.append(resolved) or objects(resolved))
+    assert run_cli("rates", "--out", str(tmp_path), *extra) == 0
+    assert len(built) == 1
 
 
 def test_default_config_digest_is_pinned():
@@ -298,7 +308,8 @@ BAD_CONFIGS = [
      "wavepacket.delay_grid_steps"),
     (["fig5"], {"swap": {"mux_sizes": ["x"]}}, [], 2, "swap.mux_sizes[0]"),
     (["fig5"], {"swap": {"mux_sizes": [10.7]}}, [], 2, "swap.mux_sizes[0]"),
-    (["fig5"], {"swap": {"mux_sizes": [10, 1]}}, [], 2, "swap: multiplexed"),
+    (["fig5"], {"swap": {"mux_sizes": [10, 1]}}, [], 2,
+     "swap: mux_sizes[1] must be in [2, inf)"),
     (["timetag", "sweep"], {"timetag": {"t_on_grid_ps": ["a"]}}, [], 2,
      "timetag.t_on_grid_ps[0]"),
     (["timetag", "sweep"], {"timetag": {"t_on_grid_ps": [0.0, True]}}, [], 2,

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from qdpair import photostat, swap, timetag, tomography, wavepacket
+from qdpair import fock, photostat, swap, timetag, tomography, wavepacket
 from qdpair.errors import ConfigError, ContractError, check_ranges
 
 # A valid instance of each record, with every optional number set, and the
@@ -93,6 +93,55 @@ def _stream():
 def test_checked_functions_refuse_non_finite_arguments(call, name, bad):
     with pytest.raises(ContractError, match=f"^{name} must be "):
         call(bad)
+
+
+# (call, error, the name the message starts with): arguments checked by
+# check_ranges that a hand-written check used to let through or turn into a
+# bare TypeError or ValueError.
+ARGUMENTS = {
+    "cross_pol_normalisation.area_copol_sidepeak": (
+        lambda: timetag.cross_pol_normalisation(math.nan, 1.0), ContractError,
+        "area_copol_sidepeak"),
+    "cross_pol_normalisation.area_crosspol_sidepeak": (
+        lambda: timetag.cross_pol_normalisation(1.0, math.nan), ContractError,
+        "area_crosspol_sidepeak"),
+    "PhotonNumberDistribution.probs": (
+        lambda: photostat.PhotonNumberDistribution((math.nan, 0.5, 0.5)), ContractError,
+        "probabilities"),
+    "FockState.nmax=nan": (
+        lambda: fock.FockState({(1, 0): 1.0}, nmax=math.nan, nmodes=2), ContractError,
+        "nmax"),
+    "FockState.nmax=2.5": (
+        lambda: fock.FockState({(1, 0): 1.0}, nmax=2.5, nmodes=2), ContractError, "nmax"),
+    "spdc_pair_distribution.max_pairs=nan": (
+        lambda: photostat.spdc_pair_distribution(0.1, max_pairs=math.nan), ContractError,
+        "max_pairs"),
+    "spdc_pair_distribution.max_pairs=2.5": (
+        lambda: photostat.spdc_pair_distribution(0.1, max_pairs=2.5), ContractError,
+        "max_pairs"),
+    "check_mux_sizes=2.5": (lambda: swap.check_mux_sizes((2.5,)), ConfigError,
+                            re.escape("mux_sizes[0]")),
+    "check_mux_sizes=nan": (lambda: swap.check_mux_sizes((10, math.nan)), ConfigError,
+                            re.escape("mux_sizes[1]")),
+    "sweep_loss.mux_sizes": (
+        lambda: swap.sweep_loss(swap.SwapScenario.qd_headline(),
+                                swap.SwapScenario.spdc_reference(), loss_grid_db=(0.0,),
+                                mux_sizes=(10.9,)), ConfigError, re.escape("mux_sizes[0]")),
+    "fidelity_from_indistinguishability": (
+        lambda: wavepacket.fidelity_from_indistinguishability(1.0 + 5e-13), ContractError,
+        "indistinguishability"),
+    "temporal_overlap.tau_ps": (
+        lambda: wavepacket.temporal_overlap(math.nan, wavepacket.WavepacketParams()),
+        ContractError, "tau_ps"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENTS)
+def test_checked_arguments_refuse_what_they_used_to_let_through(case):
+    call, error, name = ARGUMENTS[case]
+    with pytest.raises(error, match=f"^{name} must be ") as exc:
+        call()
+    assert exc.type is error
 
 
 @pytest.mark.parametrize("value, interval, message", (

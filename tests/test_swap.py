@@ -630,7 +630,7 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         swap.sweep_loss(SPDC, SPDC)
     # the command line checks mux sizes with the same text
-    for bad in ((10, 1), (0,)):
+    for bad, index in (((10, 1), 1), ((0,), 0)):
         with pytest.raises(ConfigError,
-                           match="multiplexed sources need mux_n >= 2"):
+                           match=rf"^mux_sizes\[{index}\] must be in \[2, inf\)$"):
             swap.sweep_loss(QD, SPDC, loss_grid_db=(0.0,), mux_sizes=bad)

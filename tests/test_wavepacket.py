@@ -38,6 +38,17 @@ def test_narrow_pulse_limit_is_exponential():
         assert abs(raw - np.exp(-tau / 120.0)) <= 1e-3
 
 
+def test_overlap_checks_each_delay_once(monkeypatch):
+    # The quadrature's integrand evaluates the profile without checking K again.
+    params, checked = wp.WavepacketParams(), []
+    check = wp.check_ranges
+    monkeypatch.setattr(wp, "check_ranges",
+                        lambda *args, **values: checked.append(values) or check(*args, **values))
+    delays = (0.0, 30.0, 60.0)
+    wp.offset_curve(delays, params)
+    assert len(checked) <= len(delays)
+
+
 def test_calibration_from_zero_delay_fidelity():
     i0 = wp.calibrate_i0(0.958)
     assert abs(i0 - 0.916) <= 1e-12
