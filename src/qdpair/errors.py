@@ -51,7 +51,8 @@ def _interval(spec: str, kind: type) -> tuple:
 def check_ranges(error: type, intervals: dict, /, **values) -> None:
     """Raise ``error`` naming the first field of ``intervals`` whose value
     is not a finite real number in its interval, written as "[0, 0.5)" or
-    "(0, inf)".  A leading "int " asks for an integer and a trailing
+    "(0, inf)".  A leading "int " asks for an integer, compared with the
+    bounds as a Python int so that no numpy integer is rounded, and a trailing
     " or None" lets None through; a bool is not a number.  The message is
     "<name> must be <a number | an integer | finite | in the interval>",
     with "(0, inf)" named "positive" and "[0, inf)" "non-negative"."""
@@ -64,6 +65,6 @@ def check_ranges(error: type, intervals: dict, /, **values) -> None:
             named = wrong_kind
         elif not (integer or math.isfinite(value)):
             named = "finite"
-        elif inside(value):
+        elif inside(int(value) if integer else value):
             continue
         raise error(f"{name} must be {named}")

@@ -52,33 +52,23 @@ STREAM_MAGIC = b"QTTS"
 STREAM_VERSION = 1
 _HEADER = struct.Struct("<4sHHQq8x")  # 32 bytes: magic, version, pad, rep_rate_mHz, t_zero
 
-_CHANNELS_BY_MODE = {"pairs": (0, 1, 2, 3), "hbt": (0, 1), "laser": (0,)}
-
 
 # Records per pass of every whole-stream walk, which bounds each
 # temporary by one block whatever the stream length.
 _RECORD_BLOCK = 1 << 18
 
-# Passed as ``channels`` by read_stream: declare the channels the records
-# use, plus 0, from the one count that validates them.
-_CHANNELS_FROM_RECORDS = object()
 
+def _check_ordered(rec: np.ndarray) -> None:
+    """ContractError unless the records' times are nondecreasing.
 
-def _checked_channels(rec: np.ndarray) -> set:
-    """Channel numbers present in time-ordered records, or ContractError.
-
-    One walk over the records a block at a time: each block's times are
-    checked to be nondecreasing, starting from the previous block's last
-    time, then its channels are counted, so the int64 copy bincount makes
-    stays at 2 MiB whatever the stream length."""
-    seen = set()
+    One walk over the records a block at a time, each block's times
+    checked from the previous block's last time, so the comparison stays
+    one block whatever the stream length."""
+    t = rec["t"]
     for start in range(0, len(rec), _RECORD_BLOCK):
-        t = rec["t"][max(start - 1, 0):start + _RECORD_BLOCK]
-        if np.any(t[1:] < t[:-1]):
+        block = t[max(start - 1, 0):start + _RECORD_BLOCK]
+        if np.any(block[1:] < block[:-1]):
             raise ContractError("timestamps must be nondecreasing")
-        block = rec["channel"][start:start + _RECORD_BLOCK]
-        seen.update(np.flatnonzero(np.bincount(block)).tolist())
-    return seen
 
 
 def _as_records(rec: np.ndarray) -> np.ndarray:
@@ -99,26 +89,25 @@ def _as_records(rec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeTagStream:
-    """Ordered detection records plus their repetition clock."""
+    """Time-ordered (channel, time) records, their repetition clock and
+    the pulse-peak reference t_zero_ps, if set.  Channels are whatever
+    the records hold: analyses pick theirs by number.  The reference
+    lies strictly inside the signed 64 bits of the stream-file header,
+    whose lowest value marks it unset."""
 
     records: np.ndarray
     rep_rate_hz: float
     t_zero_ps: int = None
-    channels: tuple = (0, 1, 2, 3)
 
-    INTERVALS = {"rep_rate_hz": "(0, inf)", "t_zero_ps": "int (-inf, inf) or None"}
+    INTERVALS = {"rep_rate_hz": "(0, inf)",
+                 "t_zero_ps": f"int ({_T_ZERO_UNSET}, {-_T_ZERO_UNSET}) or None"}
 
     def __post_init__(self):
         rec = np.asarray(self.records)
         if rec.dtype != RECORD_DTYPE:
             rec = _as_records(rec)
         check_ranges(ContractError, self.INTERVALS, **vars(self))
-        used = _checked_channels(rec)
-        if self.channels is _CHANNELS_FROM_RECORDS:
-            object.__setattr__(self, "channels", tuple(sorted(used | {0})))
-        bad = used - set(self.channels)
-        if bad:
-            raise ContractError(f"records use undeclared channels {sorted(bad)}")
+        _check_ordered(rec)
         object.__setattr__(self, "records", rec)
         if self.t_zero_ps is not None:
             object.__setattr__(self, "t_zero_ps", int(self.t_zero_ps))
@@ -166,7 +155,7 @@ class StreamParams:
 
     def __post_init__(self):
         check_ranges(ContractError, self.INTERVALS, **vars(self))
-        if self.mode not in _CHANNELS_BY_MODE:
+        if self.mode not in ("pairs", "hbt", "laser"):
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.emission not in ("qd", "poissonian"):
             raise ContractError(f"unknown emission {self.emission!r}")
@@ -242,7 +231,7 @@ def _qd_photon_numbers(rng, n: int, g2: float):
     return one, two
 
 
-def _assemble(parts, rep_rate_hz, channels, t_zero) -> TimeTagStream:
+def _assemble(parts, rep_rate_hz, t_zero) -> TimeTagStream:
     if parts:
         ch = np.concatenate([p[0] for p in parts])
         key = np.concatenate([p[1] for p in parts])
@@ -258,7 +247,7 @@ def _assemble(parts, rep_rate_hz, channels, t_zero) -> TimeTagStream:
     rec["channel"] = key & 7
     key >>= 3
     rec["t"] = key
-    return TimeTagStream(rec, rep_rate_hz, t_zero, channels)
+    return TimeTagStream(rec, rep_rate_hz, t_zero)
 
 
 def synthesize_stream(params: StreamParams) -> TimeTagStream:
@@ -287,8 +276,7 @@ def synthesize_stream(params: StreamParams) -> TimeTagStream:
             t += rng.normal(0.0, sig_j, len(t))
         parts[i] = (np.asarray(ch, dtype=np.uint16),
                     np.rint(t, out=t).astype(np.int64))
-    return _assemble(parts, params.rep_rate_hz, _CHANNELS_BY_MODE[params.mode],
-                     None if params.mode == "laser" else 0)
+    return _assemble(parts, params.rep_rate_hz, None if params.mode == "laser" else 0)
 
 
 def _hbt_parts(params, rng, period) -> list:
@@ -753,8 +741,10 @@ def write_stream(stream: TimeTagStream, path) -> None:
 
 
 def read_stream(path) -> TimeTagStream:
-    """The stream written by write_stream; every defect of the file is a
-    ConfigError that names it."""
+    """The stream written by write_stream: its records, rep rate and
+    reference, the header's unset marker read as None.  The records are
+    read whole and walked once, for their order; every defect of the
+    file is a ConfigError that names it."""
     def defect(what) -> ConfigError:
         return ConfigError(f"stream file {path}: {what}")
 
@@ -774,8 +764,7 @@ def read_stream(path) -> TimeTagStream:
                           count=body // RECORD_DTYPE.itemsize)
     try:
         return TimeTagStream(rec, rep_mhz / 1000.0,
-                             None if t0 == _T_ZERO_UNSET else t0,
-                             _CHANNELS_FROM_RECORDS)
+                             None if t0 == _T_ZERO_UNSET else t0)
     except ContractError as exc:   # a defect of the file, not of the caller
         raise defect(exc) from exc
 

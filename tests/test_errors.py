@@ -17,7 +17,7 @@ from qdpair.errors import ConfigError, ContractError, check_ranges
 RECORDS = (
     (timetag.StreamParams(noise_window_ps=4.0), ContractError),
     (timetag.TimeTagStream(np.empty(0, dtype=timetag.RECORD_DTYPE), 80e6,
-                           t_zero_ps=0, channels=(0, 1)), ContractError),
+                           t_zero_ps=0), ContractError),
     (timetag.FilterWindow(-10.0, 10.0), ContractError),
     (timetag.HomAnalysis(0.9, 0.01, 0.5, 0.5, 0.01), ContractError),
     (swap.SwapScenario(source_kind="spdc", spdc_p1=0.05, fidelity_floor=0.97,
@@ -133,6 +133,13 @@ ARGUMENTS = {
     "temporal_overlap.tau_ps": (
         lambda: wavepacket.temporal_overlap(math.nan, wavepacket.WavepacketParams()),
         ContractError, "tau_ps"),
+    # the stream-file header's unset marker, and one past its largest value
+    "TimeTagStream.t_zero_ps=-2**63": (
+        lambda: timetag.TimeTagStream(np.empty(0, dtype=timetag.RECORD_DTYPE), 80e6,
+                                      t_zero_ps=-2 ** 63), ContractError, "t_zero_ps"),
+    "TimeTagStream.t_zero_ps=2**63": (
+        lambda: timetag.TimeTagStream(np.empty(0, dtype=timetag.RECORD_DTYPE), 80e6,
+                                      t_zero_ps=2 ** 63), ContractError, "t_zero_ps"),
 }
 
 

@@ -117,11 +117,20 @@ def test_qd_photon_numbers_threshold_on_the_cdf_edges():
         assert np.array_equal(two, nums == 2)
 
 
-def test_records_sorted_and_channel_ranges():
-    st = tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=7))
+@pytest.mark.parametrize("kwargs, channels", (
+    (dict(mode="pairs"), {0, 1, 2, 3}),     # pass and reflect of arms c and d
+    (dict(mode="hbt"), {0, 1}),             # the two detectors of the splitter
+    (dict(mode="hbt", emission="poissonian"), {0, 1}),
+    (dict(mode="laser"), {0}),              # the one reference detector
+), ids=["pairs", "hbt-qd", "hbt-poissonian", "laser"])
+def test_records_sorted_and_channel_ranges(kwargs, channels):
+    st = tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=7, **kwargs))
     t = st.records["t"]
     assert np.all(np.diff(t) >= 0)
-    assert set(np.unique(st.records["channel"])) <= set(st.channels)
+    used = set(np.unique(st.records["channel"]).tolist())
+    assert used <= channels
+    if kwargs["mode"] == "laser":
+        assert used == channels
 
 
 def test_hbt_recovers_requested_g2():
@@ -240,7 +249,7 @@ def random_stream(rng):
     order = np.argsort(t, kind="stable")    # random channel order on ties
     records = np.empty(len(t), dtype=tt.RECORD_DTYPE)
     records["t"], records["channel"] = t[order], ch[order]
-    return tt.TimeTagStream(records, rep_rate, t_zero, channels=tuple(range(6)))
+    return tt.TimeTagStream(records, rep_rate, t_zero)
 
 
 def test_pair_counts_matches_sorting_oracle():
@@ -401,8 +410,7 @@ def test_assemble_orders_by_time_then_channel():
     ts = rng.integers(-2 ** 59, 2 ** 59, 30000)
     ts[::3] = ts[1::3]                      # ties in time, some in channel too
     ch = rng.integers(0, 8, len(ts)).astype(np.uint16)
-    st = tt._assemble([(ch[:100], ts[:100]), (ch[100:], ts[100:])], 80e6,
-                      tuple(range(8)), None)
+    st = tt._assemble([(ch[:100], ts[:100]), (ch[100:], ts[100:])], 80e6, None)
     order = np.lexsort((ch, ts))
     assert np.array_equal(st.records["t"], ts[order])
     assert np.array_equal(st.records["channel"], ch[order])
@@ -412,7 +420,7 @@ def test_foreign_record_dtypes_checked():
     # other integer dtypes are copied to RECORD_DTYPE; anything else, or a
     # channel RECORD_DTYPE cannot hold, is refused rather than cut
     wide = np.array([(1, 4), (70000, 9)], dtype=[("channel", "<i4"), ("t", "<i4")])
-    st = tt.TimeTagStream(wide[:1], 80e6, channels=(0, 1))
+    st = tt.TimeTagStream(wide[:1], 80e6)
     assert st.records.dtype == tt.RECORD_DTYPE
     assert st.records.tolist() == [(1, 4)]
     fields = "integer 'channel' and 't' fields"
@@ -427,38 +435,39 @@ def test_foreign_record_dtypes_checked():
     )
     for records, message in refused:
         with pytest.raises(ContractError, match=re.escape(message)):
-            tt.TimeTagStream(records, 80e6, channels=(0, 1))
+            tt.TimeTagStream(records, 80e6)
 
 
-def test_undeclared_channels_rejected(tmp_path, monkeypatch):
-    # the stray channel sits past the first 2**18-record counting block
+def test_stream_file_keeps_a_channel_past_the_first_block(tmp_path, monkeypatch):
+    # a channel-9 record past the first 2**18-record block of the walk
     records = np.zeros((1 << 18) + 5, dtype=tt.RECORD_DTYPE)
     records["t"] = np.arange(len(records))
     records["channel"][-1] = 9
-    with pytest.raises(ContractError, match=r"undeclared channels \[9\]"):
-        tt.TimeTagStream(records, 80e6, channels=(0, 1))
     path = tmp_path / "stray.ttg"
-    tt.write_stream(tt.TimeTagStream(records, 80e6, channels=(0, 9)), path)
-    assert tt.read_stream(path).channels == (0, 9)
-    records["channel"][:3] = 2
-    tt.write_stream(tt.TimeTagStream(records, 80e6, channels=(0, 2, 9)), path)
-    assert tt.read_stream(path).channels == (0, 2, 9)
-    counted = []
-    count = tt._checked_channels
-    monkeypatch.setattr(tt, "_checked_channels",
-                        lambda rec: counted.append(1) or count(rec))
-    assert tt.read_stream(path).channels == (0, 2, 9)
-    assert len(counted) == 1                # read_stream counts channels once
+    tt.write_stream(tt.TimeTagStream(records, 80e6), path)
+    walked = []
+    walk = tt._check_ordered
+    monkeypatch.setattr(tt, "_check_ordered",
+                        lambda rec: walked.append(1) or walk(rec))
+    assert np.array_equal(tt.read_stream(path).records, records)
+    assert len(walked) == 1                 # read_stream walks the records once
 
 
-def test_stream_file_roundtrip(tmp_path):
-    st = tt.synthesize_stream(tt.StreamParams(pulses=5000, seed=2))
+@pytest.mark.parametrize("mode", ("pairs", "hbt", "laser"))
+def test_stream_file_roundtrip(tmp_path, mode):
+    st = tt.synthesize_stream(tt.StreamParams(pulses=5000, seed=2, mode=mode))
+    assert st.t_zero_ps == (None if mode == "laser" else 0)
     path = tmp_path / "stream.ttg"
-    tt.write_stream(st, path)
-    back = tt.read_stream(path)
-    assert np.array_equal(st.records, back.records)
-    assert back.rep_rate_hz == pytest.approx(st.rep_rate_hz)
-    assert back.t_zero_ps == st.t_zero_ps
+    # the mode's own reference (None through the header's unset marker),
+    # then the header's extremes as numpy integers
+    for t_zero in (st.t_zero_ps, np.int64(-2 ** 63 + 1), np.int64(2 ** 63 - 1)):
+        stream = dataclasses.replace(st, t_zero_ps=t_zero)
+        tt.write_stream(stream, path)
+        back = tt.read_stream(path)
+        assert np.array_equal(back.records, st.records)
+        assert back.rep_rate_hz == st.rep_rate_hz
+        assert back.t_zero_ps == stream.t_zero_ps
+        assert back.t_zero_ps == (None if t_zero is None else int(t_zero))
 
 
 # SHA-256 of the stream file written for the seed-7 pairs stream (20000
@@ -574,7 +583,7 @@ def test_coincidence_histogram_carries_state_across_record_blocks(monkeypatch):
     def stream(ch, t):
         records = np.empty(len(t), dtype=tt.RECORD_DTYPE)
         records["channel"], records["t"] = ch, t
-        return tt.TimeTagStream(records, 80e6, channels=(0, 1, 2, 3))
+        return tt.TimeTagStream(records, 80e6)
 
     cases = [stream([], []),
              # ties that straddle the edges of five-record blocks
@@ -590,15 +599,15 @@ def test_coincidence_histogram_carries_state_across_record_blocks(monkeypatch):
         t = np.sort(rng.integers(-300, int(rng.integers(1, 600)), n))
         cases.append(stream(rng.integers(0, 3, n), t))
     for st in cases:
-        # channel 3 is declared but absent
+        # channel 3 has no records
         for ch_a, ch_b in ((0, 1), (1, 0), (0, 0), (0, 3), (3, 1)):
             hist = tt.coincidence_histogram(st, ch_a, ch_b, bin_ps, span_ps)
             starts, ref = all_pairs_histogram(st, ch_a, ch_b, bin_ps, span_ps)
             assert np.array_equal(hist.bin_start_ps, starts)
             assert np.array_equal(hist.counts, ref)
     assert tt.coincidence_histogram(cases[3], 0, 1, bin_ps, span_ps).counts.any()
-    # a step back across a block edge is still caught, and ahead of an
-    # undeclared channel in an earlier block
+    # a step back across a block edge is still caught, and one in a later
+    # block after a record on a channel no analysis reads
     with pytest.raises(ContractError, match="nondecreasing"):
         stream([0] * 6, [0, 1, 2, 3, 4, 3])
     with pytest.raises(ContractError, match="nondecreasing"):
@@ -612,7 +621,7 @@ def traced_peak(analyse, n, rng, gap_ps=0):
     records["t"] = np.cumsum(rng.integers(0, 2000, n))
     records["t"][n // 2:] += gap_ps
     records["channel"] = rng.integers(0, 2, n)
-    st = tt.TimeTagStream(records, 80e6, channels=(0, 1))
+    st = tt.TimeTagStream(records, 80e6)
     return traced_call(lambda: analyse(st))
 
 
@@ -648,7 +657,7 @@ def test_coincidence_histogram_candidate_paths_are_exact(monkeypatch, block):
         records = np.empty(len(t), dtype=tt.RECORD_DTYPE)
         records["t"] = np.sort(t)
         records["channel"] = rng.integers(0, 2, len(t))
-        return tt.TimeTagStream(records, 80e6, channels=(0, 1, 2))
+        return tt.TimeTagStream(records, 80e6)
 
     def dense(n, gap, offset=0):
         return np.cumsum(rng.integers(0, 2 * gap, n)) + offset
@@ -673,7 +682,7 @@ def test_coincidence_histogram_candidate_paths_are_exact(monkeypatch, block):
             stream(bursts),
         ]
         for st in cases:
-            # channel 2 is declared but absent
+            # channel 2 has no records
             for ch_a, ch_b in ((0, 1), (1, 0), (0, 0), (0, 2), (2, 1)):
                 hist = tt.coincidence_histogram(st, ch_a, ch_b, bin_ps, span_ps)
                 starts, ref = all_pairs_histogram(st, ch_a, ch_b, bin_ps, span_ps)
@@ -696,7 +705,7 @@ def test_coincidence_histogram_is_exact_on_uneven_passes(monkeypatch, block):
         records = np.empty(len(t), dtype=tt.RECORD_DTYPE)
         records["t"] = t[order]
         records["channel"] = np.repeat([0, 1], [len(ta), len(tb)])[order]
-        return tt.TimeTagStream(records, 80e6, channels=(0, 1))
+        return tt.TimeTagStream(records, 80e6)
 
     sparse = (np.arange(-200, 200) * 3 + 1) * width
     spaced = np.arange(20000) * 10 * width
@@ -734,7 +743,7 @@ def test_coincidence_histogram_copies_each_block_in_slices(monkeypatch, copy_blo
         records = np.empty(n, dtype=tt.RECORD_DTYPE)
         records["t"] = np.sort(rng.integers(-300, 600, n))
         records["channel"] = rng.integers(0, 3, n)
-        st = tt.TimeTagStream(records, 80e6, channels=(0, 1, 2))
+        st = tt.TimeTagStream(records, 80e6)
         for ch_a, ch_b in ((0, 1), (1, 0), (0, 0)):
             hist = tt.coincidence_histogram(st, ch_a, ch_b, 10, 60)
             assert np.array_equal(hist.counts, all_pairs_histogram(st, ch_a, ch_b, 10, 60)[1])
@@ -749,7 +758,7 @@ def test_period_histogram_sums_blocks_exactly(monkeypatch):
     records = np.empty(n, dtype=tt.RECORD_DTYPE)
     records["t"] = np.sort(rng.integers(-50000, 50000, n))
     records["channel"] = rng.integers(0, 2, n)
-    st = tt.TimeTagStream(records, 80e6, channels=(0, 1, 2))
+    st = tt.TimeTagStream(records, 80e6)
     for channel in (None, 0, 1, 2):
         for bin_ps in (1, 20, 5000):
             hist = tt.period_histogram(st, channel, bin_ps)
