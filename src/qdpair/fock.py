@@ -46,8 +46,6 @@ SPATIAL_IN = ("a", "b")
 SPATIAL_OUT = ("c", "d")
 POLARISATIONS = ("H", "V")
 
-Occupation = tuple
-
 
 def mode_index(spatial: str, pol: str) -> int:
     """Bijective map from (spatial, polarisation) labels to mode index.

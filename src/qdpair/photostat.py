@@ -34,26 +34,14 @@ class PhotonNumberDistribution:
             raise ContractError(f"probabilities sum to {sum(p)!r}, expected 1")
         object.__setattr__(self, "probs", p)
 
-    @property
-    def mean(self) -> float:
-        return sum(n * p for n, p in enumerate(self.probs))
-
-    @property
-    def g2(self) -> float:
-        """Pulsed g2 recomputed from the stored probabilities."""
-        mu = self.mean
-        if mu <= 0.0:
-            return 0.0
-        return sum(n * (n - 1) * p for n, p in enumerate(self.probs)) / mu ** 2
-
 
 def qd_distribution_from_g2(g2: float) -> PhotonNumberDistribution:
     """Per-pulse distribution of a pulsed single-photon emitter with
     two-photon component g2.
 
     Mapping: P_2 = g2/2, P_1 = 1 - g2, P_0 = g2/2.  The mean is then
-    exactly 1, so recomputing g2 from the distribution returns the
-    input.  Valid for g2 < 0.5.
+    exactly 1 and sum n (n - 1) P_n = g2, so the pulsed g2 of the
+    distribution, <n(n-1)>/<n>^2, is the input.  Valid for g2 < 0.5.
     """
     check_ranges(ModelDomainError, {"g2": "[0, 0.5)"}, g2=g2)
     return PhotonNumberDistribution((g2 / 2.0, 1.0 - g2, g2 / 2.0))

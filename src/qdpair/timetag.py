@@ -630,10 +630,9 @@ class HomAnalysis:
     bs_r: float
     bs_t: float
     g2: float
-    normalisation_factor: float = 1.0
 
     INTERVALS = {"v_raw": "[0, 1]", "epsilon": "[0, 1]", "bs_r": "[0, 1]",
-                 "bs_t": "[0, 1]", "g2": "[0, 1]", "normalisation_factor": "(0, inf)"}
+                 "bs_t": "[0, 1]", "g2": "[0, 1]"}
 
     def __post_init__(self):
         check_ranges(ContractError, self.INTERVALS, **vars(self))
@@ -731,10 +730,16 @@ def reference_from_pulse_histogram(laser_stream: TimeTagStream) -> int:
 
 def write_stream(stream: TimeTagStream, path) -> None:
     """Binary format: 32-byte header then little-endian (u16, i64) records,
-    written from the array itself rather than from a copy of its bytes."""
+    written from the array itself rather than from a copy of its bytes.
+    The header carries the rep rate as a whole number of mHz, so 1/3 GHz
+    reads back as 333333333.333 Hz; a rate that rounds outside
+    [1, 2**64) mHz is a ContractError and no file is written."""
+    rep_mhz = int(round(stream.rep_rate_hz * 1000.0))
+    if not 1 <= rep_mhz < 2 ** 64:
+        raise ContractError(f"rep_rate_hz must round to 1 .. 2**64 - 1 mHz "
+                            f"for a stream file, got {stream.rep_rate_hz!r}")
     t0 = _T_ZERO_UNSET if stream.t_zero_ps is None else int(stream.t_zero_ps)
-    header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, 0,
-                          int(round(stream.rep_rate_hz * 1000.0)), t0)
+    header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, 0, rep_mhz, t0)
     with open(path, "wb") as fh:
         fh.write(header)
         stream.records.tofile(fh)
@@ -742,9 +747,10 @@ def write_stream(stream: TimeTagStream, path) -> None:
 
 def read_stream(path) -> TimeTagStream:
     """The stream written by write_stream: its records, rep rate and
-    reference, the header's unset marker read as None.  The records are
-    read whole and walked once, for their order; every defect of the
-    file is a ConfigError that names it."""
+    reference, the header's unset marker read as None.  The rep rate is
+    the header's whole number of mHz, so it reads back to the mHz of the
+    rate written.  The records are read whole and walked once, for their
+    order; every defect of the file is a ConfigError that names it."""
     def defect(what) -> ConfigError:
         return ConfigError(f"stream file {path}: {what}")
 

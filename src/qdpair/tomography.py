@@ -34,18 +34,6 @@ from .errors import (ConfigError, ContractError, NumericalError,
                      ReconstructionError, check_ranges)
 from .twoqubit import TwoQubitDensity, singlet_fraction
 
-_SQ = 1.0 / math.sqrt(2.0)
-
-# Canonical analysis states in the (H, V) Jones basis.
-NAMED_KETS = {
-    "H": (1.0 + 0.0j, 0.0 + 0.0j),
-    "V": (0.0 + 0.0j, 1.0 + 0.0j),
-    "D": (_SQ + 0.0j, _SQ + 0.0j),
-    "A": (_SQ + 0.0j, -_SQ + 0.0j),
-    "R": (_SQ + 0.0j, -1j * _SQ),
-    "L": (_SQ + 0.0j, 1j * _SQ),
-}
-
 # Waveplate angle pairs (hwp, qwp) in degrees realising each canonical state.
 CANONICAL_ANGLES = {
     "H": (0.0, 0.0),
@@ -56,7 +44,6 @@ CANONICAL_ANGLES = {
     "L": (0.0, 45.0),
 }
 
-SETTING_NAMES = ("H", "V", "D", "A", "R", "L")
 MIN_PAIRS = 1         # fewest pairs simulate_counts draws
 MIN_RESAMPLES = 50    # fewest resamples bootstrap_singlet_fraction takes
 
@@ -85,10 +72,11 @@ def waveplate_ket(hwp_deg: float, qwp_deg: float) -> np.ndarray:
 
 
 def _match_name(ket: np.ndarray) -> str:
+    """The canonical state whose projector equals the ket's, else "custom"."""
     proj = np.outer(ket, ket.conj())
-    for name, ref in NAMED_KETS.items():
-        refv = np.array(ref)
-        if np.max(np.abs(proj - np.outer(refv, refv.conj()))) < 1e-9:
+    for name, angles in CANONICAL_ANGLES.items():
+        ref = waveplate_ket(*angles)
+        if np.max(np.abs(proj - np.outer(ref, ref.conj()))) < 1e-9:
             return name
     return "custom"
 
@@ -162,7 +150,7 @@ class CountRecord:
 def standard_settings() -> list:
     """The 36 joint settings over {H, V, D, A, R, L} per arm, row-major."""
     return [MeasurementSetting.from_names(a, b)
-            for a in SETTING_NAMES for b in SETTING_NAMES]
+            for a in CANONICAL_ANGLES for b in CANONICAL_ANGLES]
 
 
 def setting_probability(rho: TwoQubitDensity, setting: MeasurementSetting) -> float:

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import ContractError, check_ranges
 
-BASIS_LABELS = ("HH", "HV", "VH", "VV")
-
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 # Round-off may leave eigenvalues this far below zero; nothing is clipped.

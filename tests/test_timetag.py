@@ -61,6 +61,17 @@ def test_synthesis_is_pinned_bit_for_bit(kwargs, digest):
     assert hashlib.sha256(st.records.tobytes()).hexdigest() == digest
 
 
+def test_angle_analysis_synthesises_as_its_named_setting():
+    # four waveplate angles name the D, A setting and draw the same stream
+    by_angles, by_names = (
+        tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=7, analysis=analysis))
+        for analysis in ((22.5, 45.0, -22.5, 45.0), ("D", "A")))
+    assert len(by_names) > 0
+    assert np.array_equal(by_angles.records, by_names.records)
+    assert (by_angles.rep_rate_hz, by_angles.t_zero_ps) == (by_names.rep_rate_hz,
+                                                            by_names.t_zero_ps)
+
+
 def traced_call(fn):
     """Traced allocation peak of fn(), above what was held before it."""
     tracemalloc.start()
@@ -517,6 +528,23 @@ def test_stream_file_error_handling(tmp_path):
         with pytest.raises(ConfigError,
                            match=f"^stream file {re.escape(str(defect))}: {re.escape(message)}$"):
             tt.read_stream(defect)
+
+
+@pytest.mark.parametrize("rep_rate_hz", (1e-4, 2e16))
+def test_stream_file_refuses_a_rate_its_header_cannot_carry(tmp_path, rep_rate_hz):
+    # 1e-4 Hz rounds to 0 mHz, which read_stream refuses; 2e16 Hz is
+    # 2e19 mHz, past the header's 64 bits
+    st = tt.TimeTagStream(np.empty(0, dtype=tt.RECORD_DTYPE), rep_rate_hz)
+    path = tmp_path / "rate.ttg"
+    with pytest.raises(ContractError, match="^rep_rate_hz must round to 1 "):
+        tt.write_stream(st, path)
+    assert not path.exists()
+
+
+def test_stream_file_carries_the_rate_to_the_mhz(tmp_path):
+    path = tmp_path / "rate.ttg"
+    tt.write_stream(tt.TimeTagStream(np.empty(0, dtype=tt.RECORD_DTYPE), 1e9 / 3), path)
+    assert tt.read_stream(path).rep_rate_hz == 333333333.333
 
 
 @pytest.mark.parametrize("defect, message", (

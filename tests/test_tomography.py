@@ -47,6 +47,26 @@ def test_waveplate_angle_table():
         assert np.allclose(got, projector(ket), atol=1e-12), label
 
 
+# Plate pairs (hwp, qwp) in degrees and the name from_angles gives each:
+# the six canonical pairs, the circular states a half-wave plate alone
+# reaches, and a pair that realises no canonical state.
+PLATE_NAMES = (((0.0, 0.0), "H"), ((45.0, 0.0), "V"), ((22.5, 45.0), "D"),
+               ((-22.5, 45.0), "A"), ((0.0, -45.0), "R"), ((0.0, 45.0), "L"),
+               ((22.5, 0.0), "R"), ((-22.5, 0.0), "L"), ((10.0, 0.0), "custom"))
+
+
+def test_from_angles_names_each_plate_pair():
+    assert {name: plates for plates, name in PLATE_NAMES[:6]} == tomo.CANONICAL_ANGLES
+    for plates, name in PLATE_NAMES:
+        s = tomo.MeasurementSetting.from_angles(*plates, *plates)
+        assert (s.label1, s.label2) == (name, name), plates
+    for (plates1, name1), (plates2, name2) in zip(PLATE_NAMES, PLATE_NAMES[::-1]):
+        s = tomo.MeasurementSetting.from_angles(*plates1, *plates2)
+        assert (s.label1, s.label2) == (name1, name2)
+    assert (tomo.MeasurementSetting.from_angles(22.5, 45.0, -22.5, 45.0)
+            == tomo.MeasurementSetting.from_names("D", "A"))
+
+
 def test_standard_settings_cover_six_by_six():
     ss = tomo.standard_settings()
     assert len(ss) == 36
