@@ -51,8 +51,7 @@ _QD = {"rep_rate_hz": "rep_rate_hz", "eta_det": "eta_det", "pnr": "pnr",
        "qd_eta_s": "eta_s", "qd_g2": "qd_g2", "qd_indistinguishability": "qd_I"}
 _SPDC = {"rep_rate_hz": "rep_rate_hz", "eta_det": "eta_det", "pnr": "pnr",
          "switch_eta": "switch_eta", "insertion_eta": "insertion_eta",
-         "spdc_eta_s": "eta_s", "spdc_statistics": "spdc_statistics",
-         "fidelity_floor": "fidelity_floor"}
+         "spdc_eta_s": "eta_s", "spdc_statistics": "spdc_statistics"}
 _STREAM = ("g2", "t1_ps", "pulse_width_ps", "rep_rate_hz", "eta", "jitter_fwhm_ps",
            "indistinguishability")
 _WAVEPACKET = ("t1_ps", "pulse_width_ps")
@@ -88,7 +87,7 @@ _DEFAULTS = json.loads(json.dumps({
                 **_defaults(timetag.filter_fidelity_sweep, _SWEEP)},
     "swap": {**_defaults(swap.SwapScenario.qd_headline(), _QD),
              **_defaults(swap.SwapScenario.spdc_reference(), _SPDC),
-             **_defaults(swap.sweep_loss, ("mux_sizes",)),
+             **_defaults(swap.sweep_loss, ("mux_sizes", "fidelity_floor")),
              **_defaults(swap.loss_grid, _LOSS_GRID)},
     "rates": {**_defaults(timetag.StreamParams, ("rep_rate_hz",)),
               "chain": photostat.EfficiencyChain.measured().to_dict(),
@@ -190,6 +189,8 @@ def _objects(resolved: dict) -> types.SimpleNamespace:
         spdc = swap.SwapScenario.spdc_reference(
             **{name: sw[key] for key, name in _SPDC.items()})
         mux_sizes = swap.check_mux_sizes(sw["mux_sizes"])
+        check_ranges(ConfigError, {"fidelity_floor": "[0, 1]"},
+                     fidelity_floor=sw["fidelity_floor"])
         loss_grid = swap.loss_grid(**{key: sw[key] for key in _LOSS_GRID})
     return types.SimpleNamespace(
         chain=chain, rate=rate, back_propagated=back, weights=weights, rho=rho,
@@ -307,7 +308,8 @@ def cmd_fig4b(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
 
 
 def cmd_fig5(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
-    table = swap.sweep_loss(o.qd, o.spdc, loss_grid_db=o.loss_grid, mux_sizes=o.mux_sizes)
+    table = swap.sweep_loss(o.qd, o.spdc, loss_grid_db=o.loss_grid, mux_sizes=o.mux_sizes,
+                            fidelity_floor=resolved["swap"]["fidelity_floor"])
     return _write_table(out_dir, "fig5", table["columns"], table["rows"],
                         fmt, resolved, digest)
 

@@ -128,8 +128,8 @@ class SwapScenario:
     sources.  ``eta_s`` is the per-photon collection efficiency of the
     source; ``eta_det`` applies to the midpoint detectors only;
     ``channel_loss_db`` is the one-way loss of this source's inner arm.
-    ``spdc_p1`` is the single-pair probability per pulse; leave it unset
-    to have it chosen by ``optimise_pump`` against ``fidelity_floor``.
+    ``spdc_p1`` is the single-pair probability per pulse, which every SPDC
+    swap and pair rate needs; ``optimise_pump`` chooses one against a floor.
     An SPDC source with ``mux_n`` > 1 is multiplexed: it combines
     ``mux_n`` heralded units through one switch traversal (``switch_eta``
     times ``insertion_eta``).  A quantum-dot source takes ``mux_n`` = 1.
@@ -143,7 +143,6 @@ class SwapScenario:
     switch_eta: float = 0.97
     insertion_eta: float = 1.0
     channel_loss_db: float = 0.0
-    fidelity_floor: Optional[float] = None
     qd_g2: float = 0.0
     qd_I: float = 1.0
     spdc_p1: Optional[float] = None
@@ -153,7 +152,7 @@ class SwapScenario:
     INTERVALS = {
         "rep_rate_hz": "(0, inf)", "eta_s": "[0, 1]", "eta_det": "[0, 1]",
         "switch_eta": "[0, 1]", "insertion_eta": "[0, 1]",
-        "channel_loss_db": "[0, inf)", "fidelity_floor": "[0, 1] or None",
+        "channel_loss_db": "[0, inf)",
         "qd_g2": "[0, 0.5)", "qd_I": "[0, 1]", "spdc_p1": "(0, 0.5) or None",
         "mux_n": "int (0, inf)"}
 
@@ -179,11 +178,11 @@ class SwapScenario:
     @classmethod
     def spdc_reference(cls, mux_n: int = 1, **overrides) -> "SwapScenario":
         """SPDC source at the comparison assumptions: extraction 0.8,
-        midpoint detectors 0.9 with number resolution, pump optimised
-        against a 0.97 fidelity floor; ``mux_n`` > 1 multiplexes it
-        through a 0.97 switch."""
+        midpoint detectors 0.9 with number resolution; ``mux_n`` > 1
+        multiplexes it through a 0.97 switch.  It has no pump until
+        ``spdc_p1`` is given, for instance from ``optimise_pump``."""
         base = dict(source_kind="spdc", eta_s=0.8, eta_det=0.9, pnr=True,
-                    fidelity_floor=0.97, mux_n=mux_n)
+                    mux_n=mux_n)
         base.update(overrides)
         return cls(**base)
 
@@ -279,13 +278,10 @@ def _side_branches(scenario: SwapScenario):
 
 
 def _resolve_p1(scenario: SwapScenario) -> float:
-    if scenario.source_kind == "qd_postselected":
-        raise ContractError("pair probability is an SPDC parameter")
-    if scenario.spdc_p1 is not None:
-        return scenario.spdc_p1
-    if scenario.fidelity_floor is not None:
-        return optimise_pump(scenario)
-    raise ConfigError("SPDC scenario needs spdc_p1 or fidelity_floor")
+    if scenario.spdc_p1 is None:
+        raise ConfigError("SPDC scenario needs spdc_p1; optimise_pump chooses one "
+                          "against a fidelity floor")
+    return scenario.spdc_p1
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +559,9 @@ def heralded_state(left: SwapScenario, right: SwapScenario):
     if left.pnr != right.pnr:
         raise ContractError("the midpoint station has one detector type; "
                             "pnr flags must match")
+    if left.eta_det != right.eta_det:
+        raise ContractError("both inner photons reach the same midpoint detectors; "
+                            "eta_det must match")
     tables_l = _side_tables(left)
     tables_r = tables_l if right == left else _side_tables(right)
     pairs = [(core_l, core_r) for core_l in tables_l for core_r in tables_r]
@@ -605,8 +604,8 @@ def pair_rate(scenario: SwapScenario) -> float:
     Quantum dot: half the attempt rate times the squared collection
     efficiency (the post-selection on one photon per output port
     succeeds half the time).  SPDC: attempt rate times single-pair
-    probability times squared collection efficiency, with the pump
-    taken from ``optimise_pump`` when only a fidelity floor is given.
+    probability ``spdc_p1`` (boosted when multiplexed) times squared
+    collection efficiency; without ``spdc_p1``, ConfigError.
     For asymmetric per-photon efficiency chains, pass the geometric
     mean as ``eta_s``.
     """
@@ -622,9 +621,10 @@ def pair_rate(scenario: SwapScenario) -> float:
 # ---------------------------------------------------------------------------
 # Pump optimisation.
 
-def optimise_pump(scenario: SwapScenario) -> float:
+def optimise_pump(scenario: SwapScenario, fidelity_floor: float) -> float:
     """Largest single-pair probability whose symmetric swap keeps the
-    heralded fidelity at or above ``fidelity_floor``.
+    heralded fidelity at or above ``fidelity_floor``, in [0, 1] (else
+    ConfigError); the scenario's own ``spdc_p1`` is not read.
 
     The fidelity is checked to be nonincreasing in the pair probability
     over the bracket, then the boundary is found by bisection to 1e-4
@@ -634,7 +634,8 @@ def optimise_pump(scenario: SwapScenario) -> float:
     certified to equal the singlet fraction (see ``_pump_search``); one
     density matrix is built at the returned pump.
     """
-    return _pump_search(scenario)[0]
+    check_ranges(ConfigError, {"fidelity_floor": "[0, 1]"}, fidelity_floor=fidelity_floor)
+    return _pump_search(scenario, fidelity_floor)[0]
 
 
 def _pair_configs(scenario: SwapScenario) -> dict:
@@ -652,9 +653,9 @@ def _pair_configs(scenario: SwapScenario) -> dict:
                                             by_pair=True)))
 
 
-def _pump_search(scenario: SwapScenario, configs: dict = None):
-    """``optimise_pump``, also returning the herald probability there;
-    ``configs`` are the scenario's ``_pair_configs`` if already built.
+def _pump_search(scenario: SwapScenario, floor: float, configs: dict = None):
+    """``optimise_pump`` against ``floor``, also returning the herald
+    probability; ``configs`` are the scenario's ``_pair_configs`` if built.
 
     The grid and the bisection decide on the Psi- overlap
     r(p) = w^T N w / w^T T w.  Here w holds the pair-number weights at p,
@@ -672,9 +673,6 @@ def _pump_search(scenario: SwapScenario, configs: dict = None):
     """
     if scenario.source_kind == "qd_postselected":
         raise ContractError("pump optimisation applies to SPDC sources")
-    if scenario.fidelity_floor is None:
-        raise ConfigError("optimise_pump needs fidelity_floor")
-    floor = scenario.fidelity_floor
     if configs is None:
         configs = _pair_configs(scenario)
     blocks = np.array(list(configs.values()))
@@ -752,21 +750,26 @@ def check_mux_sizes(mux_sizes) -> tuple:
 
 
 def sweep_loss(left: SwapScenario, right: SwapScenario,
-               loss_grid_db=DEFAULT_LOSS_GRID_DB, mux_sizes=(10, 30, 100)):
+               loss_grid_db=DEFAULT_LOSS_GRID_DB, mux_sizes=(10, 30, 100),
+               fidelity_floor: float = 0.97):
     """Swap-rate comparison across symmetric channel loss.
 
-    ``left`` is the quantum-dot scenario, ``right`` the SPDC scenario;
-    its plain column is swapped at ``mux_n`` = 1 and one multiplexed
-    column at each entry of ``mux_sizes``.  Every source is swapped
-    against an identical copy of itself with the same per-arm loss; SPDC
-    pumps are re-optimised at each loss point when a fidelity floor is
-    set.
+    ``left`` is the quantum-dot scenario, ``right`` the SPDC scenario
+    without ``spdc_p1`` (else ConfigError); its plain column is swapped at
+    ``mux_n`` = 1 and one multiplexed column at each entry of ``mux_sizes``.
+    Every source is swapped against an identical copy of itself with the
+    same per-arm loss, each SPDC one at the pump ``optimise_pump`` picks
+    against ``fidelity_floor`` at that loss.
     Returns ``{"columns": [...], "rows": [...]}``.
     """
     if left.source_kind != "qd_postselected":
         raise ConfigError("left scenario must be the quantum-dot source")
     if right.source_kind != "spdc":
         raise ConfigError("right scenario must be an SPDC source")
+    if right.spdc_p1 is not None:
+        raise ConfigError("sweep_loss chooses each SPDC pump against fidelity_floor; "
+                          "leave spdc_p1 unset")
+    check_ranges(ConfigError, {"fidelity_floor": "[0, 1]"}, fidelity_floor=fidelity_floor)
     loss_grid_db = [float(x) for x in loss_grid_db]
     if not loss_grid_db:
         raise ContractError("loss grid must be nonempty")
@@ -774,25 +777,16 @@ def sweep_loss(left: SwapScenario, right: SwapScenario,
 
     columns = ["loss_db", "rate_qd", "rate_spdc"] + \
               [f"rate_spdc_mux{n}" for n in mux_sizes]
-    pumped = right.spdc_p1 is None and right.fidelity_floor is not None
     rows = []
     for loss in loss_grid_db:
         qd = dataclasses.replace(left, channel_loss_db=loss)
-        row = [loss, swap_once(qd, qd).rate_hz]
-        base = dataclasses.replace(right, mux_n=1, channel_loss_db=loss)
-        row.append(_optimised_rate(base, _pair_configs(base) if pumped else None))
-        muxed = [dataclasses.replace(right, mux_n=n, channel_loss_db=loss)
-                 for n in mux_sizes]
-        # The pair-number operators depend on eta_collect and eta_inner, not mux_n.
-        configs = _pair_configs(muxed[0]) if pumped and muxed else None
-        row += [_optimised_rate(mux, configs) for mux in muxed]
-        rows.append(row)
+        spdc = [dataclasses.replace(right, mux_n=n, channel_loss_db=loss)
+                for n in (1,) + mux_sizes]
+        # The pair-number operators depend on eta_collect and eta_inner, not
+        # mux_n: the multiplexed columns share one set.
+        shared = _pair_configs(spdc[1]) if mux_sizes else None
+        heralds = [_pump_search(s, fidelity_floor, shared if s.mux_n > 1 else None)[1]
+                   for s in spdc]
+        rows.append([loss, swap_once(qd, qd).rate_hz]
+                    + [right.rep_rate_hz * h for h in heralds])
     return {"columns": columns, "rows": rows}
-
-
-def _optimised_rate(scenario: SwapScenario, configs) -> float:
-    """Swap rate at the pump ``_pump_search`` picks from ``configs``, or at
-    the configured pump when ``configs`` is None."""
-    if configs is None:
-        return swap_once(scenario, scenario).rate_hz
-    return scenario.rep_rate_hz * _pump_search(scenario, configs)[1]

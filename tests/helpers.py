@@ -9,7 +9,7 @@ from scipy.linalg import eigh, sqrtm
 from scipy.optimize import minimize
 
 from qdpair import photostat, swap, timetag, tomography, twoqubit
-from qdpair.errors import ConfigError, ContractError, ModelDomainError, NumericalError
+from qdpair.errors import ContractError, ModelDomainError, NumericalError
 from qdpair.fock import FockState
 
 
@@ -587,15 +587,12 @@ def joint_profile_heralded_state(left, right):
     return rho, float(np.trace(rho).real)
 
 
-def eigh_pump_search(scenario, configs=None):
-    """Reference ``swap._pump_search``: every monotonicity-grid point and
-    bisection step decided on the full singlet fraction, one
-    ``TwoQubitDensity`` and one ``eigh`` each."""
+def eigh_pump_search(scenario, floor, configs=None):
+    """Reference ``swap._pump_search`` against ``floor``: every
+    monotonicity-grid point and bisection step decided on the full singlet
+    fraction, one ``TwoQubitDensity`` and one ``eigh`` each."""
     if scenario.source_kind == "qd_postselected":
         raise ContractError("pump optimisation applies to SPDC sources")
-    if scenario.fidelity_floor is None:
-        raise ConfigError("optimise_pump needs fidelity_floor")
-    floor = scenario.fidelity_floor
     if configs is None:
         configs = swap._pair_configs(scenario)
 

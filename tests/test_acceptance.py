@@ -113,8 +113,8 @@ def test_criterion_07_swap_comparison():
                     for row in table["rows"] for i in mux_cols)
     assert mux_beats
     # (d) optimal pump with and without number resolution
-    p_pnr = swap.optimise_pump(spdc)
-    p_thr = swap.optimise_pump(dataclasses.replace(spdc, pnr=False))
+    p_pnr = swap.optimise_pump(spdc, 0.97)
+    p_thr = swap.optimise_pump(dataclasses.replace(spdc, pnr=False), 0.97)
     assert p_pnr >= 0.10
     assert 0.01 <= p_thr <= 0.05
     print(f"criterion 07 PASS: F_QD {f_qd:.4f}, max rate ratio "

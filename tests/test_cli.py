@@ -102,6 +102,13 @@ def test_rates_budget(tmp_path):
                    "--format", "json") == 0
     d2 = json.loads((out2 / "rates.json").read_text())
     assert abs(d2["back_propagated_rate_hz"] - 2099873.1) <= 1.0
+    # an explicit null is the default: the same report, byte for byte
+    cfg = write_config(tmp_path, {"rates": {"measured_coincidence_rate_hz": None}},
+                       "null.json")
+    out3 = tmp_path / "r3"
+    assert run_cli("rates", "--config", cfg, "--out", str(out3),
+                   "--format", "json") == 0
+    assert (out3 / "rates.json").read_bytes() == (out / "rates.json").read_bytes()
 
 
 def test_fig4b_reference_point(tmp_path):
@@ -130,6 +137,27 @@ def test_fig5_zero_loss_consistency(tmp_path):
     assert d["rows"][0][0] == 0.0 and d["rows"][1][0] == 2.5
 
 
+def test_fig5_chooses_pumps_against_the_configured_floor(tmp_path):
+    grid = {"loss_db_max": 10.0, "loss_db_step": 10.0, "mux_sizes": [10]}
+    rows = {}
+    for floor in (0.95, 0.97):
+        cfg = write_config(tmp_path, {"swap": dict(grid, fidelity_floor=floor)},
+                           f"floor-{floor}.json")
+        out = tmp_path / f"floor-{floor}"
+        assert run_cli("fig5", "--config", cfg, "--out", str(out)) == 0
+        lines = (out / "fig5.csv").read_text().splitlines()[1:]
+        rows[floor] = [[float(x) for x in line.split(",")] for line in lines]
+    table = swap.sweep_loss(swap.SwapScenario.qd_headline(),
+                            swap.SwapScenario.spdc_reference(), loss_grid_db=(0.0, 10.0),
+                            mux_sizes=(10,), fidelity_floor=0.95)
+    assert rows[0.95] == table["rows"]
+    # a lower floor admits a stronger pump: the quantum-dot column stays,
+    # every SPDC rate rises
+    for low, default in zip(rows[0.95], rows[0.97]):
+        assert low[:2] == default[:2]
+        assert all(a > b for a, b in zip(low[2:], default[2:]))
+
+
 def test_timetag_synth_and_analyse_roundtrip(tmp_path):
     cfg = write_config(tmp_path, {"timetag": {"mode": "hbt", "g2": 0.02,
                                               "pulses": 200000,
@@ -146,6 +174,20 @@ def test_timetag_synth_and_analyse_roundtrip(tmp_path):
                    "--format", "json") == 0
     d = json.loads((out2 / "timetag_analysis.json").read_text())
     assert abs(d["g2"] - 0.02) <= 0.01
+
+
+def test_timetag_analysis_takes_four_waveplate_angles(tmp_path):
+    # hwp 22.5 with qwp 45 is D and hwp -22.5 with qwp 45 is A
+    counts = []
+    for name, analysis in (("names", ["D", "A"]), ("angles", [22.5, 45.0, -22.5, 45.0])):
+        cfg = write_config(tmp_path, {"timetag": {"mode": "pairs", "pulses": 20000,
+                                                  "analysis": analysis}}, f"{name}.json")
+        assert run_cli("timetag", "analyse", "--config", cfg,
+                       "--out", str(tmp_path / name)) == 0
+        report = json.loads((tmp_path / name / "timetag_analysis.json").read_text())
+        counts.append(report["pair_counts"])
+    assert counts[0] == counts[1]
+    assert sum(map(sum, counts[0])) > 0
 
 
 def test_seed_flag_changes_synthesis(tmp_path):
@@ -270,6 +312,10 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert run_cli("timetag", "analyse", "--config", wide_bin,
                    "--out", str(tmp_path / "x6")) == 2
     assert "shorter than one bin" in capsys.readouterr().err
+    # a configuration path that cannot be opened
+    assert run_cli("entangle", "--config", str(tmp_path / "missing.json"),
+                   "--out", str(tmp_path / "x7")) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
     def explode(resolved, objects, out_dir, fmt, digest):
         raise NumericalError("did not converge")
@@ -298,7 +344,7 @@ def test_default_config_digest_is_pinned():
 
 
 # (command, configuration, extra arguments, exit code, text of the error).
-# The last two put the bad value in a section the command does not read.
+# The last three put the bad value in a section the command does not read.
 BAD_CONFIGS = [
     (["fig3"], {"source": {"g2_grid_steps": -1}}, [], 2, "source.g2_grid_steps"),
     (["fig3"], {"source": {"g2_grid_steps": 0}}, [], 2, "source.g2_grid_steps"),
@@ -310,6 +356,9 @@ BAD_CONFIGS = [
     (["fig5"], {"swap": {"mux_sizes": [10.7]}}, [], 2, "swap.mux_sizes[0]"),
     (["fig5"], {"swap": {"mux_sizes": [10, 1]}}, [], 2,
      "swap: mux_sizes[1] must be in [2, inf)"),
+    (["fig5"], {"swap": {"mux_sizes": []}}, [], 2, "swap.mux_sizes must be a nonempty array"),
+    (["fig5"], {"swap": {"fidelity_floor": 1.5}}, [], 2,
+     "swap: fidelity_floor must be in [0, 1]"),
     (["timetag", "sweep"], {"timetag": {"t_on_grid_ps": ["a"]}}, [], 2,
      "timetag.t_on_grid_ps[0]"),
     (["timetag", "sweep"], {"timetag": {"t_on_grid_ps": [0.0, True]}}, [], 2,
@@ -339,8 +388,17 @@ BAD_CONFIGS = [
     (["rates"], {"rates": {"chain": dict(photostat.EfficiencyChain.measured()
                                          .to_dict(), source=[None, 0.03])}},
      [], 2, "rates: float()"),
+    (["rates"], {"rates": {"chain": dict(photostat.EfficiencyChain.measured()
+                                         .to_dict(), source=[0.5])}},
+     [], 2, "rates: efficiency entries are [value, sigma], got [0.5]"),
+    (["rates"], {"rates": {"chain": dict(photostat.EfficiencyChain.measured()
+                                         .to_dict(), pump=[0.5, 0.01])}},
+     [], 2, "rates: unknown efficiency roles ['pump']"),
+    (["rates"], {"rates": {"chain": {"source": [0.5, 0.01]}}}, [], 2,
+     "rates: missing efficiency roles"),
     (["rates"], {"timetag": {"mode": "foo"}}, [], 2, "timetag: unknown mode"),
     (["rates"], {"wavepacket": {"fidelity_at_zero": 0.4}}, [], 4, "wavepacket"),
+    (["entangle"], {"swap": {"fidelity_floor": -0.5}}, [], 2, "swap: fidelity_floor"),
 ]
 
 

@@ -9,8 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from qdpair import fock, photostat, swap, timetag, tomography, wavepacket
-from qdpair.errors import ConfigError, ContractError, check_ranges
+from qdpair import fock, photostat, swap, timetag, tomography, twoqubit, wavepacket
+from qdpair.errors import ConfigError, ContractError, ModelDomainError, check_ranges
 
 # A valid instance of each record, with every optional number set, and the
 # error type the record raises.
@@ -20,8 +20,7 @@ RECORDS = (
                            t_zero_ps=0), ContractError),
     (timetag.FilterWindow(-10.0, 10.0), ContractError),
     (timetag.HomAnalysis(0.9, 0.01, 0.5, 0.5, 0.01), ContractError),
-    (swap.SwapScenario(source_kind="spdc", spdc_p1=0.05, fidelity_floor=0.97,
-                       mux_n=10), ConfigError),
+    (swap.SwapScenario(source_kind="spdc", spdc_p1=0.05, mux_n=10), ConfigError),
     (wavepacket.WavepacketParams(), ContractError),
     (photostat.Efficiency(0.5, 0.01), ContractError),
     (tomography.CountRecord(tomography.MeasurementSetting.from_names("H", "V"), 10),
@@ -127,6 +126,13 @@ ARGUMENTS = {
         lambda: swap.sweep_loss(swap.SwapScenario.qd_headline(),
                                 swap.SwapScenario.spdc_reference(), loss_grid_db=(0.0,),
                                 mux_sizes=(10.9,)), ConfigError, re.escape("mux_sizes[0]")),
+    "optimise_pump.fidelity_floor": (
+        lambda: swap.optimise_pump(swap.SwapScenario.spdc_reference(), math.nan),
+        ConfigError, "fidelity_floor"),
+    "sweep_loss.fidelity_floor": (
+        lambda: swap.sweep_loss(swap.SwapScenario.qd_headline(),
+                                swap.SwapScenario.spdc_reference(), loss_grid_db=(0.0,),
+                                fidelity_floor=1.5), ConfigError, "fidelity_floor"),
     "fidelity_from_indistinguishability": (
         lambda: wavepacket.fidelity_from_indistinguishability(1.0 + 5e-13), ContractError,
         "indistinguishability"),
@@ -182,3 +188,66 @@ def test_check_ranges_lets_valid_values_through_and_names_the_first_failure():
         check_ranges(ConfigError, {"a": "[0, 1]", "b": "[0, 1]", "c": "[0, 1]"},
                      a=0.5, b=2.0, c=math.nan)
     check_ranges(ConfigError, {"seed": "int [0, inf)"}, seed=10 ** 400)
+
+
+QD = swap.SwapScenario.qd_headline()
+SPDC = swap.SwapScenario.spdc_reference(spdc_p1=0.05)
+# 500 ps bins over eight 12.5 ns periods either side, counts in the central peak only.
+STARTS = np.arange(-100_000, 100_000, 500)
+CENTRAL_ONLY = timetag.Histogram(STARTS, (abs(STARTS + 250) < 2000).astype(np.int64), 500)
+
+# (call, error, start of the message) of each refusal with no other test.
+REFUSALS = {
+    "heralded_state.rep_rate_hz": (
+        lambda: swap.heralded_state(QD, dataclasses.replace(SPDC, rep_rate_hz=80e6)),
+        ContractError, "both sources must share the attempt rate"),
+    "heralded_state.pnr": (
+        lambda: swap.heralded_state(QD, dataclasses.replace(SPDC, pnr=False)),
+        ContractError, "the midpoint station has one detector type"),
+    # eta_inner folds eta_det in before the midpoint beamsplitter, which is
+    # exact only when both sources see the same detectors
+    "heralded_state.eta_det": (
+        lambda: swap.heralded_state(QD, dataclasses.replace(SPDC, eta_det=0.8)),
+        ContractError, "both inner photons reach the same midpoint detectors"),
+    "swap_once.eta_s=0": (
+        lambda: swap.swap_once(dataclasses.replace(QD, eta_s=0.0),
+                               dataclasses.replace(QD, eta_s=0.0)),
+        ModelDomainError, "no usable heralds"),
+    "sweep_loss.loss_grid_db=()": (
+        lambda: swap.sweep_loss(QD, swap.SwapScenario.spdc_reference(), loss_grid_db=()),
+        ContractError, "loss grid must be nonempty"),
+    "g2_from_histogram.empty side peaks": (
+        lambda: timetag.g2_from_histogram(CENTRAL_ONLY, 12_500.0),
+        ModelDomainError, "side peaks are empty"),
+    "reference_from_pulse_histogram.empty stream": (
+        lambda: timetag.reference_from_pulse_histogram(
+            timetag.TimeTagStream(np.empty(0, dtype=timetag.RECORD_DTYPE), 80e6)),
+        ContractError, "cannot derive a reference from an empty stream"),
+    "filter_fidelity_sweep.mode=hbt": (
+        lambda: timetag.filter_fidelity_sweep(
+            params=dataclasses.replace(timetag.SWEEP_STREAM, mode="hbt")),
+        ContractError, "the filter pipeline needs a pairs-mode stream"),
+    "TwoQubitDensity.shape": (
+        lambda: twoqubit.TwoQubitDensity(np.eye(2) / 2),
+        ContractError, re.escape("density matrix must be 4x4, got (2, 2)")),
+    "TwoQubitDensity.from_matrix.renormalize": (
+        lambda: twoqubit.TwoQubitDensity.from_matrix(-np.eye(4), renormalize=True),
+        ContractError, "cannot renormalize matrix with non-positive trace"),
+    "TwoQubitDensity.pure": (
+        lambda: twoqubit.TwoQubitDensity.pure(np.zeros(4)),
+        ContractError, "cannot build a state from the zero vector"),
+    "MeasurementSetting.from_names": (
+        lambda: tomography.MeasurementSetting.from_names("H", "Q"),
+        ContractError, "unknown setting name 'Q'"),
+    "simulate_counts.settings": (
+        lambda: tomography.simulate_counts(twoqubit.werner(0.5), [], 1000, seed=1),
+        ContractError, "settings must be nonempty"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_raises_its_own_type_and_text(case):
+    call, error, text = REFUSALS[case]
+    with pytest.raises(error, match=f"^{text}") as exc:
+        call()
+    assert exc.type is error

@@ -48,7 +48,7 @@ def test_channel_loss_degrades_fidelity_only_mildly():
 
 
 def test_rate_monotone_nonincreasing_in_loss():
-    spdc_fixed = dataclasses.replace(SPDC, spdc_p1=0.02, fidelity_floor=None)
+    spdc_fixed = dataclasses.replace(SPDC, spdc_p1=0.02)
     for base in (QD, spdc_fixed):
         rates = []
         for loss in (0.0, 2.5, 5.0, 10.0):
@@ -113,10 +113,8 @@ def test_heralded_state_matches_branch_kernel(pnr):
     qd_a = dataclasses.replace(QD, channel_loss_db=2.0)
     qd_b = dataclasses.replace(QD, qd_g2=0.04, qd_I=0.9, eta_s=0.6,
                                channel_loss_db=13.0)
-    spdc_a = dataclasses.replace(SPDC, spdc_p1=0.03, fidelity_floor=None,
-                                 eta_s=0.7, channel_loss_db=4.0)
-    spdc_b = dataclasses.replace(SPDC, mux_n=12, spdc_p1=0.11,
-                                 fidelity_floor=None, eta_s=0.85,
+    spdc_a = dataclasses.replace(SPDC, spdc_p1=0.03, eta_s=0.7, channel_loss_db=4.0)
+    spdc_b = dataclasses.replace(SPDC, mux_n=12, spdc_p1=0.11, eta_s=0.85,
                                  channel_loss_db=9.0)
     pairs = [(dataclasses.replace(left, pnr=pnr),
               dataclasses.replace(right, pnr=pnr))
@@ -139,7 +137,7 @@ def test_heralded_state_matches_joint_profile_pooling(pnr):
                                channel_loss_db=3.0)
     qd_b = dataclasses.replace(QD, qd_g2=0.08, qd_I=0.85, eta_s=0.55,
                                channel_loss_db=11.0)
-    spdc = dataclasses.replace(SPDC, spdc_p1=0.06, fidelity_floor=None,
+    spdc = dataclasses.replace(SPDC, spdc_p1=0.06,
                                eta_s=0.7, channel_loss_db=6.0)
     for left, right in ((qd_a, qd_b), (qd_a, spdc), (spdc, qd_b)):
         left = dataclasses.replace(left, pnr=pnr)
@@ -219,7 +217,7 @@ def test_kernel_matches_mixing_oracle(fresh_kernels):
 
 def test_kernel_matches_mixing_oracle_at_cutoff_3(monkeypatch, fresh_kernels):
     monkeypatch.setattr(swap, "_MAX_PAIRS", 3)
-    spdc = dataclasses.replace(SPDC, spdc_p1=0.05, fidelity_floor=None)
+    spdc = dataclasses.replace(SPDC, spdc_p1=0.05)
     three = [core for _, core, _ in swap._side_branches(spdc)][-1]
     assert three == (PAIR,) * 3
     for other in SPDC_CORES + (QD_CORES[-1],):
@@ -309,7 +307,7 @@ def test_heralded_state_matches_dict_path_at_cutoff_3(monkeypatch,
     assert swap._extent() == 4
     left = dataclasses.replace(QD, qd_g2=0.05, qd_I=0.9, channel_loss_db=4.0,
                                pnr=pnr)
-    right = dataclasses.replace(SPDC, spdc_p1=0.08, fidelity_floor=None,
+    right = dataclasses.replace(SPDC, spdc_p1=0.08,
                                 channel_loss_db=2.0, pnr=pnr)
     rho, herald = swap.heralded_state(left, right)
     rho_ref, herald_ref = pooled_heralded_state(left, right)
@@ -394,8 +392,7 @@ def test_photon_number_cutoff_converges(monkeypatch, fresh_kernels):
     pumped = []
     for pnr in (True, False):
         base = dataclasses.replace(SPDC, pnr=pnr)
-        pumped.append(dataclasses.replace(
-            base, spdc_p1=swap.optimise_pump(base), fidelity_floor=None))
+        pumped.append(dataclasses.replace(base, spdc_p1=swap.optimise_pump(base, 0.97)))
     for s in pumped:
         fids = []
         for cutoff in (2, 3, 4):
@@ -442,7 +439,7 @@ def test_herald_probability_leading_order_with_multiphoton():
         ratio = dist.probs[2] / dist.probs[1]
         for _ in range(4):
             s = dataclasses.replace(
-                SPDC, spdc_p1=p1, fidelity_floor=None,
+                SPDC, spdc_p1=p1,
                 eta_s=float(rng.uniform(0.3, 0.9)),
                 eta_det=float(rng.uniform(0.5, 0.95)),
                 channel_loss_db=float(rng.uniform(0.0, 8.0)))
@@ -455,24 +452,24 @@ def test_pump_optimisation_bands():
     for stat, with_pnr, without_pnr in (("thermal", 0.12217, 0.01411),
                                         ("poissonian", 0.21430, 0.02783)):
         base = dataclasses.replace(SPDC, spdc_statistics=stat)
-        p_pnr = swap.optimise_pump(base)
-        p_thr = swap.optimise_pump(dataclasses.replace(base, pnr=False))
+        p_pnr = swap.optimise_pump(base, 0.97)
+        p_thr = swap.optimise_pump(dataclasses.replace(base, pnr=False), 0.97)
         assert abs(p_pnr - with_pnr) <= 5e-4
         assert abs(p_thr - without_pnr) <= 5e-4
         assert p_pnr >= 0.10
         assert 0.01 <= p_thr <= 0.05
         # the optimum respects the fidelity floor
-        check = dataclasses.replace(base, spdc_p1=p_pnr, fidelity_floor=None)
+        check = dataclasses.replace(base, spdc_p1=p_pnr)
         assert swap.swap_once(check, check).fidelity >= 0.97 - 1e-12
 
 
 def test_unattainable_fidelity_floor():
     # the text quotes the full singlet fraction at the bottom of the bracket
     for pnr in (True, False):
-        s = dataclasses.replace(SPDC, pnr=pnr, fidelity_floor=1.0)
+        s = dataclasses.replace(SPDC, pnr=pnr)
         with pytest.raises(ModelDomainError, match="unattainable") as err:
-            swap.optimise_pump(s)
-        at_lo = dataclasses.replace(s, spdc_p1=1e-6, fidelity_floor=None)
+            swap.optimise_pump(s, 1.0)
+        at_lo = dataclasses.replace(s, spdc_p1=1e-6)
         quoted = str(err.value).rsplit(" ", 1)[1]
         assert quoted == f"{swap.swap_once(at_lo, at_lo).fidelity:.6g}"
 
@@ -486,8 +483,8 @@ def test_pump_search_matches_eigh_oracle(pnr, statistics):
     for floor, mux_n, loss in itertools.product((0.9, 0.97, 0.99), (1, 3, 10, 100),
                                                 (0.0, 10.0, 30.0)):
         s = dataclasses.replace(SPDC, pnr=pnr, spdc_statistics=statistics,
-                                fidelity_floor=floor, mux_n=mux_n, channel_loss_db=loss)
-        assert swap._pump_search(s) == eigh_pump_search(s)
+                                mux_n=mux_n, channel_loss_db=loss)
+        assert swap._pump_search(s, floor) == eigh_pump_search(s, floor)
 
 
 def test_pump_search_takes_the_singlet_fraction_where_r_cannot_decide(monkeypatch):
@@ -500,19 +497,19 @@ def test_pump_search_takes_the_singlet_fraction_where_r_cannot_decide(monkeypatc
 
     monkeypatch.setattr(swap, "_heralded", counted)
     # r <= 1/2 at the top of the bracket
-    swap._pump_search(dataclasses.replace(SPDC, pnr=False, channel_loss_db=30.0))
+    swap._pump_search(dataclasses.replace(SPDC, pnr=False, channel_loss_db=30.0), 0.97)
     assert calls[0] > 1
     # the floor exactly at an interior grid pump's fidelity
     grid = np.geomspace(1e-6, photostat.SPDC_P1_CEILING["thermal"] * (1.0 - 1e-9), 9)
-    at = dataclasses.replace(SPDC, spdc_p1=float(grid[4]), fidelity_floor=None)
-    s = dataclasses.replace(SPDC, fidelity_floor=swap.swap_once(at, at).fidelity)
+    at = dataclasses.replace(SPDC, spdc_p1=float(grid[4]))
+    floor = swap.swap_once(at, at).fidelity
     calls[0] = 0
-    got = swap._pump_search(s)
+    got = swap._pump_search(SPDC, floor)
     assert calls[0] > 1
-    assert got == eigh_pump_search(s)
+    assert got == eigh_pump_search(SPDC, floor)
     # elsewhere, only the returned pump's herald takes it
     calls[0] = 0
-    swap._pump_search(SPDC)
+    swap._pump_search(SPDC, 0.97)
     assert calls[0] == 1
 
 
@@ -523,17 +520,17 @@ def test_pump_search_certifies_the_psi_minus_overlap():
     u = np.kron([[c, -s], [s, c]], np.eye(2))
     configs = {key: u @ block @ u.conj().T
                for key, block in swap._pair_configs(SPDC).items()}
-    assert eigh_pump_search(SPDC, configs) == pytest.approx(swap._pump_search(SPDC),
-                                                           rel=1e-12)
+    assert eigh_pump_search(SPDC, 0.97, configs) == pytest.approx(
+        swap._pump_search(SPDC, 0.97), rel=1e-12)
     with pytest.raises(NumericalError, match="couples Psi-"):
-        swap._pump_search(SPDC, configs)
+        swap._pump_search(SPDC, 0.97, configs)
 
 
 def test_pair_rate_formulas():
     qd = swap.SwapScenario(source_kind="qd_postselected", rep_rate_hz=1e9,
                            eta_s=0.4)
     assert abs(swap.pair_rate(qd) - 0.5 * 1e9 * 0.16) <= 1e-6
-    sp = dataclasses.replace(SPDC, spdc_p1=0.02, fidelity_floor=None)
+    sp = dataclasses.replace(SPDC, spdc_p1=0.02)
     expected = sp.rep_rate_hz * 0.02 * sp.eta_collect ** 2
     assert abs(swap.pair_rate(sp) - expected) <= 1e-6
     # multiplexing boosts the effective single-pair probability
@@ -587,15 +584,13 @@ def test_loss_sweep_table():
     for row in rows:
         for col, mux_n in ((2, 1), (3, 10), (4, 30)):
             s = dataclasses.replace(SPDC, mux_n=mux_n, channel_loss_db=row[0])
-            s = dataclasses.replace(s, spdc_p1=swap.optimise_pump(s))
+            s = dataclasses.replace(s, spdc_p1=swap.optimise_pump(s, 0.97))
             ref = swap.swap_once(s, s).rate_hz
             assert abs(row[col] - ref) <= 1e-12 * ref
-    # a configured pump is used as it is
+    # the sweep chooses every pump, so a configured one is refused, not ignored
     fixed = dataclasses.replace(SPDC, spdc_p1=0.02)
-    row = swap.sweep_loss(QD, fixed, loss_grid_db=(5.0,), mux_sizes=(10,))["rows"][0]
-    for col, mux_n in ((2, 1), (3, 10)):
-        s = dataclasses.replace(fixed, mux_n=mux_n, channel_loss_db=5.0)
-        assert row[col] == swap.swap_once(s, s).rate_hz
+    with pytest.raises(ConfigError, match="spdc_p1"):
+        swap.sweep_loss(QD, fixed, loss_grid_db=(5.0,), mux_sizes=(10,))
 
 
 def test_loss_grid():
@@ -613,7 +608,7 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         swap.SwapScenario(source_kind="laser")
     with pytest.raises(ConfigError):
-        # no pump probability and no fidelity floor to derive one from
+        # no pump probability
         swap.pair_rate(swap.SwapScenario(source_kind="spdc"))
     with pytest.raises(ConfigError):
         swap.SwapScenario(source_kind="qd_postselected", eta_s=1.5)

@@ -154,6 +154,19 @@ def test_csv_rejects_non_finite_values(tmp_path, column, value, message):
         tomo.records_from_csv(path)
 
 
+@pytest.mark.parametrize("edit, message", (
+    (lambda lines: ["angle" + lines[0]] + lines[1:], "unexpected CSV header"),
+    (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+     f"line 4: expected {len(tomo.CSV_HEADER)} fields")), ids=("header", "short row"))
+def test_csv_rejects_a_malformed_layout(tmp_path, edit, message):
+    path = tmp_path / "counts.csv"
+    tomo.records_to_csv(tomo.simulate_counts(tq.werner(0.8), tomo.standard_settings(),
+                                             1000, seed=9), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        tomo.records_from_csv(path)
+
+
 def test_bootstrap_deterministic_and_calibrated():
     ss = tomo.standard_settings()
     records = tomo.simulate_counts(tq.werner(0.9), ss, 200000, seed=3)
