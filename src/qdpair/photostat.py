@@ -1,12 +1,13 @@
 """Photon-number statistics and the efficiency/rate budget of the source.
 
-Covers three things: (i) the per-pulse photon-number distribution of a
-pulsed quantum emitter parameterised by its second-order correlation
-g2, and of a parametric pair source parameterised by its single-pair
-probability; (ii) the per-pulse detection-outcome probabilities behind
-the weighted-fidelity model; (iii) the conversion between the measured
-optical-loss budget and the entangled-pair rate, both forward (from the
-emitter) and backward (from detected coincidences).
+Covers three things: (i) the per-pulse photon-number distribution, a
+plain tuple of probabilities P_0 .. P_k, of a pulsed quantum emitter
+parameterised by its second-order correlation g2, and of a parametric
+pair source parameterised by its single-pair probability; (ii) the
+per-pulse detection-outcome probabilities behind the weighted-fidelity
+model; (iii) the conversion between the measured optical-loss budget and
+the entangled-pair rate, both forward (from the emitter) and backward
+(from detected coincidences).
 """
 
 from __future__ import annotations
@@ -18,33 +19,16 @@ from dataclasses import dataclass
 from .errors import ConfigError, ContractError, ModelDomainError, check_ranges
 
 
-@dataclass(frozen=True)
-class PhotonNumberDistribution:
-    """Per-pulse photon-number probabilities P_0 .. P_k."""
-
-    probs: tuple
-
-    def __post_init__(self):
-        p = tuple(float(x) for x in self.probs)
-        if not p:
-            raise ContractError("distribution needs at least one entry")
-        if not all(-1e-12 <= x < math.inf for x in p):
-            raise ContractError(f"probabilities must be finite and non-negative, got {p}")
-        if abs(sum(p) - 1.0) > 1e-9:
-            raise ContractError(f"probabilities sum to {sum(p)!r}, expected 1")
-        object.__setattr__(self, "probs", p)
-
-
-def qd_distribution_from_g2(g2: float) -> PhotonNumberDistribution:
-    """Per-pulse distribution of a pulsed single-photon emitter with
-    two-photon component g2.
+def qd_distribution_from_g2(g2: float) -> tuple:
+    """Per-pulse photon-number probabilities (P_0, P_1, P_2) of a pulsed
+    single-photon emitter with two-photon component g2.
 
     Mapping: P_2 = g2/2, P_1 = 1 - g2, P_0 = g2/2.  The mean is then
     exactly 1 and sum n (n - 1) P_n = g2, so the pulsed g2 of the
     distribution, <n(n-1)>/<n>^2, is the input.  Valid for g2 < 0.5.
     """
     check_ranges(ModelDomainError, {"g2": "[0, 0.5)"}, g2=g2)
-    return PhotonNumberDistribution((g2 / 2.0, 1.0 - g2, g2 / 2.0))
+    return (g2 / 2.0, 1.0 - g2, g2 / 2.0)
 
 
 # Largest single-pair probability each pair-number statistics can produce:
@@ -53,8 +37,9 @@ SPDC_P1_CEILING = {"thermal": 0.25, "poissonian": math.exp(-1.0)}
 
 
 def spdc_pair_distribution(pair_prob: float, statistics: str = "thermal",
-                           max_pairs: int = 4) -> PhotonNumberDistribution:
-    """Pair-number distribution of a parametric source with P_1 = pair_prob.
+                           max_pairs: int = 4) -> tuple:
+    """Pair-number probabilities (P_0 .. P_max_pairs) of a parametric source
+    with P_1 = pair_prob.
 
     ``thermal`` inverts P_1 = (1 - lam) lam for the small root
     lam = (1 - sqrt(1 - 4 p)) / 2 (single-mode statistics);
@@ -76,51 +61,42 @@ def spdc_pair_distribution(pair_prob: float, statistics: str = "thermal",
 
         # math.exp(-1) rounds just past the branch point -1/e of W0, where
         # lambertw returns nan; the root there is nu = 1.
-        nu = 1.0 if pair_prob == ceiling else -lambertw(-pair_prob).real
+        nu = 1.0 if pair_prob == ceiling else float(-lambertw(-pair_prob).real)
         raw = [math.exp(-nu) * nu ** n / math.factorial(n)
                for n in range(max_pairs + 1)]
     total = sum(raw)
-    return PhotonNumberDistribution(tuple(x / total for x in raw))
+    return tuple(x / total for x in raw)
 
 
-@dataclass(frozen=True)
-class DetectionOutcomes:
-    """Per-pulse single-arm detection outcome probabilities.
-
-    x_two:        both emitted photons detected
-    x_signal:     the intended single photon detected (alone)
-    x_background: only the extra (background) photon detected
-    x_none:       nothing detected
-    """
-
-    x_two: float
-    x_signal: float
-    x_background: float
-    x_none: float
-
-
-def detection_outcomes(dist: PhotonNumberDistribution, eta: float) -> DetectionOutcomes:
-    """Detection-outcome probabilities for a pulse with up to two photons
-    passing a total transmission ``eta``.
+def detection_outcomes(probs, eta: float) -> tuple:
+    """Detection-outcome probabilities (X_2, X_Q, X_B, X_0) of a pulse with
+    photon-number probabilities ``probs`` = (P_0, P_1, P_2) passing a total
+    transmission ``eta``: both emitted photons detected, the intended single
+    photon detected alone, only the extra (background) photon detected, and
+    nothing detected.
 
         X_2 = P_2 eta^2
         X_Q = P_1 eta + P_2 eta (1 - eta)
         X_B = P_2 eta (1 - eta)
         X_0 = P_0 + P_1 (1 - eta) + P_2 (1 - eta)^2
 
-    which sum to one exactly.
+    which sum to one exactly.  A distribution is checked here, where it
+    enters: each entry must be a number in [0, 1], the entries must sum to
+    1 within 1e-9 and none past P_2 may carry weight, else ContractError.
     """
-    check_ranges(ContractError, {"eta": "[0, 1]"}, eta=eta)
-    if len(dist.probs) > 3 and any(p > 0 for p in dist.probs[3:]):
+    named = {f"probs[{i}]": p for i, p in enumerate(probs)}
+    check_ranges(ContractError, {"eta": "[0, 1]", **dict.fromkeys(named, "[0, 1]")},
+                 eta=eta, **named)
+    p = tuple(named.values())
+    if abs(sum(p) - 1.0) > 1e-9:
+        raise ContractError(f"probs sum to {sum(p)!r}, expected 1")
+    if any(p[3:]):
         raise ContractError("detection_outcomes requires support on at most 2 photons")
-    p = list(dist.probs) + [0.0, 0.0]
-    p0, p1, p2 = p[0], p[1], p[2]
-    return DetectionOutcomes(
-        x_two=p2 * eta ** 2,
-        x_signal=p1 * eta + p2 * eta * (1.0 - eta),
-        x_background=p2 * eta * (1.0 - eta),
-        x_none=p0 + p1 * (1.0 - eta) + p2 * (1.0 - eta) ** 2,
-    )
+    p0, p1, p2 = (p + (0.0, 0.0))[:3]
+    return (p2 * eta ** 2,
+            p1 * eta + p2 * eta * (1.0 - eta),
+            p2 * eta * (1.0 - eta),
+            p0 + p1 * (1.0 - eta) + p2 * (1.0 - eta) ** 2)
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,8 @@ class SwapScenario:
     sources.  ``eta_s`` is the per-photon collection efficiency of the
     source; ``eta_det`` applies to the midpoint detectors only;
     ``channel_loss_db`` is the one-way loss of this source's inner arm.
-    ``spdc_p1`` is the single-pair probability per pulse, which every SPDC
+    ``spdc_p1`` is the single-pair probability per pulse, at most
+    ``photostat.SPDC_P1_CEILING`` of its ``spdc_statistics``, which every SPDC
     swap and pair rate needs; ``optimise_pump`` chooses one against a floor.
     An SPDC source with ``mux_n`` > 1 is multiplexed: it combines
     ``mux_n`` heralded units through one switch traversal (``switch_eta``
@@ -153,15 +154,19 @@ class SwapScenario:
         "rep_rate_hz": "(0, inf)", "eta_s": "[0, 1]", "eta_det": "[0, 1]",
         "switch_eta": "[0, 1]", "insertion_eta": "[0, 1]",
         "channel_loss_db": "[0, inf)",
-        "qd_g2": "[0, 0.5)", "qd_I": "[0, 1]", "spdc_p1": "(0, 0.5) or None",
+        "qd_g2": "[0, 0.5)", "qd_I": "[0, 1]",
+        "spdc_p1": "(0, inf) or None",   # up to the ceiling of spdc_statistics
         "mux_n": "int (0, inf)"}
 
     def __post_init__(self):
         if self.source_kind not in SOURCE_KINDS:
             raise ConfigError(f"unknown source_kind {self.source_kind!r}")
-        check_ranges(ConfigError, self.INTERVALS, **vars(self))
         if self.spdc_statistics not in photostat.SPDC_P1_CEILING:
             raise ConfigError(f"unknown spdc_statistics {self.spdc_statistics!r}")
+        ceiling = photostat.SPDC_P1_CEILING[self.spdc_statistics]
+        check_ranges(ConfigError,
+                     {**self.INTERVALS, "spdc_p1": f"(0, {ceiling!r}] or None"},
+                     **vars(self))
         if self.source_kind == "qd_postselected" and self.mux_n != 1:
             raise ConfigError("quantum-dot sources take mux_n = 1")
 
@@ -212,13 +217,12 @@ class SwapResult(NamedTuple):
 # Number statistics.
 
 def _spdc_numbers(p1: float, statistics: str, mux_n: int):
-    """Pair-number probabilities (0 to _MAX_PAIRS pairs) of one source unit,
-    boosted by multiplexing: the combined source fires whenever any of
-    the mux_n units does, and the selected unit keeps the single-unit
+    """Pair-number probabilities (a tuple, 0 to _MAX_PAIRS pairs) of one
+    source unit, boosted by multiplexing: the combined source fires whenever
+    any of the mux_n units does, and the selected unit keeps the single-unit
     conditional statistics."""
-    dist = photostat.spdc_pair_distribution(p1, statistics=statistics,
-                                            max_pairs=_MAX_PAIRS)
-    probs = list(dist.probs)
+    probs = photostat.spdc_pair_distribution(p1, statistics=statistics,
+                                             max_pairs=_MAX_PAIRS)
     if mux_n == 1:
         return probs
     p_fire = 1.0 - probs[0]
@@ -226,8 +230,7 @@ def _spdc_numbers(p1: float, statistics: str, mux_n: int):
         return probs
     boosted = 1.0 - (1.0 - p_fire) ** mux_n
     scale = boosted / p_fire
-    out = [1.0 - boosted] + [p * scale for p in probs[1:]]
-    return out
+    return (1.0 - boosted,) + tuple(p * scale for p in probs[1:])
 
 
 def _qd_window_cases(g2: float, indist: float):
@@ -240,7 +243,7 @@ def _qd_window_cases(g2: float, indist: float):
     second photon of a double emission is broadband re-excitation
     noise."""
     q = math.sqrt(indist)
-    p0, p1, p2 = photostat.qd_distribution_from_g2(g2).probs
+    p0, p1, p2 = photostat.qd_distribution_from_g2(g2)
     return (
         (p0, 0, 0, 0),
         (p1 * q, 1, 0, 0),

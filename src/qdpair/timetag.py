@@ -221,7 +221,7 @@ def _qd_photon_numbers(rng, n: int, g2: float):
     """Per-pulse photon number as masks (>= 1, == 2), from the uniform
     draw and the cdf with which ``rng.choice`` samples the emitter's
     distribution, so the masks and the generator state match that call."""
-    cdf = np.array(photostat.qd_distribution_from_g2(g2).probs).cumsum()
+    cdf = np.cumsum(photostat.qd_distribution_from_g2(g2))
     cdf /= cdf[-1]
     one, two = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     for b in _pulse_blocks(n):
@@ -646,6 +646,9 @@ def hom_corrected_visibility(a: HomAnalysis) -> float:
     V = V_raw [1 + 2 g2] (R^2 + T^2) / (2 R T (1 - epsilon)^2)."""
     if a.bs_r <= 0.0 or a.bs_t <= 0.0:
         raise ModelDomainError("beamsplitter R and T must both be nonzero")
+    if a.epsilon >= 1.0:
+        raise ModelDomainError("epsilon must be below 1: a first-order visibility "
+                               "of 0 leaves nothing to correct by")
     balance = (a.bs_r ** 2 + a.bs_t ** 2) / (2.0 * a.bs_r * a.bs_t)
     return a.v_raw * (1.0 + 2.0 * a.g2) * balance / (1.0 - a.epsilon) ** 2
 

@@ -92,10 +92,11 @@ class MeasurementSetting:
     label1: str = "custom"
     label2: str = "custom"
 
+    INTERVALS = {"hwp1_deg": "(-inf, inf)", "qwp1_deg": "(-inf, inf)",
+                 "hwp2_deg": "(-inf, inf)", "qwp2_deg": "(-inf, inf)"}
+
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.hwp1_deg, self.qwp1_deg,
-                                       self.hwp2_deg, self.qwp2_deg))):
-            raise ContractError("waveplate angles must be finite")
+        check_ranges(ContractError, self.INTERVALS, **vars(self))
 
     @classmethod
     def from_names(cls, name1: str, name2: str) -> "MeasurementSetting":

@@ -140,17 +140,18 @@ def postselected_weights(g2: float, eta: float = 0.05) -> tuple:
     """Relative weights of the post-selected outcome classes.
 
     Given the per-pulse detection outcomes (X_2, X_Q, X_B, X_0) of each
-    arm, a registered coincidence is the entangled signal-signal outcome
+    arm, as ``photostat.detection_outcomes`` returns them for the emitter's
+    photon-number probabilities at ``g2``, a registered coincidence is the entangled signal-signal outcome
     with probability P(rho_Q) = X_Q^2 / 2, a same-pulse two-photon event
     P(rho_B0) = X_2 X_0, or a signal-background or background-background
     event P(rho_Bhalf) = X_Q X_B + X_B^2 / 2.  Returns the three weights
     normalised to unit sum, ordered (signal, background_half, background_zero).
     """
-    dist = photostat.qd_distribution_from_g2(g2)
-    x = photostat.detection_outcomes(dist, eta)
-    p_q = 0.5 * x.x_signal ** 2
-    p_b_half = x.x_signal * x.x_background + 0.5 * x.x_background ** 2
-    p_b_zero = x.x_two * x.x_none
+    x_two, x_signal, x_background, x_none = photostat.detection_outcomes(
+        photostat.qd_distribution_from_g2(g2), eta)
+    p_q = 0.5 * x_signal ** 2
+    p_b_half = x_signal * x_background + 0.5 * x_background ** 2
+    p_b_zero = x_two * x_none
     total = p_q + p_b_half + p_b_zero
     if total <= 0.0:
         raise ModelDomainError("no post-selected events at these parameters")

@@ -209,8 +209,9 @@ def test_criterion_10_engine_invariants():
     # detection-outcome normalisation, 50 cases
     for _ in range(50):
         dist = photostat.qd_distribution_from_g2(float(rng.uniform(0.0, 0.3)))
-        o = photostat.detection_outcomes(dist, float(rng.uniform(0.02, 0.98)))
-        assert abs(o.x_two + o.x_signal + o.x_background + o.x_none
+        x_two, x_signal, x_background, x_none = photostat.detection_outcomes(
+            dist, float(rng.uniform(0.02, 0.98)))
+        assert abs(x_two + x_signal + x_background + x_none
                    - 1.0) <= 1e-12
 
     # loss channel versus Monte Carlo binomial thinning, 50 cases

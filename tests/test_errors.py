@@ -23,6 +23,7 @@ RECORDS = (
     (swap.SwapScenario(source_kind="spdc", spdc_p1=0.05, mux_n=10), ConfigError),
     (wavepacket.WavepacketParams(), ContractError),
     (photostat.Efficiency(0.5, 0.01), ContractError),
+    (tomography.MeasurementSetting(22.5, 45.0, -22.5, 45.0), ContractError),
     (tomography.CountRecord(tomography.MeasurementSetting.from_names("H", "V"), 10),
      ContractError),
 )
@@ -104,9 +105,18 @@ ARGUMENTS = {
     "cross_pol_normalisation.area_crosspol_sidepeak": (
         lambda: timetag.cross_pol_normalisation(1.0, math.nan), ContractError,
         "area_crosspol_sidepeak"),
-    "PhotonNumberDistribution.probs": (
-        lambda: photostat.PhotonNumberDistribution((math.nan, 0.5, 0.5)), ContractError,
-        "probabilities"),
+    "detection_outcomes.probs=nan": (
+        lambda: photostat.detection_outcomes((math.nan, 0.5, 0.5), 0.5), ContractError,
+        re.escape("probs[0]")),
+    "detection_outcomes.probs<0": (
+        lambda: photostat.detection_outcomes((0.5, 0.6, -0.1), 0.5), ContractError,
+        re.escape("probs[2]")),
+    "MeasurementSetting.hwp1_deg=True": (
+        lambda: tomography.MeasurementSetting(True, 0.0, 0.0, 0.0), ContractError,
+        "hwp1_deg"),
+    "MeasurementSetting.hwp1_deg='x'": (
+        lambda: tomography.MeasurementSetting("x", 0.0, 0.0, 0.0), ContractError,
+        "hwp1_deg"),
     "FockState.nmax=nan": (
         lambda: fock.FockState({(1, 0): 1.0}, nmax=math.nan, nmodes=2), ContractError,
         "nmax"),
@@ -236,6 +246,14 @@ REFUSALS = {
     "TwoQubitDensity.pure": (
         lambda: twoqubit.TwoQubitDensity.pure(np.zeros(4)),
         ContractError, "cannot build a state from the zero vector"),
+    "detection_outcomes.probs sum": (
+        lambda: photostat.detection_outcomes((0.5, 0.4, 0.05), 0.5), ContractError,
+        "probs sum to 0.95"),
+    # epsilon = 1 is a first-order visibility of 0, which the correction divides by
+    "hom_corrected_visibility.epsilon=1": (
+        lambda: timetag.hom_corrected_visibility(
+            timetag.HomAnalysis(0.9, 1.0, 0.5, 0.5, 0.01)),
+        ModelDomainError, "epsilon must be below 1"),
     "MeasurementSetting.from_names": (
         lambda: tomography.MeasurementSetting.from_names("H", "Q"),
         ContractError, "unknown setting name 'Q'"),

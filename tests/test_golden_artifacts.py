@@ -2,17 +2,24 @@
 
 Each case runs one command in process and hashes every file it writes,
 sidecars included.  An intended change of any artifact shows up as an edit
-to ``GOLDEN`` below.  The digests were recorded with Python 3.11.7,
-numpy 2.4.6 and scipy 1.17.1; another numpy, scipy or LAPACK build may
-round differently.
+to ``GOLDEN`` below.  The digests were recorded in ``RECORDED_WITH``; another
+numpy, scipy or LAPACK build may round differently, so a mismatch names
+both environments.
 """
 
 import hashlib
 import json
+import platform
+from importlib import metadata
 
 import pytest
 
 from qdpair import cli
+
+# The environment the digests below were recorded in.
+RECORDED_WITH = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+RUNNING = {"python": platform.python_version(),
+           **{name: metadata.version(name) for name in ("numpy", "scipy")}}
 
 # The sidecar of every default table: the default configuration and its digest.
 DEFAULT_SIDECAR = "cca4089206340d95c2c14f7abf3ab3a4780f77adc0aedb4ba2e5e97f0f710fb4"
@@ -79,4 +86,5 @@ def written_digests(tmp_path, argv, config) -> dict:
 @pytest.mark.parametrize("case", GOLDEN)
 def test_default_artifacts_are_byte_identical(tmp_path, case):
     argv, config, digests = GOLDEN[case]
-    assert written_digests(tmp_path, argv, config) == digests
+    assert written_digests(tmp_path, argv, config) == digests, (
+        f"digests recorded with {RECORDED_WITH}, running with {RUNNING}")

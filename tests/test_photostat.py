@@ -11,8 +11,7 @@ def test_qd_distribution_inverts_g2():
     rng = np.random.default_rng(10)
     for _ in range(60):
         g2 = float(rng.uniform(0.0, 0.2))
-        d = ps.qd_distribution_from_g2(g2)
-        probs = np.asarray(d.probs)
+        probs = np.asarray(ps.qd_distribution_from_g2(g2))
         assert probs.shape[0] == 3
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert abs(probs[0] - g2 / 2.0) <= 1e-12
@@ -36,8 +35,7 @@ def test_spdc_thermal_inversion_via_ratio():
     # truncation rescales all probabilities equally, so the P2/P1 ratio pins
     # the untruncated mean; check the requested single-pair probability
     for p in (0.01, 0.05, 0.1, 0.2, 0.24):
-        d = ps.spdc_pair_distribution(p, statistics="thermal")
-        probs = np.asarray(d.probs)
+        probs = np.asarray(ps.spdc_pair_distribution(p, statistics="thermal"))
         assert abs(probs.sum() - 1.0) <= 1e-12
         lam = probs[2] / probs[1]
         mu = lam / (1.0 - lam)
@@ -48,8 +46,7 @@ def test_spdc_thermal_inversion_via_ratio():
 
 def test_spdc_poissonian_inversion_via_ratio():
     for p in (0.01, 0.05, 0.1, 0.2, 0.3, 0.35):
-        d = ps.spdc_pair_distribution(p, statistics="poissonian")
-        probs = np.asarray(d.probs)
+        probs = np.asarray(ps.spdc_pair_distribution(p, statistics="poissonian"))
         assert abs(probs.sum() - 1.0) <= 1e-12
         mu = 2.0 * probs[2] / probs[1]
         assert abs(mu * np.exp(-mu) - p) <= 1e-7
@@ -60,7 +57,7 @@ def test_spdc_poissonian_inversion_is_exact():
     # ceiling where W0 has its branch point
     for p in list(np.geomspace(1e-6, np.exp(-1.0), 40)) + [np.exp(-1.0)]:
         d = ps.spdc_pair_distribution(p, statistics="poissonian")
-        nu = 2.0 * d.probs[2] / d.probs[1]
+        nu = 2.0 * d[2] / d[1]
         assert abs(nu * np.exp(-nu) - p) <= 1e-14 * p
 
 
@@ -81,29 +78,29 @@ def test_detection_outcomes_normalised_and_structured():
         g2 = float(rng.uniform(0.0, 0.3))
         eta = float(rng.uniform(0.02, 0.98))
         d = ps.qd_distribution_from_g2(g2)
-        o = ps.detection_outcomes(d, eta)
-        total = o.x_two + o.x_signal + o.x_background + o.x_none
+        x_two, x_signal, x_background, x_none = ps.detection_outcomes(d, eta)
+        total = x_two + x_signal + x_background + x_none
         assert abs(total - 1.0) <= 1e-12
-        p0, p1, p2 = d.probs
-        assert abs(o.x_two - p2 * eta ** 2) <= 1e-14
-        assert abs(o.x_background - p2 * eta * (1.0 - eta)) <= 1e-14
-        assert abs(o.x_signal - (p1 * eta + p2 * eta * (1.0 - eta))) <= 1e-14
+        p0, p1, p2 = d
+        assert abs(x_two - p2 * eta ** 2) <= 1e-14
+        assert abs(x_background - p2 * eta * (1.0 - eta)) <= 1e-14
+        assert abs(x_signal - (p1 * eta + p2 * eta * (1.0 - eta))) <= 1e-14
 
 
 def test_detection_outcomes_against_monte_carlo():
     d = ps.qd_distribution_from_g2(0.1)
     eta = 0.35
-    o = ps.detection_outcomes(d, eta)
+    x_two, x_signal, x_background, x_none = ps.detection_outcomes(d, eta)
     rng = np.random.default_rng(12)
     n = 400000
-    emitted = rng.choice(3, size=n, p=d.probs)
+    emitted = rng.choice(3, size=n, p=d)
     detected = rng.binomial(emitted, eta)
     est_two = np.mean(detected == 2)
     est_one = np.mean(detected == 1)
     est_none = np.mean(detected == 0)
-    for est, prob in ((est_two, o.x_two),
-                      (est_one, o.x_signal + o.x_background),
-                      (est_none, o.x_none)):
+    for est, prob in ((est_two, x_two),
+                      (est_one, x_signal + x_background),
+                      (est_none, x_none)):
         sigma = np.sqrt(prob * (1.0 - prob) / n)
         assert abs(est - prob) <= 5.0 * sigma + 1e-9
 
@@ -112,7 +109,7 @@ def test_detection_outcomes_validation():
     d = ps.qd_distribution_from_g2(0.05)
     with pytest.raises(ContractError):
         ps.detection_outcomes(d, 1.2)
-    wide = ps.PhotonNumberDistribution(probs=(0.4, 0.3, 0.2, 0.1))
+    wide = (0.4, 0.3, 0.2, 0.1)
     with pytest.raises(ContractError):
         ps.detection_outcomes(wide, 0.5)
 

@@ -436,7 +436,7 @@ def test_herald_probability_leading_order_with_multiphoton():
             assert abs(herald - closed) <= 8.0 * ratio * closed
     for p1 in (0.005, 0.02, 0.05):
         dist = photostat.spdc_pair_distribution(p1, statistics="thermal")
-        ratio = dist.probs[2] / dist.probs[1]
+        ratio = dist[2] / dist[1]
         for _ in range(4):
             s = dataclasses.replace(
                 SPDC, spdc_p1=p1,
@@ -629,3 +629,8 @@ def test_scenario_validation():
         with pytest.raises(ConfigError,
                            match=rf"^mux_sizes\[{index}\] must be in \[2, inf\)$"):
             swap.sweep_loss(QD, SPDC, loss_grid_db=(0.0,), mux_sizes=bad)
+    # a pump its statistics cannot produce; the ceiling itself is allowed
+    for statistics, p1 in (("thermal", 0.3), ("poissonian", 0.4)):
+        with pytest.raises(ConfigError, match="^spdc_p1 must be in "):
+            swap.SwapScenario.spdc_reference(spdc_p1=p1, spdc_statistics=statistics)
+    assert swap.SwapScenario.spdc_reference(spdc_p1=0.25).spdc_p1 == 0.25

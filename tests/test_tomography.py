@@ -140,7 +140,7 @@ def test_csv_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("column, value, message", (
     (7, "nan", "integration_time"), (7, "inf", "integration_time"),
-    (2, "nan", "waveplate angles"), (5, "-inf", "waveplate angles")))
+    (2, "nan", "hwp1_deg must be finite"), (5, "-inf", "qwp2_deg must be finite")))
 def test_csv_rejects_non_finite_values(tmp_path, column, value, message):
     path = tmp_path / "counts.csv"
     tomo.records_to_csv(tomo.simulate_counts(tq.werner(0.8), tomo.standard_settings(),
