@@ -736,24 +736,37 @@ def write_stream(stream: TimeTagStream, path) -> None:
     written from the array itself rather than from a copy of its bytes.
     The header carries the rep rate as a whole number of mHz, so 1/3 GHz
     reads back as 333333333.333 Hz; a rate that rounds outside
-    [1, 2**64) mHz is a ContractError and no file is written."""
+    [1, 2**64) mHz is a ContractError and no file is written.  The file
+    is written beside ``path`` and renamed onto it, so a stream read
+    from ``path``, whose records map the old file, stays whole; the
+    sibling is removed if the write fails."""
     rep_mhz = int(round(stream.rep_rate_hz * 1000.0))
     if not 1 <= rep_mhz < 2 ** 64:
         raise ContractError(f"rep_rate_hz must round to 1 .. 2**64 - 1 mHz "
                             f"for a stream file, got {stream.rep_rate_hz!r}")
     t0 = _T_ZERO_UNSET if stream.t_zero_ps is None else int(stream.t_zero_ps)
     header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, 0, rep_mhz, t0)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        stream.records.tofile(fh)
+    sibling = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(sibling, "xb")
+    try:
+        with fh:
+            fh.write(header)
+            stream.records.tofile(fh)
+        os.replace(sibling, path)
+    except BaseException:
+        os.unlink(sibling)
+        raise
 
 
 def read_stream(path) -> TimeTagStream:
     """The stream written by write_stream: its records, rep rate and
     reference, the header's unset marker read as None.  The rep rate is
     the header's whole number of mHz, so it reads back to the mHz of the
-    rate written.  The records are read whole and walked once, for their
-    order; every defect of the file is a ConfigError that names it."""
+    rate written.  The records are a read-only view of the mapped file,
+    walked once for their order; every defect of the file is a
+    ConfigError that names it.  The file must not be truncated in place
+    while a stream read from it is alive (write_stream replaces it by
+    rename, which is safe)."""
     def defect(what) -> ConfigError:
         return ConfigError(f"stream file {path}: {what}")
 
@@ -769,8 +782,10 @@ def read_stream(path) -> TimeTagStream:
         body = os.fstat(fh.fileno()).st_size - _HEADER.size
         if body % RECORD_DTYPE.itemsize != 0:
             raise defect(f"body of {body} bytes is not a whole number of records")
-        rec = np.fromfile(fh, dtype=RECORD_DTYPE,
-                          count=body // RECORD_DTYPE.itemsize)
+        # the map of the file checked above; it outlives the file object
+        count = body // RECORD_DTYPE.itemsize
+        rec = (np.memmap(fh, dtype=RECORD_DTYPE, mode="r", offset=_HEADER.size,
+                         shape=(count,)) if count else np.empty(0, RECORD_DTYPE))
     try:
         return TimeTagStream(rec, rep_mhz / 1000.0,
                              None if t0 == _T_ZERO_UNSET else t0)

@@ -109,6 +109,8 @@ class MeasurementSetting:
 
     @classmethod
     def from_angles(cls, hwp1_deg, qwp1_deg, hwp2_deg, qwp2_deg) -> "MeasurementSetting":
+        check_ranges(ContractError, cls.INTERVALS, hwp1_deg=hwp1_deg, qwp1_deg=qwp1_deg,
+                     hwp2_deg=hwp2_deg, qwp2_deg=qwp2_deg)
         k1 = waveplate_ket(hwp1_deg, qwp1_deg)
         k2 = waveplate_ket(hwp2_deg, qwp2_deg)
         return cls(float(hwp1_deg), float(qwp1_deg), float(hwp2_deg), float(qwp2_deg),

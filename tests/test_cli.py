@@ -169,6 +169,8 @@ def test_timetag_synth_and_analyse_roundtrip(tmp_path):
     stream = timetag.read_stream(out / "stream.qtt")
     sidecar = json.loads((out / "stream.config.json").read_text())
     assert sidecar["records"] == len(stream.records)
+    # the stream file is renamed into place: no sibling is left beside it
+    assert sorted(p.name for p in out.iterdir()) == ["stream.config.json", "stream.qtt"]
     out2 = tmp_path / "tta"
     assert run_cli("timetag", "analyse", "--config", cfg, "--out", str(out2),
                    "--format", "json") == 0

@@ -261,6 +261,17 @@ REFUSALS = {
         lambda: tomography.simulate_counts(twoqubit.werner(0.5), [], 1000, seed=1),
         ContractError, "settings must be nonempty"),
 }
+# Four waveplate angles are checked before any of them is used, whether a
+# setting is built from them or a pairs stream's analysis gives them.
+for _angles, _text in (((True, 0.0, 0.0, 0.0), "hwp1_deg must be a number"),
+                       ((0.0, "x", 0.0, 0.0), "qwp1_deg must be a number"),
+                       ((0.0, 0.0, None, 0.0), "hwp2_deg must be a number"),
+                       ((0.0, 0.0, 0.0, math.nan), "qwp2_deg must be finite")):
+    REFUSALS[f"MeasurementSetting.from_angles{_angles}"] = (
+        lambda a=_angles: tomography.MeasurementSetting.from_angles(*a),
+        ContractError, _text)
+    REFUSALS[f"StreamParams.analysis={_angles}"] = (
+        lambda a=_angles: timetag.StreamParams(analysis=a), ContractError, _text)
 
 
 @pytest.mark.parametrize("case", REFUSALS)

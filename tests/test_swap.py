@@ -386,6 +386,25 @@ def test_default_loss_sweep_matches_pinned_table():
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+# Largest relative shift of each SPDC column of the default fig5 table
+# (plain, mux 10, 30 and 100) when the cutoff rises from two pairs per
+# source to three, as measured; from three to four the largest is 2.55e-3.
+FIG5_SHIFTS_2_TO_3 = (5.46e-2, 4.69e-2, 3.20e-2, 1.79e-2)
+
+
+def test_default_loss_sweep_truncation_is_stated(monkeypatch, fresh_kernels):
+    # the default table, pumps included, at three and at four pairs per source
+    tables = [np.array(PINNED_FIG5_DEFAULT)]
+    for cutoff in (3, 4):
+        monkeypatch.setattr(swap, "_MAX_PAIRS", cutoff)
+        tables.append(np.array(swap.sweep_loss(QD, SPDC)["rows"]))
+    shifts = [np.max(np.abs(b[:, 1:] - a[:, 1:]) / a[:, 1:], axis=0)
+              for a, b in zip(tables, tables[1:])]
+    assert shifts[0][0] == shifts[1][0] == 0.0     # rate_qd has no pair cutoff
+    assert shifts[0][1:] == pytest.approx(FIG5_SHIFTS_2_TO_3, abs=5e-5)
+    assert np.all(shifts[1][1:] <= 3e-3)
+
+
 def test_photon_number_cutoff_converges(monkeypatch, fresh_kernels):
     # at the default fig5 pumps, the fidelity shift from a fourth pair per
     # source is at most a tenth of the shift from a third

@@ -511,6 +511,49 @@ def test_stream_file_without_records(tmp_path):
     assert back.t_zero_ps == 1234
 
 
+def test_stream_file_rewritten_onto_the_file_it_was_read_from(tmp_path):
+    # the records read are a read-only map of the file; writing them back
+    # onto it must not truncate the mapping they are written from.  A
+    # failed write is kept as text, since touching (or printing) records
+    # whose file was cut short under them kills the process with SIGBUS.
+    st = tt.synthesize_stream(tt.StreamParams(pulses=20000, seed=7))
+    path = tmp_path / "stream.ttg"
+    tt.write_stream(st, path)
+    back = tt.read_stream(path)
+    assert not back.records.flags.writeable
+    failure = None
+    try:
+        tt.write_stream(back, path)
+    except OSError as exc:
+        failure = str(exc)
+    assert failure is None
+    again = tt.read_stream(path)
+    assert np.array_equal(again.records, st.records)
+    assert np.array_equal(back.records, st.records)
+    assert [p.name for p in tmp_path.iterdir()] == ["stream.ttg"]
+
+
+def test_stream_file_kept_whole_when_a_write_fails(tmp_path, monkeypatch):
+    st = tt.synthesize_stream(tt.StreamParams(pulses=2000, seed=7))
+    path = tmp_path / "stream.ttg"
+    tt.write_stream(st, path)
+    raw = path.read_bytes()
+    # a rate the header cannot carry is refused before anything is made
+    with pytest.raises(ContractError, match="^rep_rate_hz must round to 1 "):
+        tt.write_stream(dataclasses.replace(st, rep_rate_hz=1e-4), path)
+    assert path.read_bytes() == raw
+    assert [p.name for p in tmp_path.iterdir()] == ["stream.ttg"]
+
+    # a write that fails after the sibling is made removes the sibling
+    def refused(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(tt.os, "replace", refused)
+    with pytest.raises(OSError, match="rename refused"):
+        tt.write_stream(tt.TimeTagStream(st.records[:10], st.rep_rate_hz), path)
+    assert path.read_bytes() == raw
+    assert [p.name for p in tmp_path.iterdir()] == ["stream.ttg"]
+
+
 def test_stream_file_error_handling(tmp_path):
     st = tt.synthesize_stream(tt.StreamParams(pulses=1000, seed=2))
     path = tmp_path / "stream.ttg"
