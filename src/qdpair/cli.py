@@ -273,18 +273,16 @@ def cmd_entangle(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
         settings = tomography.standard_settings()
         records = tomography.simulate_counts(rho, settings, tomo["pairs"],
                                              seed=resolved["seed"])
-        rho_hat, loglike = tomography.mle_reconstruct(records)
+        fit = tomography.reconstruct(records, tomo["bootstrap"], seed=resolved["seed"])
         recon = {
-            "density_matrix": rho_hat.to_json(),
-            "singlet_fraction": float(twoqubit.singlet_fraction(rho_hat).value),
-            "log_likelihood": float(loglike),
+            "density_matrix": fit.state.to_json(),
+            "singlet_fraction": fit.singlet_fraction,
+            "log_likelihood": fit.log_likelihood,
             "settings": len(settings),
             "pairs": tomo["pairs"],
         }
         if tomo["bootstrap"] > 0:
-            recon["singlet_fraction_sigma"] = float(
-                tomography.bootstrap_uncertainty(records, tomo["bootstrap"],
-                                                 seed=resolved["seed"]))
+            recon["singlet_fraction_sigma"] = fit.singlet_fraction_sigma
         payload["reconstruction"] = recon
     return [_write_json(out_dir / "entangle.json", payload, resolved, digest)]
 

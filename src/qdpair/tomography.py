@@ -14,10 +14,12 @@ keeps sigma positive definite, and a Frank-Wolfe gap computed apart from
 the solver bounds how far the likelihood can lie below its maximum.
 Every reconstruction is a row of one stack of count vectors on one set
 of settings: the solver steps the rows in lockstep, each on its own path,
-and the certificate checks them all at once.  A single reconstruction is
-a stack of one; ``singlet_fractions`` solves and certifies a bootstrap's
-resamples, or a filter sweep's windows, in one call.  Each setting builds
-its joint projector once and keeps it.
+and the certificate checks them all at once.  ``reconstruct`` solves the
+observed counts as row 0 of one stack with their bootstrap resamples, a
+single reconstruction being a stack of one; ``singlet_fractions`` solves
+and certifies a filter sweep's windows in one call.  Each setting builds
+its joint projector once and keeps it; the standard settings build theirs
+from the six canonical kets.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not at the first draw
@@ -151,9 +154,21 @@ class CountRecord:
 
 
 def standard_settings() -> list:
-    """The 36 joint settings over {H, V, D, A, R, L} per arm, row-major."""
-    return [MeasurementSetting.from_names(a, b)
-            for a in CANONICAL_ANGLES for b in CANONICAL_ANGLES]
+    """The 36 joint settings over {H, V, D, A, R, L} per arm, row-major.
+
+    The six canonical kets are made once per call, and every setting's
+    projector is filled in from them: the products that ``np.kron`` and
+    ``np.outer`` form on first use, for all 36 pairs at once.
+    """
+    kets = np.array([waveplate_ket(*angles) for angles in CANONICAL_ANGLES.values()])
+    joint = (kets[:, None, :, None] * kets[None, :, None, :]).reshape(36, 4)
+    projectors = joint[:, :, None] * joint.conj()[:, None, :]
+    projectors.flags.writeable = False
+    settings = [MeasurementSetting.from_names(a, b)
+                for a in CANONICAL_ANGLES for b in CANONICAL_ANGLES]
+    for setting, projector in zip(settings, projectors):
+        vars(setting)["_projector"] = projector   # the cached property's slot
+    return settings
 
 
 def setting_probability(rho: TwoQubitDensity, setting: MeasurementSetting) -> float:
@@ -168,12 +183,10 @@ def simulate_counts(rho: TwoQubitDensity, settings, total_pairs: int,
         raise ContractError("settings must be nonempty")
     check_ranges(ContractError, {"total_pairs": f"int [{MIN_PAIRS}, inf)"},
                  total_pairs=total_pairs)
-    rng = np.random.default_rng(seed)
-    out = []
-    for s in settings:
-        mean = total_pairs * setting_probability(rho, s)
-        out.append(CountRecord(s, int(rng.poisson(max(mean, 0.0))), integration_time))
-    return out
+    ops = np.array([s.joint_projector() for s in settings])
+    means = total_pairs * _trace(rho.matrix @ ops)
+    counts = np.random.default_rng(seed).poisson(np.maximum(means, 0.0))
+    return [CountRecord(s, n, integration_time) for s, n in zip(settings, counts.tolist())]
 
 
 def _measurement_ops(records):
@@ -239,6 +252,21 @@ def _relative_eigvals(m, w, v) -> np.ndarray:
     return np.linalg.eigvalsh(half.conj().swapaxes(-1, -2) @ m @ half)
 
 
+def _local_model(d, a, n, x) -> list:
+    """What the Newton step needs of each point x of the stack apart from
+    mu: the eigenpairs (w, v) of sigma(x), lam = d.x, and the gradient
+    g0 - mu gb and Hessian h0 + mu hb of f as [w, v, lam, g0, gb, h0, hb]."""
+    w, v = np.linalg.eigh(_hermitian(x))
+    s_inv = (v / w[:, None, :]) @ v.conj().swapaxes(1, 2)
+    s_inv_t = s_inv.swapaxes(1, 2)
+    lam = _mv(d, x)
+    # Tr[S E_k S E_l] = vec(E_k) (S^T kron S) vec(E_l)^dag
+    kron = s_inv_t[:, :, None, :, None] * s_inv[:, None, :, None, :]
+    return [w, v, lam, a - _mv(d.T, n / lam), _mv(_BASIS, s_inv_t.reshape(-1, 16)).real,
+            np.matmul(d.T * (n / lam ** 2)[:, None, :], d),
+            (_BASIS @ kron.reshape(-1, 16, 16) @ _BASIS_H).real]
+
+
 def _barrier_newton(d, n) -> tuple:
     """Unnormalised ML states by log-barrier Newton over the packed x, for
     a (B, S) stack of counts n sharing the design d.
@@ -253,7 +281,10 @@ def _barrier_newton(d, n) -> tuple:
     cancelling large terms; a backtracking search that finds no decrease
     in 50 halvings ends the mu level.
 
-    The rows still running step in lockstep, each with its own mu.  Every
+    The rows still running step in lockstep, each with its own mu.  Only
+    the rows that search compute a search, and only those that step
+    recompute their local model (``_local_model``); a row whose level ends
+    keeps its point, and its next Newton system reuses that model.  Every
     stacked matmul, eigh, eigvalsh and solve calls, row by row, the BLAS
     or LAPACK routine that the same expression calls on one unstacked
     problem, so each row follows bit for bit the path it follows alone.
@@ -269,41 +300,47 @@ def _barrier_newton(d, n) -> tuple:
     live = np.arange(len(n))
     sigma = np.empty((len(n), 4, 4), dtype=complex)
     steps = np.empty(len(n), dtype=int)
+    model = _local_model(d, a, n, x)
     iteration = 0
     while live.size:
         iteration += 1
-        w, v = np.linalg.eigh(_hermitian(x))
-        s_inv = (v / w[:, None, :]) @ v.conj().swapaxes(1, 2)
-        s_inv_t = s_inv.swapaxes(1, 2)
-        lam = _mv(d, x)
-        grad = a - _mv(d.T, n / lam) - mu[:, None] * _mv(
-            _BASIS, s_inv_t.reshape(-1, 16)).real
-        # Tr[S E_k S E_l] = vec(E_k) (S^T kron S) vec(E_l)^dag
-        kron = s_inv_t[:, :, None, :, None] * s_inv[:, None, :, None, :]
-        hess = (np.matmul(d.T * (n / lam ** 2)[:, None, :], d) + mu[:, None, None] * (
-            _BASIS @ kron.reshape(-1, 16, 16) @ _BASIS_H).real)
-        step = -np.linalg.solve(hess, grad[..., None])[..., 0]
+        w, v, lam, g0, gb, h0, hb = model
+        grad = g0 - mu[:, None] * gb
+        step = -np.linalg.solve(h0 + mu[:, None, None] * hb, grad[..., None])[..., 0]
         decrement = _dot(-grad, step)
         # the rows that search, then those that step; a NaN decrement ends
         # the level here, where it would fail the search
         moved = decrement > 1e-6 * mu
-        if np.count_nonzero(moved):
-            r = _mv(d, step) / lam
-            e = _relative_eigvals(_hermitian(step), w, v)   # ascending
+        rows = np.flatnonzero(moved)
+        if len(rows):
+            every = len(rows) == len(x)
+            k = slice(None) if every else rows
+            step, n_k, mu_k, decrement = step[k], n[k], mu[k], decrement[k]
+            r = _mv(d, step) / lam[k]
+            e = _relative_eigvals(_hermitian(step), w[k], v[k])   # ascending
             # a full step, or 0.99 of the way to the cone's edge where that
             # lies within one; the maximum keeps the unused quotients finite
             t = np.where(e[:, 0] > -1.0, 1.0, 0.99 / np.maximum(-e[:, 0], 1.0))
             slope = _dot(a, step)
-            pending = moved.copy()
+            pending = True
             for _ in range(50):
-                change = (t * slope - _dot(n, np.log1p(t[:, None] * r))
-                          - mu * np.log1p(t[:, None] * e).sum(-1))
-                pending &= ~(change <= -0.25 * t * decrement)
+                change = (t * slope - _dot(n_k, np.log1p(t[:, None] * r))
+                          - mu_k * np.log1p(t[:, None] * e).sum(-1))
+                pending = pending & ~(change <= -0.25 * t * decrement)
                 if not np.count_nonzero(pending):
                     break
                 t = np.where(pending, t * 0.5, t)
-            moved &= ~pending   # no decrease left at working precision
-            x = np.where(moved[:, None], x + t[:, None] * step, x)
+            x_k = x[k] + t[:, None] * step
+            if np.count_nonzero(pending):   # no decrease left at working precision
+                moved[rows[pending]] = False
+                x_k = np.where(pending[:, None], x[k], x_k)
+            new = _local_model(d, a, n_k, x_k)
+            if every:
+                x, model = x_k, new
+            else:
+                x[rows] = x_k
+                for arr, part in zip(model, new):
+                    arr[rows] = part
         level += moved
         ended = ~moved | (level == 50)
         if not np.count_nonzero(ended):
@@ -317,6 +354,7 @@ def _barrier_newton(d, n) -> tuple:
             keep = ~done
             live, x, n, n_total, mu, level = (
                 arr[keep] for arr in (live, x, n, n_total, mu, level))
+            model = [arr[keep] for arr in model]
     return sigma, steps
 
 
@@ -386,22 +424,55 @@ def _log_factorials(counts) -> float:
     return math.fsum(math.lgamma(n + 1.0) for n in counts.tolist())
 
 
-def mle_reconstruct(records) -> tuple:
-    """Maximum-likelihood state from Poisson count records.
+class Reconstruction(NamedTuple):
+    """The ML estimate of a set of count records, with the singlet
+    fractions of its parametric-bootstrap resamples (none without them)."""
 
-    Returns (TwoQubitDensity, log_likelihood).  The estimate is the
-    physical state maximising the product of per-setting Poisson terms;
-    the reported log-likelihood includes the full Poisson normalisation.
-    Solved by barrier Newton with a duality-gap certificate: one
-    deterministic solve, then a Frank-Wolfe gap computed apart from the
-    solver; a gap above GAP_BOUND = 1e-8 times the total counts raises
-    NumericalError.
+    state: TwoQubitDensity
+    log_likelihood: float
+    singlet_fraction: float
+    resampled: np.ndarray
+
+    @property
+    def singlet_fraction_sigma(self) -> float:
+        """Standard deviation of the resampled singlet fractions."""
+        return float(np.std(self.resampled, ddof=1))
+
+
+def reconstruct(records, resamples: int = 0, seed=None) -> Reconstruction:
+    """Maximum-likelihood state from Poisson count records, with a
+    parametric bootstrap of its singlet fraction.
+
+    The estimate maximises the product of per-setting Poisson terms; its
+    log-likelihood includes the full Poisson normalisation.  ``resamples``
+    (0, or at least MIN_RESAMPLES) draws of every setting's counts from
+    Poisson(observed), seeded by ``seed`` and in the order of a
+    resample-by-resample loop, follow the observed counts as rows of one
+    stack: one rank check, one solve, one duality-gap certificate (a gap
+    above GAP_BOUND = 1e-8 times a row's counts raises NumericalError) and
+    one stacked singlet fraction, each row bit for bit as if alone.
     """
-    ops, counts, design = _complete_design(records)
-    sigma, = _solve(ops, design, counts[None])
-    lam = np.einsum("sij,ji->s", ops, sigma).real
-    loglik = float(counts @ np.log(lam) - lam.sum() - _log_factorials(counts))
-    return _state(sigma), loglik
+    check_ranges(ContractError, {"resamples": f"int [{MIN_RESAMPLES}, inf) or None"},
+                 resamples=resamples or None)
+    ops, observed, design = _complete_design(records)
+    counts = observed[None]
+    if resamples:
+        draws = np.random.default_rng(seed).poisson(
+            observed, size=(resamples, len(observed))).astype(float)
+        counts = np.concatenate([counts, draws])
+    sigma = _solve(ops, design, counts)
+    states = _state(sigma)
+    fractions = singlet_fraction(states).value
+    lam = np.einsum("sij,ji->s", ops, sigma[0]).real
+    loglik = float(observed @ np.log(lam) - lam.sum() - _log_factorials(observed))
+    return Reconstruction(TwoQubitDensity(states.matrix[0]), loglik,
+                          float(fractions[0]), fractions[1:])
+
+
+def mle_reconstruct(records) -> tuple:
+    """(TwoQubitDensity, log_likelihood) of ``reconstruct`` without resamples."""
+    fit = reconstruct(records)
+    return fit.state, fit.log_likelihood
 
 
 def log_likelihood(records, rho: TwoQubitDensity) -> float:
@@ -431,27 +502,22 @@ def singlet_fractions(ops, counts) -> np.ndarray:
     return singlet_fraction(_state(sigma)).value
 
 
-def bootstrap_singlet_fraction(records, resamples: int, seed: int):
-    """Parametric-bootstrap sample of the singlet fraction.
-
-    Draws every resample of each setting's counts from Poisson(observed)
-    (the draws of a resample-by-resample loop, in the same order) and
-    returns their ``singlet_fractions``: one solve and one certificate
-    for the whole stack.  Each value is bit for bit that of
-    ``mle_reconstruct`` on its resample.
-    """
+def _bootstrap(records, resamples: int, seed: int) -> Reconstruction:
     check_ranges(ContractError, {"resamples": f"int [{MIN_RESAMPLES}, inf)"},
                  resamples=resamples)
-    ops, observed = _measurement_ops(records)
-    draws = np.random.default_rng(seed).poisson(
-        observed, size=(resamples, len(observed))).astype(float)
-    return singlet_fractions(ops, draws)
+    return reconstruct(records, resamples, seed)
+
+
+def bootstrap_singlet_fraction(records, resamples: int, seed: int):
+    """Parametric-bootstrap sample of the singlet fraction: the resampled
+    values of ``reconstruct``, each bit for bit that of ``mle_reconstruct``
+    on its resample."""
+    return _bootstrap(records, resamples, seed).resampled
 
 
 def bootstrap_uncertainty(records, resamples: int, seed: int) -> float:
     """Standard deviation of the singlet fraction under Poisson resampling."""
-    values = bootstrap_singlet_fraction(records, resamples, seed)
-    return float(np.std(values, ddof=1))
+    return _bootstrap(records, resamples, seed).singlet_fraction_sigma
 
 
 CSV_HEADER = ["setting_arm1", "setting_arm2", "hwp1_deg", "qwp1_deg",

@@ -193,6 +193,13 @@ def scalar_barrier_newton(d, n):
         mu /= 100.0
 
 
+def scalar_simulate_counts(rho, settings, total_pairs, rng):
+    """Reference ``tomography.simulate_counts``: per setting in turn, its
+    probability Tr[rho Pi_s] and one scalar Poisson draw from rng."""
+    return [int(rng.poisson(max(total_pairs * tomography.setting_probability(rho, s), 0.0)))
+            for s in settings]
+
+
 def frank_wolfe_gap(ops, counts, rho):
     """Upper bound on the likelihood shortfall of rho (Frank-Wolfe gap).
 

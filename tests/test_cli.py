@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qdpair
-from qdpair import cli, photostat, swap, timetag
+from qdpair import cli, photostat, swap, timetag, tomography, twoqubit
 from qdpair.errors import NumericalError
 
 
@@ -270,6 +271,39 @@ def test_entangle_reconstruction_is_pinned(tmp_path):
                    "--format", "json") == 0
     rec = json.loads((tmp_path / "entangle.json").read_text())["reconstruction"]
     assert {key: rec[key] for key in PINNED_RECONSTRUCTION} == PINNED_RECONSTRUCTION
+
+
+def _separate_reconstruction(records, resamples, seed):
+    """The estimate and its bootstrap sigma from separate library calls."""
+    state, loglik = tomography.mle_reconstruct(records)
+    sigma = tomography.bootstrap_uncertainty(records, resamples, seed) if resamples else None
+    return types.SimpleNamespace(
+        state=state, log_likelihood=loglik, singlet_fraction_sigma=sigma,
+        singlet_fraction=float(twoqubit.singlet_fraction(state).value))
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("bootstrap", (0, 50))
+def test_entangle_reconstructs_in_one_solve(tmp_path, monkeypatch, seed, bootstrap):
+    # The estimate and its resamples share one design check and one
+    # solve, and write the bytes the separate calls give.
+    cfg = write_config(tmp_path, {"seed": seed, "tomography": {
+        "enabled": True, "pairs": 20000, "bootstrap": bootstrap}})
+    with monkeypatch.context() as m:
+        m.setattr(cli, "tomography", types.SimpleNamespace(
+            **{**vars(tomography), "reconstruct": _separate_reconstruction}))
+        assert run_cli("entangle", "--config", cfg, "--out", str(tmp_path / "ref")) == 0
+    calls = {"_barrier_newton": 0, "_checked_design": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(tomography, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(tomography, name, counted)
+    assert run_cli("entangle", "--config", cfg, "--out", str(tmp_path / "one")) == 0
+    assert calls == {"_barrier_newton": 1, "_checked_design": 1}
+    ref, one = ((tmp_path / d / "entangle.json").read_bytes() for d in ("ref", "one"))
+    assert one == ref
+    assert ("singlet_fraction_sigma" in json.loads(one)["reconstruction"]) == bool(bootstrap)
 
 
 # timetag sweep at 50 000 pulses per setting, recorded at the same point.

@@ -12,7 +12,7 @@ from qdpair import wavepacket
 from qdpair.errors import ConfigError, ContractError, NumericalError, ReconstructionError
 from helpers import (frank_wolfe_gap, mle_multistart, random_density_matrix,
                      rowwise_singlet_fractions, scalar_barrier_newton,
-                     uhlmann_fidelity)
+                     scalar_simulate_counts, uhlmann_fidelity)
 
 # A log of zero or a division by zero inside the solver fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -74,6 +74,40 @@ def test_standard_settings_cover_six_by_six():
     assert len(labels) == 36
     for name in ("H", "V", "D", "A", "R", "L"):
         assert sum(1 for a, b in labels if a == name) == 6
+
+
+def test_standard_settings_build_six_kets(monkeypatch):
+    # each canonical ket is made once per call, and the 36 projectors
+    # built from them are those each setting builds from its own kets
+    calls = []
+    ket = tomo.waveplate_ket
+    monkeypatch.setattr(tomo, "waveplate_ket", lambda *a: calls.append(a) or ket(*a))
+    settings = tomo.standard_settings()
+    projectors = [s.joint_projector() for s in settings]
+    assert sorted(calls) == sorted(tomo.CANONICAL_ANGLES.values())
+    monkeypatch.undo()
+    for s, proj in zip(settings, projectors):
+        joint = np.kron(tomo.waveplate_ket(s.hwp1_deg, s.qwp1_deg),
+                        tomo.waveplate_ket(s.hwp2_deg, s.qwp2_deg))
+        assert np.array_equal(proj, np.outer(joint, joint.conj()))
+        assert not proj.flags.writeable and s.joint_projector() is proj
+    tomo.standard_settings()
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("rho, pairs", (
+    (tq.bell_state("psi_minus"), 50000), (tq.werner(0.3), 7),
+    (tq.rho_b_zero(), 10 ** 6)), ids=("psi minus", "few pairs", "rho_b_zero"))
+def test_simulate_counts_matches_a_per_setting_loop(rho, pairs):
+    # one stacked trace and one Poisson draw give each setting's count,
+    # and leave the generator where the per-setting loop leaves it
+    settings = tomo.standard_settings()
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    records = tomo.simulate_counts(rho, settings, pairs, seed=rng)
+    assert [r.counts for r in records] == scalar_simulate_counts(rho, settings, pairs,
+                                                                 ref_rng)
+    assert all(type(r.counts) is int for r in records)
+    assert rng.random() == ref_rng.random()
 
 
 def test_setting_probabilities_normalised_over_basis():
@@ -198,6 +232,22 @@ def test_bootstrap_matches_a_reconstruction_loop():
              for r, c in zip(records, draw)])
         loop.append(tq.singlet_fraction(rho).value)
     assert np.array_equal(values, loop)
+
+
+def test_reconstruct_takes_no_or_enough_resamples():
+    records = tomo.simulate_counts(tq.werner(0.9), tomo.standard_settings(), 20000, seed=3)
+    fit = tomo.reconstruct(records)
+    assert fit.resampled.shape == (0,)
+    state, loglik = tomo.mle_reconstruct(records)
+    assert np.array_equal(fit.state.matrix, state.matrix)
+    assert fit.log_likelihood == loglik
+    assert fit.singlet_fraction == tq.singlet_fraction(fit.state).value
+    for resamples in (-1, 1, tomo.MIN_RESAMPLES - 1, 50.0):
+        with pytest.raises(ContractError, match="resamples"):
+            tomo.reconstruct(records, resamples, seed=4)
+    for bootstrap in (tomo.bootstrap_singlet_fraction, tomo.bootstrap_uncertainty):
+        with pytest.raises(ContractError, match="resamples"):
+            bootstrap(records, 0, seed=4)
 
 
 def test_log_likelihood_prefers_the_generating_state():
