@@ -11,16 +11,7 @@ then works on those objects.  Identical configuration
 and seed give byte-identical outputs; every output embeds or sits next
 to the resolved configuration and its SHA-256 hash.
 
-Commands
-    entangle    post-selected two-qubit state, singlet overlap and rate
-                estimate, optionally with simulated tomography and
-                maximum-likelihood reconstruction.
-    fig3        fidelity against multi-photon probability (g2) curves.
-    fig4b       fidelity against excitation-pulse delay curve.
-    fig5        entanglement-swapping rate comparison table.
-    rates       forward rate budget (and back-propagation when a
-                measured coincidence rate is supplied).
-    timetag     synth | analyse | sweep on synthetic detection streams.
+``COMMANDS`` lists the commands; ``qdpair --help`` prints them.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error,
 4 model-domain error.
@@ -322,42 +313,46 @@ def cmd_rates(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
     return [_write_json(out_dir / "rates.json", payload, resolved, digest)]
 
 
-def cmd_timetag(resolved: dict, o, sub: str, out_dir: Path, fmt: str,
-                digest: str):
-    tt, params = resolved["timetag"], o.stream
-    if sub == "synth":
-        stream = timetag.synthesize_stream(params)
-        path = out_dir / "stream.qtt"
-        timetag.write_stream(stream, path)
-        sidecar = _write_json(out_dir / "stream.config.json",
-                              {"records": int(len(stream.records)),
-                               "mode": tt["mode"]},
-                              resolved, digest)
-        return [path, sidecar]
-    if sub == "analyse":
-        stream = timetag.synthesize_stream(params)
-        payload = {"mode": tt["mode"], "records": int(len(stream.records))}
-        files = []
-        if tt["mode"] == "hbt":
-            hist = timetag.coincidence_histogram(stream, 0, 1,
-                                                 tt["bin_ps"], o.span_ps)
-            g2, err = timetag.g2_from_histogram(hist, stream.period_ps)
-            payload["g2"] = float(g2)
-            payload["g2_sigma"] = float(err)
-            hist_path = out_dir / "hbt_histogram.csv"
-            hist.to_csv(hist_path)
-            files.append(hist_path)
-        elif tt["mode"] == "pairs":
-            counts = timetag.pair_counts(stream)
-            payload["pair_counts"] = [[int(c) for c in row] for row in counts]
-        else:
-            payload["t_zero_ps"] = int(
-                timetag.reference_from_pulse_histogram(stream))
-        files.append(_write_json(out_dir / "timetag_analysis.json", payload,
-                                 resolved, digest))
-        return files
+def cmd_timetag_synth(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
+    stream = timetag.synthesize_stream(o.stream)
+    path = out_dir / "stream.qtt"
+    timetag.write_stream(stream, path)
+    sidecar = _write_json(out_dir / "stream.config.json",
+                          {"records": int(len(stream.records)),
+                           "mode": resolved["timetag"]["mode"]},
+                          resolved, digest)
+    return [path, sidecar]
+
+
+def cmd_timetag_analyse(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
+    tt = resolved["timetag"]
+    stream = timetag.synthesize_stream(o.stream)
+    payload = {"mode": tt["mode"], "records": int(len(stream.records))}
+    files = []
+    if tt["mode"] == "hbt":
+        hist = timetag.coincidence_histogram(stream, 0, 1,
+                                             tt["bin_ps"], o.span_ps)
+        g2, err = timetag.g2_from_histogram(hist, stream.period_ps)
+        payload["g2"] = float(g2)
+        payload["g2_sigma"] = float(err)
+        hist_path = out_dir / "hbt_histogram.csv"
+        hist.to_csv(hist_path)
+        files.append(hist_path)
+    elif tt["mode"] == "pairs":
+        counts = timetag.pair_counts(stream)
+        payload["pair_counts"] = [[int(c) for c in row] for row in counts]
+    else:
+        payload["t_zero_ps"] = int(
+            timetag.reference_from_pulse_histogram(stream))
+    files.append(_write_json(out_dir / "timetag_analysis.json", payload,
+                             resolved, digest))
+    return files
+
+
+def cmd_timetag_sweep(resolved: dict, o, out_dir: Path, fmt: str, digest: str):
+    tt = resolved["timetag"]
     points = timetag.filter_fidelity_sweep(
-        params=dataclasses.replace(params, mode="pairs"),
+        params=dataclasses.replace(o.stream, mode="pairs"),
         **{key: tt[key] for key in _SWEEP})
     rows = [(p.t_on_ps, p.singlet_fraction, p.coincidences,
              p.retained_fraction) for p in points]
@@ -370,40 +365,46 @@ def cmd_timetag(resolved: dict, o, sub: str, out_dir: Path, fmt: str,
 # ---------------------------------------------------------------------------
 # Entry point.
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", metavar="PATH",
-                   help="JSON configuration file (merged over defaults)")
-    p.add_argument("--out", metavar="DIR", default=".",
-                   help="output directory (created if missing)")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help="override the configuration seed")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="table output format (JSON reports ignore this)")
+# (command, subcommand) -> (handler, one-line help): the only list of commands.
+COMMANDS = {
+    ("entangle", None): (cmd_entangle, "post-selected state, singlet overlap and rates"),
+    ("fig3", None): (cmd_fig3, "fidelity versus multi-photon probability curves"),
+    ("fig4b", None): (cmd_fig4b, "fidelity versus excitation delay curve"),
+    ("fig5", None): (cmd_fig5, "entanglement-swapping comparison table"),
+    ("rates", None): (cmd_rates, "forward rate budget"),
+    ("timetag", "synth"): (cmd_timetag_synth, "write a synthetic detection stream"),
+    ("timetag", "analyse"): (cmd_timetag_analyse, "g2, pair counts or time reference "
+                                                  "of a synthetic stream"),
+    ("timetag", "sweep"): (cmd_timetag_sweep, "fidelity versus temporal-filter window"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="qdpair",
+        prog="qdpair", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Simulation toolkit for a post-selected "
-                    "entangled-photon-pair source.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "entangle": "post-selected state, singlet overlap and rates",
-        "fig3": "fidelity versus multi-photon probability curves",
-        "fig4b": "fidelity versus excitation delay curve",
-        "fig5": "entanglement-swapping comparison table",
-        "rates": "forward rate budget",
-    }
-    for name, text in helps.items():
-        _add_common(subs.add_parser(name, help=text))
-    pt = subs.add_parser("timetag", help="synthetic detection streams")
-    pt.add_argument("subcommand", choices=("synth", "analyse", "sweep"))
-    _add_common(pt)
+                    "entangled-photon-pair source.",
+        epilog="commands:\n" + "\n".join(f"  {' '.join(filter(None, key)):<18}{text}"
+                                         for key, (_, text) in COMMANDS.items()))
+    parser.add_argument("command", help="one of the commands listed below")
+    parser.add_argument("subcommand", nargs="?", help="the timetag step")
+    parser.add_argument("--config", metavar="PATH",
+                        help="JSON configuration file (merged over defaults)")
+    parser.add_argument("--out", metavar="DIR", default=".",
+                        help="output directory (created if missing)")
+    parser.add_argument("--seed", type=int, metavar="N",
+                        help="override the configuration seed")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="table output format (JSON reports ignore this)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    key = (args.command, args.subcommand)
+    if key not in COMMANDS:
+        parser.error(f"no command {' '.join(filter(None, key))!r}; see qdpair --help")
     try:
         user = {}
         if args.config:
@@ -421,14 +422,7 @@ def main(argv=None) -> int:
         digest = config_digest(resolved)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "timetag":
-            files = cmd_timetag(resolved, objects, args.subcommand, out_dir,
-                                args.format, digest)
-        else:
-            handler = {"entangle": cmd_entangle, "fig3": cmd_fig3,
-                       "fig4b": cmd_fig4b, "fig5": cmd_fig5,
-                       "rates": cmd_rates}[args.command]
-            files = handler(resolved, objects, out_dir, args.format, digest)
+        files = COMMANDS[key][0](resolved, objects, out_dir, args.format, digest)
     except (ConfigError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

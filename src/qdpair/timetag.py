@@ -596,12 +596,12 @@ def g2_from_histogram(hist: Histogram, rep_period_ps: float):
     if n_side < 5:
         raise ContractError(
             f"histogram spans only {n_side} full side peaks per side; need >= 5")
-    peak = np.rint(centers / rep_period_ps).astype(np.int64)
-    areas = {}
-    for m in range(-n_side, n_side + 1):
-        areas[m] = float(hist.counts[peak == m].sum())
-    central = areas[0]
-    sides = np.array([areas[m] for m in range(-n_side, n_side + 1) if m != 0])
+    peak = np.rint(centers / rep_period_ps).astype(np.int64) + n_side
+    inside = (peak >= 0) & (peak <= 2 * n_side)
+    areas = np.bincount(peak[inside], weights=hist.counts[inside],
+                        minlength=2 * n_side + 1)
+    central = float(areas[n_side])
+    sides = np.delete(areas, n_side)
     mean_side = sides.mean()
     if mean_side <= 0.0:
         raise ModelDomainError("side peaks are empty; cannot normalise g2")

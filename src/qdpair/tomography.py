@@ -502,22 +502,13 @@ def singlet_fractions(ops, counts) -> np.ndarray:
     return singlet_fraction(_state(sigma)).value
 
 
-def _bootstrap(records, resamples: int, seed: int) -> Reconstruction:
-    check_ranges(ContractError, {"resamples": f"int [{MIN_RESAMPLES}, inf)"},
-                 resamples=resamples)
-    return reconstruct(records, resamples, seed)
-
-
 def bootstrap_singlet_fraction(records, resamples: int, seed: int):
     """Parametric-bootstrap sample of the singlet fraction: the resampled
     values of ``reconstruct``, each bit for bit that of ``mle_reconstruct``
     on its resample."""
-    return _bootstrap(records, resamples, seed).resampled
-
-
-def bootstrap_uncertainty(records, resamples: int, seed: int) -> float:
-    """Standard deviation of the singlet fraction under Poisson resampling."""
-    return _bootstrap(records, resamples, seed).singlet_fraction_sigma
+    check_ranges(ContractError, {"resamples": f"int [{MIN_RESAMPLES}, inf)"},
+                 resamples=resamples)
+    return reconstruct(records, resamples, seed).resampled
 
 
 CSV_HEADER = ["setting_arm1", "setting_arm2", "hwp1_deg", "qwp1_deg",

@@ -84,14 +84,12 @@ def _support(k: float) -> tuple:
     return (-10.0, k * math.log(1e9))
 
 
-def temporal_overlap(tau_ps: float, params: WavepacketParams,
-                     squared: bool = True) -> float:
+def temporal_overlap(tau_ps: float, params: WavepacketParams) -> float:
     """Normalised temporal overlap O(tau) of two identical wavepackets
     offset by tau_ps.
 
     The amplitude overlap is computed with amplitude = sqrt(intensity)
-    and flat phase; by default O is the squared modulus of that overlap
-    (``squared=False`` returns the bare amplitude overlap instead).
+    and flat phase; O is the squared modulus of that overlap.
     O(0) = 1, O is even, O -> 0 for large offsets.
     """
     from scipy.integrate import quad
@@ -113,13 +111,12 @@ def temporal_overlap(tau_ps: float, params: WavepacketParams,
         raise NumericalError(
             f"overlap quadrature did not converge: value {val}, error estimate {err}")
     val = min(max(val, 0.0), 1.0)
-    return val * val if squared else val
+    return val * val
 
 
-def indistinguishability_vs_offset(tau_ps: float, params: WavepacketParams,
-                                   squared: bool = True) -> float:
+def indistinguishability_vs_offset(tau_ps: float, params: WavepacketParams) -> float:
     """Two-photon indistinguishability I(tau) = I0 * O(tau)."""
-    return params.i0 * temporal_overlap(tau_ps, params, squared=squared)
+    return params.i0 * temporal_overlap(tau_ps, params)
 
 
 def fidelity_from_indistinguishability(indistinguishability: float) -> float:
@@ -170,11 +167,10 @@ def fidelity_vs_g2(indistinguishability: float, g2: float, eta: float = 0.05) ->
     return p_q * (1.0 + indistinguishability) / 2.0 + p_b_half * 0.5
 
 
-def offset_curve(taus_ps, params: WavepacketParams, squared: bool = True):
+def offset_curve(taus_ps, params: WavepacketParams):
     """Sweep of (tau, indistinguishability, fidelity) over delay offsets."""
     taus = np.asarray(taus_ps, dtype=float)
-    ind = np.array([indistinguishability_vs_offset(t, params, squared=squared)
-                    for t in taus])
+    ind = np.array([indistinguishability_vs_offset(t, params) for t in taus])
     fid = (1.0 + ind) / 2.0
     return taus, ind, fid
 

@@ -276,7 +276,8 @@ def test_entangle_reconstruction_is_pinned(tmp_path):
 def _separate_reconstruction(records, resamples, seed):
     """The estimate and its bootstrap sigma from separate library calls."""
     state, loglik = tomography.mle_reconstruct(records)
-    sigma = tomography.bootstrap_uncertainty(records, resamples, seed) if resamples else None
+    sigma = (float(np.std(tomography.bootstrap_singlet_fraction(records, resamples, seed),
+                          ddof=1)) if resamples else None)
     return types.SimpleNamespace(
         state=state, log_likelihood=loglik, singlet_fraction_sigma=sigma,
         singlet_fraction=float(twoqubit.singlet_fraction(state).value))
@@ -356,10 +357,29 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     def explode(resolved, objects, out_dir, fmt, digest):
         raise NumericalError("did not converge")
 
-    monkeypatch.setattr(cli, "cmd_rates", explode)
+    monkeypatch.setitem(cli.COMMANDS, ("rates", None), (explode, "forward rate budget"))
     assert run_cli("rates", "--out", str(tmp_path / "x4")) == 3
-    with pytest.raises(SystemExit):
-        run_cli("unknown-command")
+
+
+@pytest.mark.parametrize("argv", (["timetag"], ["fig5", "sweep"], ["timetag", "nope"],
+                                  ["nope"]), ids=" ".join)
+def test_pair_outside_the_command_table_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"no command '{' '.join(argv)}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for name in ("entangle", "fig3", "fig4b", "fig5", "rates", "timetag synth",
+                 "timetag analyse", "timetag sweep"):
+        assert f"\n  {name} " in text
 
 
 @pytest.mark.parametrize("extra", ([], ["--seed", "5"]), ids=("config", "seed-flag"))

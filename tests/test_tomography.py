@@ -209,7 +209,8 @@ def test_bootstrap_deterministic_and_calibrated():
     assert np.array_equal(a, b)
     assert len(a) == 60
     assert abs(np.mean(a) - 0.925) <= 0.01
-    sigma = tomo.bootstrap_uncertainty(records, 60, seed=4)
+    sigma = tomo.reconstruct(records, 60, seed=4).singlet_fraction_sigma
+    assert sigma == np.std(a, ddof=1)
     assert 0.0 < sigma < 0.01
     with pytest.raises(ContractError):
         tomo.bootstrap_singlet_fraction(records, 20, seed=4)
@@ -245,9 +246,8 @@ def test_reconstruct_takes_no_or_enough_resamples():
     for resamples in (-1, 1, tomo.MIN_RESAMPLES - 1, 50.0):
         with pytest.raises(ContractError, match="resamples"):
             tomo.reconstruct(records, resamples, seed=4)
-    for bootstrap in (tomo.bootstrap_singlet_fraction, tomo.bootstrap_uncertainty):
-        with pytest.raises(ContractError, match="resamples"):
-            bootstrap(records, 0, seed=4)
+    with pytest.raises(ContractError, match="resamples"):
+        tomo.bootstrap_singlet_fraction(records, 0, seed=4)
 
 
 def test_log_likelihood_prefers_the_generating_state():

@@ -32,10 +32,8 @@ def test_narrow_pulse_limit_is_exponential():
     # exp(-tau / t1); the finite-width correction is second order
     params = wp.WavepacketParams(t1_ps=60.0, pulse_width_ps=0.01)
     for tau in (10.0, 30.0, 60.0, 120.0):
-        got = wp.indistinguishability_vs_offset(tau, params, squared=True)
+        got = wp.indistinguishability_vs_offset(tau, params)
         assert abs(got - np.exp(-tau / 60.0)) <= 1e-3
-        raw = wp.indistinguishability_vs_offset(tau, params, squared=False)
-        assert abs(raw - np.exp(-tau / 120.0)) <= 1e-3
 
 
 def test_overlap_checks_each_delay_once(monkeypatch):
