@@ -799,22 +799,83 @@ def _fold(stream: TimeTagStream):
     return rel, np.rint(rel / stream.period_ps).astype(np.int64)
 
 
-def _slot_runs(slot: np.ndarray):
-    """Start and length of each run of equal slots (slots must not decrease)."""
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(slot)) + 1, [len(slot)]))
-    return bounds[:-1], np.diff(bounds)
+def _levels(rel: np.ndarray, period: float, windows) -> np.ndarray:
+    """1 + the number of ``windows`` whose own mask holds each time.
+
+    The windows must share their end and be sorted by t_on, so each holds
+    every later one and a time's windows are a prefix of the list: window
+    w holds it exactly when its level exceeds w + 1.  Each mask is checked
+    to lie inside the one before, which makes that exact for every time,
+    on an edge too; a mask that does not is a NumericalError."""
+    if any(w.t_off_ps != windows[0].t_off_ps for w in windows):
+        raise ContractError("the windows must share their end")
+    if any(a.t_on_ps > b.t_on_ps for a, b in zip(windows, windows[1:])):
+        raise ContractError("the windows must be sorted by t_on")
+    level = np.ones(len(rel), dtype=np.intp)
+    held = None
+    for w in windows:
+        mask = w.mask(rel, period)
+        if held is not None and (mask > held).any():
+            raise NumericalError(f"the window at t_on {w.t_on_ps} ps holds a time "
+                                 "that an earlier-starting window drops")
+        level += mask
+        held = mask
+    return level
 
 
-def _coincidences(channel: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """2x2 counts of runs of exactly two records on channels 0-3 sharing a
-    slot, one in each arm; slots must not decrease (time-ordered stream)."""
-    arms = channel < 4
-    channel, slot = channel[arms], slot[arms]
-    start, run = _slot_runs(slot)
-    first = start[run == 2]
-    a, b = channel[first], channel[first + 1]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return np.bincount(4 * lo + hi, minlength=16).reshape(4, 4)[:2, 2:]
+def _arm_pair_counts(stream: TimeTagStream, windows=()) -> np.ndarray:
+    """(1 + W, 2, 2) arm-pair counts: row 0 unfiltered, row 1 + w inside
+    windows[w], which share their end and are sorted by t_on.
+
+    A coincidence is a period slot with exactly two records on channels
+    0-3, one in each arm.  The stream is folded once, and only the arm
+    records of slots holding two or more are kept: a slot holding one
+    forms no coincidence in any window, nor does one holding two records
+    in one arm, which is dropped too.  Each kept record gets its level
+    (``_levels``).  With a slot's levels sorted in descending order, L1 >=
+    L2 >= L3 (L3 = 0 for a two-record slot), rows L3 .. L2 - 1 hold exactly
+    its two top records, so it counts there with their outcome.  One
+    bincount of +1 at (L3, outcome) and -1 at (L2, outcome), summed over
+    the levels, gives every row; only slots of three or more are sorted."""
+    if windows and stream.t_zero_ps is None:
+        raise ContractError("stream has no pulse-peak reference; set t_zero first")
+    rel, slot = _fold(stream)
+    ch = stream.records["channel"]
+    if len(ch) and ch.max() >= 4:
+        arms = ch < 4
+        rel, slot, ch = rel[arms], slot[arms], ch[arms]
+    same = slot[1:] == slot[:-1]
+    shared = np.zeros(len(slot), dtype=bool)
+    shared[1:] = same
+    shared[:-1] |= same
+    shared = np.flatnonzero(shared)
+    rel, slot, ch = rel.take(shared), slot.take(shared), ch.take(shared).astype(np.intp)
+
+    start = np.flatnonzero(np.concatenate(([True], slot[1:] != slot[:-1])))
+    run = np.diff(np.append(start, len(slot)))
+    a = start[run == 2]
+    a = a[(ch[a] < 2) != (ch[a + 1] < 2)]
+    many = np.flatnonzero(np.repeat(run > 2, run))
+    level = _levels(rel.take(np.concatenate((a, a + 1, many))), stream.period_ps, windows)
+    top2 = (ch[a], ch[a + 1])
+    l2 = np.minimum(level[:len(a)], level[len(a):2 * len(a)])
+    l3 = np.zeros(len(a), dtype=np.intp)
+    if len(many):
+        level = level[2 * len(a):]
+        # descending levels within each slot, the slots still in order
+        order = np.lexsort((-level, slot[many]))
+        many, level = many[order], level[order]
+        first = np.flatnonzero(np.concatenate(
+            ([True], slot[many[1:]] != slot[many[:-1]])))
+        top = [first + k for k in range(3)]
+        top2 = tuple(np.concatenate((t, ch[many[k]])) for t, k in zip(top2, top))
+        l2 = np.concatenate((l2, level[top[1]]))
+        l3 = np.concatenate((l3, level[top[2]]))
+    pair = 4 * np.minimum(*top2) + np.maximum(*top2)
+    rows = len(windows) + 2
+    steps = (np.bincount(16 * l3 + pair, minlength=16 * rows)
+             - np.bincount(16 * l2 + pair, minlength=16 * rows))
+    return steps.reshape(rows, 4, 4).cumsum(axis=0)[:-1, :2, 2:]
 
 
 def pair_counts(stream: TimeTagStream) -> np.ndarray:
@@ -822,9 +883,10 @@ def pair_counts(stream: TimeTagStream) -> np.ndarray:
 
     A coincidence is a period with exactly one record in arm c (channels
     0/1) and exactly one in arm d (channels 2/3); entry [i, j] counts
-    outcomes (channel i, channel 2 + j).
+    outcomes (channel i, channel 2 + j).  It is row 0, the unfiltered
+    row, of the counter the filter sweep uses for all its windows.
     """
-    return _coincidences(stream.records["channel"], _fold(stream)[1])
+    return _arm_pair_counts(stream)[0]
 
 
 @dataclass(frozen=True)
@@ -845,25 +907,22 @@ def _sweep_workers() -> int:
     return min(cpus, 2)
 
 
-def _setting_counts(params: StreamParams, i: int, setting, windows) -> list:
+def _setting_counts(params: StreamParams, i: int, setting, windows) -> np.ndarray:
     """Arm-pair counts of tomography setting i of a sweep, unfiltered and
-    then inside each window, from its own stream of child seed i."""
+    then inside each window (``_arm_pair_counts``), from its own stream of
+    child seed i."""
     child = int(np.random.SeedSequence([params.seed, i]).generate_state(1)[0])
     stream = synthesize_stream(dataclasses.replace(
         params, analysis=(setting.label1, setting.label2), seed=child))
-    rel, slot = _fold(stream)
-    run = _slot_runs(slot)[1]
-    shared = np.repeat(run >= 2, run)
-    rel, slot = rel[shared], slot[shared]
-    ch = stream.records["channel"][shared]
-    kept = (w.mask(rel, stream.period_ps) for w in windows)
-    return [_coincidences(ch, slot)] + [_coincidences(ch[k], slot[k]) for k in kept]
+    return _arm_pair_counts(stream, windows)
 
 
 def sweep_windows(t_on_grid_ps, params: StreamParams,
                   t_off_margin_ps: float) -> list:
     """The windows [t_on, period - t_off_margin) of a filter sweep over
-    streams synthesised from params, each checked against the period."""
+    streams synthesised from params, in grid order, each checked against
+    the period.  They share their end, so they are nested: each holds
+    every window that starts later."""
     if len(t_on_grid_ps) == 0:
         raise ContractError("the window grid must be nonempty")
     period = 1e12 / params.rep_rate_hz
@@ -877,20 +936,20 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
     """Full filter -> tomography pipeline over a grid of window-on times.
 
     Synthesises the paired stream of each tomography setting, counts its
-    coincidences unfiltered and inside each window [t_on, period -
-    t_off_margin), and drops it.  Two settings run at once on a thread
+    coincidences unfiltered and inside every window [t_on, period -
+    t_off_margin) in one pass (``_arm_pair_counts``, with the windows
+    sorted by t_on), and drops it.  Two settings run at once on a thread
     pool (one on a single CPU), so at most two streams are alive; each
     setting draws from its own child seed and the counts are collected in
-    setting order, so the result does not depend on the scheduling.  A
-    slot holding one record forms no coincidence under any window, and a
-    window keeps or drops each record on its own, so each stream is
-    folded once and only the records of slots holding two or more are
-    counted and filtered (about a third of them at the defaults).  The
-    windows' pass-pass counts are reconstructed together, each window one
-    row of one lockstep solve and one certificate
-    (``tomography.singlet_fractions``), and each window is reported as the
-    singlet fraction plus coincidence retention against the unfiltered
-    streams.
+    setting order, so the result does not depend on the scheduling.  The
+    counts are put back in grid order, so a grid out of order or with
+    repeats gives the points of its windows taken one by one.  A window
+    with no pass-pass coincidence over the 36 settings is a
+    ModelDomainError that names its t_on.  The windows' pass-pass counts
+    are reconstructed together, each window one row of one lockstep solve
+    and one certificate (``tomography.singlet_fractions``), and each
+    window is reported as the singlet fraction plus coincidence retention
+    against the unfiltered streams.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -898,17 +957,24 @@ def filter_fidelity_sweep(t_on_grid_ps=(-45.0, -20.0, 0.0, 20.0, 35.0),
         raise ContractError("the filter pipeline needs a pairs-mode stream")
     settings = tomography.standard_settings()
     windows = sweep_windows(t_on_grid_ps, params, t_off_margin_ps)
+    order = np.argsort([w.t_on_ps for w in windows], kind="stable")
+    by_t_on = [windows[j] for j in order]
 
     with ThreadPoolExecutor(_sweep_workers()) as pool:
         counts = np.array(list(pool.map(
-            lambda i: _setting_counts(params, i, settings[i], windows),
+            lambda i: _setting_counts(params, i, settings[i], by_t_on),
             range(len(settings)))))
+    counts = counts[:, np.concatenate(([0], 1 + np.argsort(order)))]
     base_total = int(counts[:, 0].sum())
     if base_total == 0:
         raise ModelDomainError("no coincidences in the unfiltered streams")
 
     ops = np.array([s.joint_projector() for s in settings])
     passes = np.ascontiguousarray(counts[:, 1:, 0, 0].T, dtype=float)
+    for window, total in zip(windows, passes.sum(axis=1)):
+        if total == 0.0:
+            raise ModelDomainError(f"no pass-pass coincidences in the window at "
+                                   f"t_on {window.t_on_ps} ps")
     fractions = tomography.singlet_fractions(ops, passes).tolist()
     totals = counts[:, 1:].sum(axis=(0, 2, 3)).tolist()
     return [FilterSweepPoint(float(t_on), sf, total, total / base_total)

@@ -321,6 +321,18 @@ def test_timetag_sweep_fractions_are_pinned(tmp_path):
         == PINNED_SWEEP_FRACTIONS
 
 
+def test_sweep_names_a_window_without_pass_pass_coincidences(tmp_path, capsys):
+    # [13061, 13061.16) ps holds almost no records: none of its
+    # coincidences is pass-pass in any setting, so no state fits it
+    cfg = write_config(tmp_path, {"timetag": {"pulses": 20000,
+                                              "t_on_grid_ps": [0.0, 13061.0]}})
+    assert run_cli("timetag", "sweep", "--config", cfg, "--out", str(tmp_path / "x")) == 4
+    err = capsys.readouterr().err
+    assert "no pass-pass coincidences in the window at t_on 13061.0 ps" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x" / "timetag_sweep.csv").exists()
+
+
 def test_exit_codes(tmp_path, monkeypatch, capsys):
     bad_key = write_config(tmp_path, {"sourc": {"g2": 0.1}}, "bad1.json")
     assert run_cli("entangle", "--config", bad_key,

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import (all_pairs_histogram, copying_filter_sweep, picked_times,
-                     sorting_pair_counts)
+from helpers import (all_pairs_histogram, copying_filter_sweep, copying_temporal_filter,
+                     picked_times, sorting_pair_counts)
 from qdpair import timetag as tt, tomography
-from qdpair.errors import ConfigError, ContractError, ModelDomainError
+from qdpair.errors import ConfigError, ContractError, ModelDomainError, NumericalError
 
 
 def test_synthesis_deterministic():
@@ -263,9 +263,34 @@ def random_stream(rng):
     return tt.TimeTagStream(records, rep_rate, t_zero)
 
 
+def random_windows(rng, st):
+    """One to four windows of st sorted by t_on with one shared end, all
+    within one period of the first t_on.  Every t_on and most ends are
+    integers, most of them the time of a record relative to the
+    reference, so they fall exactly on that record's phase."""
+    period = st.period_ps
+    rel = st.records["t"] - st.t_zero_ps
+    first = int(rng.choice(rel)) if len(rel) else int(rng.integers(-3000, 3000))
+    near = rel[(rel >= first) & (rel < first + period)]
+    t_on = [first] + [int(rng.choice(near)) if len(near) and rng.random() < 0.7
+                      else first + int(rng.integers(0, int(period)))
+                      for _ in range(rng.integers(0, 4))]
+    last = max(t_on)
+    ends = near[near >= last]
+    pick = rng.integers(3)
+    if pick == 0 and len(ends):
+        t_off = float(rng.choice(ends))
+    elif pick == 1:
+        t_off = first + period
+    else:
+        t_off = float(last + rng.integers(0, int(first + period - last) + 1))
+    return [tt.FilterWindow(float(t), t_off) for t in sorted(t_on)]
+
+
 def test_pair_counts_matches_sorting_oracle():
     rng = np.random.default_rng(2024)
-    empty = coincidences = 0
+    window_rng = np.random.default_rng(2025)
+    empty = coincidences = filtered = 0
     for _ in range(3000):
         st = random_stream(rng)
         counts = tt.pair_counts(st)
@@ -273,7 +298,37 @@ def test_pair_counts_matches_sorting_oracle():
         assert np.array_equal(counts, sorting_pair_counts(st))
         empty += len(st) == 0
         coincidences += int(counts.sum())
-    assert empty > 0 and coincidences > 1000
+        if st.t_zero_ps is None:
+            with pytest.raises(ContractError, match="reference"):
+                tt._arm_pair_counts(st, [tt.FilterWindow(0.0, 1.0)])
+            continue
+        windows = random_windows(window_rng, st)
+        rows = tt._arm_pair_counts(st, windows)
+        assert rows.shape == (1 + len(windows), 2, 2) and rows.dtype == np.int64
+        assert np.array_equal(rows[0], counts)
+        for w, row in zip(windows, rows[1:]):
+            assert np.array_equal(row, sorting_pair_counts(copying_temporal_filter(st, w)))
+        filtered += int(rows[1:].sum())
+    assert empty > 0 and coincidences > 1000 and filtered > 1000
+
+
+def test_windowed_counts_refuse_windows_that_are_not_nested():
+    st = tt.synthesize_stream(tt.StreamParams(pulses=2000, seed=4))
+    with pytest.raises(ContractError, match="share their end"):
+        tt._arm_pair_counts(st, [tt.FilterWindow(-20.0, 100.0),
+                                 tt.FilterWindow(0.0, 120.0)])
+    with pytest.raises(ContractError, match="sorted by t_on"):
+        tt._arm_pair_counts(st, [tt.FilterWindow(0.0, 100.0),
+                                 tt.FilterWindow(-20.0, 100.0)])
+
+    class Shifted(tt.FilterWindow):
+        """A window whose mask holds the times 150 ps past its own."""
+        def mask(self, rel_ps, period_ps):
+            return super().mask(rel_ps - 150.0, period_ps)
+
+    # the masks disagree with the windows' order: the count is refused
+    with pytest.raises(NumericalError, match="t_on 0.0 ps"):
+        tt._arm_pair_counts(st, [tt.FilterWindow(-20.0, 100.0), Shifted(0.0, 100.0)])
 
 
 def test_temporal_filter_behaviour():
@@ -326,6 +381,17 @@ def test_filter_sweep_matches_copying_oracle():
     grid = (-30.0, -10.0, 0.0, 35.0, 60.0)
     assert tt.filter_fidelity_sweep(grid, params, t_off_margin_ps=30.0) \
         == copying_filter_sweep(grid, params, t_off_margin_ps=30.0)
+
+
+def test_filter_sweep_keeps_the_grid_order():
+    # the counter takes the windows sorted by t_on; the points come back
+    # in grid order, a repeated window twice
+    params = tt.StreamParams(t1_ps=200.0, pulses=20000, seed=5, eta=0.3)
+    grid = (35.0, -45.0, 0.0, 0.0)
+    points = tt.filter_fidelity_sweep(grid, params)
+    assert [p.t_on_ps for p in points] == list(grid)
+    assert points[2] == points[3]
+    assert points == copying_filter_sweep(grid, params)
 
 
 def test_filter_sweep_matches_copying_oracle_on_dense_slots():
